@@ -8,8 +8,8 @@ from .chart import (ChartPoint, ConditionReport, Verdict, check_kl,
 from .errors import (FieldMismatchError, IndeterminateValuationError,
                      PrecisionExhaustedError, SchemaError)
 from .exterior import (Frame, WedgeVector, apply_wedge_power_operator,
-                       basis_wedge, build_frame, change_wedge_basis, f_frame,
-                       form_eval, g_frame, lambda_frame, spin_involution,
+                       basis_wedge, build_frame, f_frame, form_eval,
+                       frame_in_e, g_frame, lambda_frame, spin_involution,
                        standard_e_frame, wedge_columns, worst_terms)
 from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, all_index_sets, sigma_sign_bruteforce,
@@ -28,10 +28,10 @@ __all__ = [
     "IndeterminateValuationError", "PiLaurent", "PiSeries", "PolyRing",
     "PrecisionExhaustedError", "PrimeField", "Rationals", "ResidueBasis",
     "SchemaError", "Verdict", "WedgeVector", "all_index_sets", "annihilators",
-    "apply_wedge_power_operator", "basis_wedge", "build_frame",
-    "change_wedge_basis", "check_kl", "check_kottwitz",
-    "check_naive_relations", "check_refined", "check_spin", "check_trace",
-    "check_wedge", "f_frame", "form_eval", "full_report", "g_frame",
+    "apply_wedge_power_operator", "basis_wedge", "build_frame", "check_kl",
+    "check_kottwitz", "check_naive_relations", "check_refined", "check_spin",
+    "check_trace", "check_wedge", "f_frame", "form_eval", "frame_in_e",
+    "full_report", "g_frame",
     "intersect_with_standard_lattice", "lambda_frame", "membership_over_R",
     "ord_pi", "reduce_mod_pi", "sigma_sign_bruteforce", "sigma_sign_closed",
     "spanning_set", "spin_involution", "standard_e_frame",

@@ -24,14 +24,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SchemaError
-from .exterior import (E_BASIS, WedgeVector, chart_frame, frame_position_map,
-                       reindex_wedge_terms, standard_e_frame, wedge_columns_masks)
-from .fields import PrimeField, Rationals, field_from_key
+from .exterior import WedgeVector, frame_in_e, wedge_columns_masks
+from .fields import PrimeField, Rationals, field_from_key, is_json_int
 from .indexsets import IndexSet
 from .lattices import (annihilators, intersect_with_standard_lattice,
                        membership_over_R, reduce_mod_pi, spanning_set)
 from .rings import ring_from_json, ring_to_json
 
+DEFAULT_P = 13
 DEFAULT_PRECISION = 24
 
 PASS = "pass"
@@ -123,32 +123,32 @@ def chart_point_embed(pt: ChartPoint) -> list:
     return cols
 
 
-@lru_cache(maxsize=None)
-def _chart_to_e_posmap(n: int, field_key: tuple) -> tuple:
-    field = field_from_key(field_key)
-    return tuple(frame_position_map(chart_frame(field, n), standard_e_frame(field, n)))
+def _columns_in_e(pt: ChartPoint) -> list:
+    """The embedded columns relabelled from chart positions to e-positions.
+    Each chart frame vector is a unit e-vector, so the chart frame is a
+    permutation of the standard lattice basis."""
+    frame = frame_in_e("chart", pt.n, pt.ring.field)
+    posmap = [next(iter(vec)) for vec in frame.vectors]
+    return [{posmap[p - 1]: c for p, c in col.items()} for col in chart_point_embed(pt)]
+
+
+def _wedge_in_e(pt: ChartPoint, cols: list) -> WedgeVector:
+    masks = wedge_columns_masks(cols, pt.ring)
+    return WedgeVector(pt.n, {IndexSet(pt.n, m): c for m, c in masks.items()})
 
 
 def wedge_vector(pt: ChartPoint) -> WedgeVector:
     """Wedge of the point's columns from left to right, in e-basis
     coordinates over the point's coefficient ring."""
-    cols = chart_point_embed(pt)
-    masks = wedge_columns_masks(cols, pt.ring)
-    terms = {IndexSet(pt.n, m): c for m, c in masks.items()}
-    posmap = list(_chart_to_e_posmap(pt.n, pt.ring.field.key()))
-    return WedgeVector(E_BASIS, pt.n, reindex_wedge_terms(terms, posmap, pt.ring, pt.n))
+    return _wedge_in_e(pt, _columns_in_e(pt))
 
 
 def partial_wedge_vectors(pt: ChartPoint, l: int):
     """e-basis wedges of each l-subset of the point's columns, in column
     order, as (column tuple, WedgeVector) pairs."""
-    cols = chart_point_embed(pt)
-    posmap = list(_chart_to_e_posmap(pt.n, pt.ring.field.key()))
+    cols = _columns_in_e(pt)
     for combo in combinations(range(pt.n), l):
-        masks = wedge_columns_masks([cols[j] for j in combo], pt.ring)
-        terms = {IndexSet(pt.n, m): c for m, c in masks.items()}
-        yield combo, WedgeVector(E_BASIS, pt.n,
-                                 reindex_wedge_terms(terms, posmap, pt.ring, pt.n))
+        yield combo, _wedge_in_e(pt, [cols[j] for j in combo])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def chart_point_from_json(obj) -> ChartPoint:
     n = obj["n"]
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise SchemaError("field 'n' must be an odd integer >= 3")
-    p = obj.get("p", 13)
+    p = obj.get("p", DEFAULT_P)
     if p == "rationals":
         field = Rationals()
     elif isinstance(p, int):
@@ -441,7 +441,7 @@ def chart_point_from_json(obj) -> ChartPoint:
         raise SchemaError(f"field 'ring': {exc}") from exc
     sig = obj.get("signature", [n - 1, 1])
     if (not isinstance(sig, list) or len(sig) != 2
-            or not all(isinstance(t, int) for t in sig)):
+            or not all(is_json_int(t) for t in sig)):
         raise SchemaError("field 'signature' must be a pair of integers")
     x = obj["X"]
     if not isinstance(x, list) or len(x) != n or any(

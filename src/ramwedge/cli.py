@@ -15,8 +15,9 @@ import os
 import sys
 import tempfile
 
-from .chart import (DEFAULT_PRECISION, chart_point_from_json, full_report)
-from .drivers import DEFAULT_P, run_driver
+from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
+                    full_report)
+from .drivers import run_driver
 from .errors import PrecisionExhaustedError, SchemaError
 from .fields import PrimeField
 from .lattices import (annihilators, intersect_with_standard_lattice,

@@ -9,13 +9,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .chart import (ChartPoint, block_reflection, full_report, mat_add,
-                    mat_mul, mat_transpose, refined_annihilators,
-                    wedge_vector)
-from .exterior import (E_BASIS, WedgeVector, apply_wedge_power_operator,
-                       basis_wedge, change_wedge_basis, g_frame,
-                       operator_add, operator_pi_action, operator_scalar,
-                       operator_sub, standard_e_frame, wedge_add, wedge_eq,
+from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
+                    block_reflection, full_report, mat_add, mat_mul,
+                    mat_transpose, refined_annihilators, wedge_vector)
+from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
+                       frame_in_e, operator_add, operator_pi_action,
+                       operator_scalar, operator_sub, wedge_add, wedge_eq,
                        wedge_scale, worst_terms)
 from .fields import PrimeField
 from .indexsets import (IndexSet, all_index_sets, i_vee, sigma_sign_bruteforce,
@@ -27,9 +26,6 @@ from .lattices import (DVRTriangularBasis, annihilator_evaluations,
                        residue_spans_equal, spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
-
-DEFAULT_P = 13
-DEFAULT_PRECISION = 24
 
 
 @dataclass(frozen=True)
@@ -191,13 +187,11 @@ def canonical_pairs(n: int):
 def pair_element(field, n: int, i: int, j: int) -> WedgeVector:
     """g_S - sgn(sigma_S)*g_{S-perp} in e-basis for the pair (i, j)."""
     ring = LaurentOps(field)
-    gfr = g_frame(field, n)
-    efr = standard_e_frame(field, n)
+    gfr = frame_in_e("g_split", n, field)
     base = frozenset(range(1, n + 1))
     s = IndexSet.of(n, (base - {j}) | {n + i})
-    sp = s.perp()
-    ws = change_wedge_basis(basis_wedge(gfr, s, ring), E_BASIS, efr)
-    wp = change_wedge_basis(basis_wedge(gfr, sp, ring), E_BASIS, efr)
+    ws = basis_wedge(gfr, s, ring)
+    wp = basis_wedge(gfr, s.perp(), ring)
     sgn = sigma_sign_closed(s)
     factor = PiLaurent.const(field, field.neg(field.of_int(sgn)))
     return wedge_add(ws, wedge_scale(wp, factor, ring), ring)
@@ -210,13 +204,12 @@ def verify_worst_term_tables(n: int, p: int = DEFAULT_P) -> Certificate:
     _require_odd(n, 3, 9)
     field = PrimeField(p)
     ring = LaurentOps(field)
-    gfr = g_frame(field, n)
-    efr = standard_e_frame(field, n)
+    gfr = frame_in_e("g_split", n, field)
     mismatches = []
     singles = 0
     for i, j, s in type_n11_sets(n):
         singles += 1
-        w = change_wedge_basis(basis_wedge(gfr, s, ring), E_BASIS, efr)
+        w = basis_wedge(gfr, s, ring)
         wt, val = worst_terms(w)
         want_val, want_terms = expected_single_worst_term(field, n, i, j)
         if val != want_val or wt.terms != want_terms:
@@ -302,7 +295,7 @@ def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasi
     cols = [dict(g.terms) for g in generators]
     processed = pi_adic_column_echelon(cols, precision)
     pivots = tuple((t, val) for t, val, _ in processed)
-    columns = tuple(WedgeVector(E_BASIS, n, col) for _, _, col in processed)
+    columns = tuple(WedgeVector(n, col) for _, _, col in processed)
     return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
 
 
@@ -514,7 +507,7 @@ def verify_operator_identities(n: int, r: int, s: int,
         raise ValueError("signature must satisfy r + s = n")
     field = PrimeField(p)
     ring = LaurentOps(field)
-    gfr = g_frame(field, n)
+    gfr = frame_in_e("g_split", n, field)
     pi_op = operator_pi_action(field, n)
     pi = PiLaurent.monomial(field, 1)
     failures = []

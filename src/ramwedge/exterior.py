@@ -8,19 +8,23 @@ the scalar pi^2.  A vector is a sparse {position: PiLaurent} map; any
 pi^(-1)*e_j x 1 is stored as pi^(-2) times position n+j, which keeps every
 frame coordinate a finite Laurent polynomial.
 
-Wedge coordinates are sparse {IndexSet: coefficient} maps.  The coefficient
-of a column wedge at S is the minor on rows S taken in increasing row
-order, with columns wedged from left to right.
+Frame builders write their vectors in ambient coordinates and check them
+there; frame_in_e rewrites a frame in the basis of the standard lattice
+frame (e-coordinates) once.  Every wedge is taken of e-coordinate vectors,
+so wedge coordinates are e_S coordinates: sparse {IndexSet: coefficient}
+maps whose value at S is the minor on rows S taken in increasing row
+order, with columns wedged from left to right.  "pi x 1" has the same
+matrix in e-coordinates as in ambient coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .indexsets import IndexSet, sigma_sign_closed
 from .scalars import INF, LaurentOps, PiLaurent
 
-AMBIENT = "ambient_wedge"
 E_BASIS = "e_basis"
 
 
@@ -30,7 +34,8 @@ E_BASIS = "e_basis"
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered basis of V, each vector a sparse ambient-coordinate map."""
+    """An ordered basis of V, each vector a sparse coordinate map: ambient
+    coordinates from the builders, e-coordinates from frame_in_e."""
 
     kind: str
     n: int
@@ -169,6 +174,24 @@ def build_frame(kind: str, n: int, field, index: int = None) -> Frame:
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def frame_in_e(kind: str, n: int, field) -> Frame:
+    """The frame of the given kind with each vector rewritten in the basis
+    of standard_e_frame, built and self-checked once per (kind, n, field).
+    Ambient position a is c times the standard frame vector p holding it,
+    for a monomial c, so an ambient coordinate x at a becomes x / c at p.
+    The vectors are shared by every caller and must not be mutated."""
+    frame = build_frame(kind, n, field)
+    relabel = {}
+    for p, vec in enumerate(standard_e_frame(field, n).vectors, 1):
+        (amb, c), = vec.items()
+        (exp, cf), = c.coeffs.items()
+        relabel[amb] = (p, PiLaurent.make(field, {-exp: field.inv(cf)}))
+    vectors = tuple({relabel[a][0]: x * relabel[a][1] for a, x in vec.items()}
+                    for vec in frame.vectors)
+    return Frame(frame.kind, n, field, vectors)
+
+
 # ---------------------------------------------------------------------------
 # Bilinear forms
 
@@ -265,10 +288,9 @@ def _vec_eq(v: dict, w: dict) -> bool:
 
 @dataclass(frozen=True)
 class WedgeVector:
-    """Element of a wedge power as a sparse {IndexSet: coefficient} map,
-    tagged with the coordinate basis (ambient_wedge or e_basis)."""
+    """Element of a wedge power as a sparse {IndexSet: coefficient} map;
+    the library builds every one in e_S coordinates."""
 
-    basis: str
     n: int
     terms: dict
 
@@ -286,7 +308,7 @@ class WedgeVector:
 
     def to_json(self):
         return {
-            "basis": self.basis,
+            "basis": E_BASIS,
             "terms": [{"indexSet": s.to_json(), "coefficient": c.to_json()}
                       for s, c in self.items_sorted()],
         }
@@ -326,7 +348,7 @@ def wedge_columns_masks(columns, ring) -> dict:
     return acc
 
 
-def wedge_columns(n: int, columns, ring, basis: str = AMBIENT) -> WedgeVector:
+def wedge_columns(n: int, columns, ring) -> WedgeVector:
     """Wedge of len(columns) sparse vectors over a 2n-position space."""
     if not 1 <= len(columns) <= 2 * n:
         raise ValueError(f"expected between 1 and {2 * n} columns, got {len(columns)}")
@@ -335,12 +357,12 @@ def wedge_columns(n: int, columns, ring, basis: str = AMBIENT) -> WedgeVector:
             if not 1 <= pos <= 2 * n:
                 raise ValueError(f"position {pos} outside 1..{2 * n}")
     masks = wedge_columns_masks(columns, ring)
-    return WedgeVector(basis, n, {IndexSet(n, m): c for m, c in masks.items()})
+    return WedgeVector(n, {IndexSet(n, m): c for m, c in masks.items()})
 
 
 def wedge_add(a: WedgeVector, b: WedgeVector, ring) -> WedgeVector:
-    if a.basis != b.basis or a.n != b.n:
-        raise ValueError("wedge vectors in different coordinates")
+    if a.n != b.n:
+        raise ValueError("wedge vectors of different rank")
     out = dict(a.terms)
     for s, c in b.terms.items():
         if s in out:
@@ -351,121 +373,26 @@ def wedge_add(a: WedgeVector, b: WedgeVector, ring) -> WedgeVector:
                 out[s] = merged
         else:
             out[s] = c
-    return WedgeVector(a.basis, a.n, out)
+    return WedgeVector(a.n, out)
 
 
 def wedge_scale(w: WedgeVector, c, ring) -> WedgeVector:
     if ring.is_zero(c):
-        return WedgeVector(w.basis, w.n, {})
-    return WedgeVector(w.basis, w.n, {s: ring.mul(v, c) for s, v in w.terms.items()})
-
-
-def wedge_neg(w: WedgeVector, ring) -> WedgeVector:
-    return WedgeVector(w.basis, w.n, {s: ring.neg(v) for s, v in w.terms.items()})
+        return WedgeVector(w.n, {})
+    return WedgeVector(w.n, {s: ring.mul(v, c) for s, v in w.terms.items()})
 
 
 def wedge_eq(a: WedgeVector, b: WedgeVector) -> bool:
-    return a.basis == b.basis and a.n == b.n and a.terms == b.terms
+    return a.n == b.n and a.terms == b.terms
 
 
 def basis_wedge(frame: Frame, s: IndexSet, ring=None) -> WedgeVector:
-    """Wedge of the frame vectors indexed by s, in increasing order, in
-    ambient wedge coordinates."""
+    """Wedge of the frame vectors indexed by s, in increasing order; e_S
+    coordinates when the frame comes from frame_in_e."""
     if ring is None:
         ring = LaurentOps(frame.field)
     cols = [frame.vector(p) for p in s.members]
     return wedge_columns(frame.n, cols, ring)
-
-
-# ---------------------------------------------------------------------------
-# Basis changes in the wedge powers
-
-
-def _sort_sign(seq) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _monomial_maps(frame: Frame):
-    """For a monomial frame: per position the (ambient index, scalar) pair,
-    and the inverse position lookup by ambient index."""
-    fwd = {}
-    back = {}
-    for pos in range(1, 2 * frame.n + 1):
-        (amb, coeff), = frame.vector(pos).items()
-        fwd[pos] = (amb, coeff)
-        back[amb] = pos
-    return fwd, back
-
-
-def change_wedge_basis(w: WedgeVector, target: str, frame: Frame) -> WedgeVector:
-    """Convert between ambient wedge coordinates and the wedge basis of a
-    monomial frame (coefficientwise monomial rescaling plus a permutation
-    sign per index set).  Round trips are the identity."""
-    if target not in (AMBIENT, E_BASIS):
-        raise ValueError(f"unknown basis tag {target!r}")
-    if w.basis == target:
-        raise ValueError("source and target coordinates coincide")
-    fwd, back = _monomial_maps(frame)
-    field = frame.field
-    out = {}
-    for s, c in w.terms.items():
-        if target == AMBIENT:
-            # frame wedge at positions -> ambient wedge
-            ambs = [fwd[p][0] for p in s.members]
-            scal = c
-            for p in s.members:
-                scal = scal * fwd[p][1]
-            sign = _sort_sign(ambs)
-            key = IndexSet.of(w.n, ambs)
-        else:
-            # ambient wedge -> frame wedge
-            poss = [back[a] for a in s.members]
-            scal = c
-            for a in s.members:
-                p = back[a]
-                (exp, cf), = fwd[p][1].coeffs.items()
-                scal = scal * PiLaurent.make(field, {-exp: field.inv(cf)})
-            sign = _sort_sign(poss)
-            key = IndexSet.of(w.n, poss)
-        if sign < 0:
-            scal = -scal
-        if not scal.is_zero:
-            out[key] = scal
-    return WedgeVector(target, w.n, out)
-
-
-def frame_position_map(frame_a: Frame, frame_b: Frame) -> list:
-    """For two frames consisting of the same vectors in different orders,
-    the list mapping positions of frame_a to positions of frame_b
-    (1-indexed; entry 0 unused)."""
-    def canon(vec):
-        return tuple(sorted((p, tuple(c.items_sorted())) for p, c in vec.items()))
-
-    lookup = {canon(frame_b.vector(q)): q for q in range(1, 2 * frame_b.n + 1)}
-    posmap = [0] * (2 * frame_a.n + 1)
-    for p in range(1, 2 * frame_a.n + 1):
-        key = canon(frame_a.vector(p))
-        if key not in lookup:
-            raise ValueError("frames are not reorderings of the same vectors")
-        posmap[p] = lookup[key]
-    return posmap
-
-
-def reindex_wedge_terms(terms: dict, posmap: list, ring, n: int) -> dict:
-    """Push wedge coordinates through a position permutation; only signs are
-    introduced, so this works over any coefficient ring."""
-    out = {}
-    for s, c in terms.items():
-        mapped = [posmap[p] for p in s.members]
-        if _sort_sign(mapped) < 0:
-            c = ring.neg(c)
-        out[IndexSet.of(n, mapped)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +410,7 @@ def worst_terms(w: WedgeVector):
         if o < val:
             val = o
     kept = {s: c for s, c in w.terms.items() if c.ord() == val}
-    return WedgeVector(w.basis, w.n, kept), val
+    return WedgeVector(w.n, kept), val
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +477,13 @@ def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
                                ring=None, field=None) -> WedgeVector:
     """Induced action of the degree-th wedge power of an operator on V; on a
     decomposable vector it is the wedge of the images."""
-    if w.basis != AMBIENT:
-        raise ValueError("operator application expects ambient wedge coordinates")
     if w.terms and w.degree() != degree:
         raise ValueError(f"vector has degree {w.degree()}, expected {degree}")
     if ring is None:
         if field is None:
             raise ValueError("a coefficient ring or field is required")
         ring = LaurentOps(field)
-    total = WedgeVector(AMBIENT, w.n, {})
+    total = WedgeVector(w.n, {})
     for s, c in w.terms.items():
         images = [op_cols[p - 1] for p in s.members]
         piece = wedge_columns(w.n, images, ring)

@@ -11,6 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def is_json_int(obj) -> bool:
+    """JSON true and false load as bool, a subclass of int; they are not
+    integers in the schema."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -75,7 +81,7 @@ class PrimeField:
         return a % self.p
 
     def element_from_json(self, obj) -> int:
-        if not isinstance(obj, int):
+        if not is_json_int(obj):
             raise ValueError(f"expected integer residue, got {obj!r}")
         return obj % self.p
 
@@ -126,10 +132,13 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}"
 
     def element_from_json(self, obj) -> Fraction:
-        if isinstance(obj, int):
+        if is_json_int(obj):
             return Fraction(obj)
         if isinstance(obj, str):
-            return Fraction(obj)
+            try:
+                return Fraction(obj)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {obj!r}") from None
         raise ValueError(f"expected integer or fraction string, got {obj!r}")
 
     def key(self) -> tuple:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import PrecisionExhaustedError
-from .exterior import (E_BASIS, WedgeVector, basis_wedge,
-                       change_wedge_basis, f_frame, g_frame, standard_e_frame,
-                       wedge_add, wedge_scale)
+from .exterior import (WedgeVector, basis_wedge, frame_in_e, wedge_add,
+                       wedge_scale)
 from .indexsets import IndexSet, all_index_sets, sigma_sign_closed
 from .scalars import LaurentOps, PiLaurent, truncated_inverse
 
@@ -32,21 +31,15 @@ GUARD_BAND = 4
 # Spanning sets
 
 
-def _wedges_in_e(frame, e_frame, sets, ring):
-    out = {}
-    for s in sets:
-        out[s] = change_wedge_basis(basis_wedge(frame, s, ring), E_BASIS, e_frame)
-    return out
-
-
-def _paired_generators(frame, e_frame, field, sets, eps: int):
+def _paired_generators(frame, sets, eps: int):
     """Nonzero elements w_S + eps * sgn(sigma_S) * w_{S-perp} for S running
     over the given sets, one representative per {S, S-perp} pair."""
+    field = frame.field
     ring = LaurentOps(field)
     wanted = set(sets)
     chosen = [s for s in sets if s.perp().sort_key() >= s.sort_key()]
     needed = set(chosen) | {s.perp() for s in chosen}
-    cache = _wedges_in_e(frame, e_frame, sorted(needed, key=IndexSet.sort_key), ring)
+    cache = {t: basis_wedge(frame, t, ring) for t in needed}
     gens = []
     for s in chosen:
         sp = s.perp()
@@ -73,27 +66,27 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
                from the -pi eigenspace and at most s from the +pi one
                (generators g_S, |S| = l, componentwise type bounded by (r, s)).
     """
-    e_fr = standard_e_frame(field, n)
     if kind == "spin":
         if eps not in (1, -1):
             raise ValueError("spin requires eps in {+1, -1}")
-        return _paired_generators(f_frame(field, n), e_fr, field,
+        return _paired_generators(frame_in_e("f_split", n, field),
                                   list(all_index_sets(n)), eps)
     if kind == "refined":
         if eps not in (1, -1) or r is None or s is None or r + s != n:
             raise ValueError("refined requires eps and a signature r + s = n")
+        gfr = frame_in_e("g_split", n, field)
         sets = [t for t in all_index_sets(n) if t.type_pair() == (r, s)]
-        return _paired_generators(g_frame(field, n), e_fr, field, sets, eps)
+        return _paired_generators(gfr, sets, eps)
     if kind == "kl":
         if l is None or not 1 <= l <= n or r is None or s is None or r + s != n:
             raise ValueError("kl requires 1 <= l <= n and a signature r + s = n")
         ring = LaurentOps(field)
-        gfr = g_frame(field, n)
+        gfr = frame_in_e("g_split", n, field)
         gens = []
         for t in all_index_sets(n, card=l):
             j, k = t.type_pair()
             if j <= r and k <= s:
-                gens.append(change_wedge_basis(basis_wedge(gfr, t, ring), E_BASIS, e_fr))
+                gens.append(basis_wedge(gfr, t, ring))
         return gens
     raise ValueError(f"unknown spanning kind {kind!r}")
 
@@ -209,8 +202,6 @@ def intersect_with_standard_lattice(generators: list, precision: int,
     field = None
     cols = []
     for g in generators:
-        if g.basis != E_BASIS:
-            raise ValueError("generators must be in e-basis coordinates")
         if g.is_zero:
             continue
         d = g.degree()
@@ -232,7 +223,7 @@ def intersect_with_standard_lattice(generators: list, precision: int,
             raise AssertionError("pivot does not attain the column minimum")
         scaled = {t2: c.shift(-val) for t2, c in col.items()}
         pivots.append((t, val))
-        columns.append(WedgeVector(E_BASIS, n, scaled))
+        columns.append(WedgeVector(n, scaled))
     return DVRTriangularBasis(n, degree, field, precision,
                               tuple(pivots), tuple(columns))
 
@@ -241,8 +232,6 @@ def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector,
                      guard: int = GUARD_BAND) -> bool:
     """Whether w lies in the span of the basis columns over the valuation
     ring, decided at the basis precision."""
-    if w.basis != E_BASIS:
-        raise ValueError("membership expects e-basis coordinates")
     rem = dict(w.terms)
     for (t, _), col in zip(basis.pivots, basis.columns):
         c = rem.get(t)
@@ -467,8 +456,6 @@ def membership_over_R(w, ann: AnnihilatorSet, ring) -> MembershipResult:
     """Whether an e-basis coefficient vector over R lies in R tensor the
     residue span; on failure reports one nonzero evaluation."""
     terms = w.terms if isinstance(w, WedgeVector) else w
-    if isinstance(w, WedgeVector) and w.basis != E_BASIS:
-        raise ValueError("membership expects e-basis coordinates")
     for label, value in annihilator_evaluations(ann, terms, ring):
         if not ring.is_zero(value):
             return MembershipResult(False, label, value)

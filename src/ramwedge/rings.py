@@ -2,8 +2,8 @@
 numbers over it, and multivariate polynomials over it.
 
 Every ring exposes the same small protocol (zero, one, add, sub, mul, neg,
-is_zero, eq, from_base) so the wedge machinery and the membership checks
-stay generic.  Elements are plain values: a field element, an (a, b) pair
+is_zero, from_base, and JSON conversion of elements) so the wedge machinery
+and the membership checks stay generic.  Elements are plain values: a field element, an (a, b) pair
 with b multiplying the square-zero generator, or a sparse
 {exponent-tuple: coefficient} map.
 """
@@ -46,14 +46,8 @@ class FieldRing:
     def is_zero(self, a) -> bool:
         return self.field.is_zero(a)
 
-    def eq(self, a, b) -> bool:
-        return self.field.is_zero(self.field.sub(a, b))
-
     def from_base(self, c):
         return c
-
-    def describe(self, a) -> str:
-        return str(a)
 
     def element_to_json(self, a):
         return self.field.element_to_json(a)
@@ -102,14 +96,8 @@ class DualNumbers:
         f = self.field
         return f.is_zero(a[0]) and f.is_zero(a[1])
 
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.sub(a, b))
-
     def from_base(self, c):
         return (c, self.field.zero)
-
-    def describe(self, a) -> str:
-        return f"{a[0]} + {a[1]}*x"
 
     def element_to_json(self, a):
         return [self.field.element_to_json(a[0]), self.field.element_to_json(a[1])]
@@ -186,9 +174,6 @@ class PolyRing:
     def is_zero(self, a) -> bool:
         return not a
 
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.sub(a, b))
-
     def from_base(self, c):
         return self.const(c)
 
@@ -201,16 +186,6 @@ class PolyRing:
         for m, c in a.items():
             row[m.index(1)] = c
         return row
-
-    def describe(self, a) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for m, c in sorted(a.items()):
-            vars_ = "*".join(f"{self.names[i]}^{e}" if e > 1 else self.names[i]
-                             for i, e in enumerate(m) if e)
-            parts.append(f"{c}*{vars_}" if vars_ else str(c))
-        return " + ".join(parts)
 
     def element_to_json(self, a):
         return [{"coeff": self.field.element_to_json(c), "exponents": list(m)}

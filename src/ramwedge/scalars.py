@@ -221,8 +221,6 @@ def _mul(a, b):
 
 def ord_pi(a):
     """Valuation of a PiLaurent or PiSeries; +inf for exact zero."""
-    if isinstance(a, PiSeries):
-        return a.ord()
     return a.ord()
 
 
@@ -278,6 +276,3 @@ class LaurentOps:
 
     def from_base(self, c):
         return PiLaurent.const(self.field, c)
-
-    def eq(self, a, b) -> bool:
-        return type(a) == type(b) and a == b

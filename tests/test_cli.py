@@ -147,3 +147,40 @@ def test_bad_eps_and_signature(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["verify", "operator-identities", "--n", "3",
                  "--signature", "2,2", "--out", str(tmp_path)]) == 2
+
+
+def test_zero_denominator_entry_names_field(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"n": 3, "p": "rationals", "ring": {"kind": "field"},
+                               "X": [[0, 0, 0], [0, "1/0", 0], [0, 0, 0]]}))
+    assert main(["check-point", "--input", str(src),
+                 "--out", str(tmp_path)]) == 2
+    assert "X[1][1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_basis_rejects_rank_below_two(tmp_path, capsys, n):
+    out = tmp_path / "results"
+    assert main(["basis", "spin", "--n", n, "--out", str(out)]) == 2
+    assert "rank n must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("field", "signature", [True, 2]),
+    ("field", "X[2][0]", True),
+    ("dual", "X[0][1]", [0, False]),
+])
+def test_booleans_are_not_integers(tmp_path, capsys, kind, field, value):
+    zero = [0, 0] if kind == "dual" else 0
+    point = {"n": 3, "p": 13, "signature": [2, 1], "ring": {"kind": kind},
+             "X": [[zero] * 3 for _ in range(3)]}
+    if field == "signature":
+        point["signature"] = value
+    else:
+        point["X"][int(field[2])][int(field[5])] = value
+    src = tmp_path / "bool.json"
+    src.write_text(json.dumps(point))
+    assert main(["check-point", "--input", str(src),
+                 "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err

@@ -1,26 +1,26 @@
-"""Frames, bilinear forms, sparse wedges, basis changes, worst terms, and
-wedge-power operators."""
+"""Frames, bilinear forms, e-coordinate frames, sparse wedges, worst terms,
+and wedge-power operators."""
 
 import random
 
 import pytest
 
-from ramwedge.exterior import (E_BASIS, WedgeVector, apply_wedge_power_operator,
-                               basis_wedge, build_frame, change_wedge_basis,
-                               chart_frame, f_frame, form_eval,
-                               frame_position_map, g_frame, lambda_frame,
-                               operator_add, operator_identity,
-                               operator_pi_action, operator_scalar,
-                               operator_sub, reindex_wedge_terms,
-                               spin_involution, standard_e_frame,
-                               wedge_columns, wedge_eq, wedge_scale,
+from ramwedge.exterior import (E_BASIS, WedgeVector, apply_operator,
+                               apply_wedge_power_operator, basis_wedge,
+                               build_frame, f_frame, form_eval, frame_in_e,
+                               g_frame, lambda_frame, operator_add,
+                               operator_identity, operator_pi_action,
+                               operator_scalar, operator_sub, spin_involution,
+                               standard_e_frame, wedge_columns,
+                               wedge_columns_masks, wedge_eq, wedge_scale,
                                worst_terms)
-from ramwedge.fields import PrimeField
+from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, all_index_sets, i_star, i_vee,
                                 sigma_sign_closed)
 from ramwedge.scalars import LaurentOps, PiLaurent
 
 F = PrimeField(13)
+Q = Rationals()
 
 
 def L(coeffs, field=F):
@@ -60,12 +60,6 @@ def test_lambda_frames_along_the_chain():
     lam_n = lambda_frame(F, 3, 3)
     assert lam_n.vector(1) == {4: L({-2: 1})}
     assert lam_n.vector(4) == {1: L({0: 1})}
-
-
-def test_chart_frame_is_reordered_lattice_frame():
-    for n in (3, 5, 7):
-        posmap = frame_position_map(chart_frame(F, n), standard_e_frame(F, n))
-        assert sorted(posmap[1:]) == list(range(1, 2 * n + 1))
 
 
 def test_build_frame_dispatch_and_errors():
@@ -132,58 +126,69 @@ def test_wedge_column_validation():
 
 def test_lattice_frame_wedge_is_unit_coordinate():
     for n in (3, 5):
-        e_fr = standard_e_frame(F, n)
         s = IndexSet.of(n, range(1, n + 1))
-        w = change_wedge_basis(basis_wedge(e_fr, s), E_BASIS, e_fr)
+        w = basis_wedge(frame_in_e("lambda", n, F), s)
         assert w.terms == {s: PiLaurent.one(F)}
 
 
-def test_top_lattice_wedge_in_ambient_coordinates():
-    # frame positions n+1..2n hold the ambient vectors 1..m and n+m+1..2n in
-    # increasing order, so the conversion carries no sign and no monomial
-    for n in (3, 5):
-        m = n // 2
-        e_fr = standard_e_frame(F, n)
-        s = IndexSet.of(n, range(n + 1, 2 * n + 1))
-        w = WedgeVector(E_BASIS, n, {s: PiLaurent.one(F)})
-        amb = change_wedge_basis(w, "ambient_wedge", e_fr)
-        expected = IndexSet.of(n, list(range(1, m + 1))
-                               + list(range(n + m + 1, 2 * n + 1)))
-        assert amb.terms == {expected: PiLaurent.one(F)}
+ORACLE_CASES = [(kind, n) for n in (3, 4, 5, 7)
+                for kind in ("f_split", "g_split", "chart")
+                if kind != "chart" or n % 2]
 
 
-def test_inverse_monomial_in_basis_change():
-    # an ambient coordinate on a position carrying the pi^-2 frame scalar
-    # picks up the inverse monomial pi^2 when written in the e-basis
-    n = 3
-    e_fr = standard_e_frame(F, n)
-    t = IndexSet.of(n, (4, 5, 6))
-    amb = WedgeVector("ambient_wedge", n, {t: L({-2: 1})})
-    w = change_wedge_basis(amb, E_BASIS, e_fr)
-    assert w.terms == {IndexSet.of(n, (1, 5, 6)): PiLaurent.one(F)}
+@pytest.mark.parametrize("field", [F, Q], ids=["F13", "Q"])
+@pytest.mark.parametrize("kind,n", ORACLE_CASES)
+def test_e_coordinates_expand_to_ambient_wedge(kind, n, field):
+    # independent of the conversion to e-coordinates: the ambient wedge of
+    # the frame vectors at S equals sum_T c_T * (ambient wedge of the
+    # standard lattice frame vectors at T), c_T the e-coordinates at T
+    ring = LaurentOps(field)
+    ambient = build_frame(kind, n, field)
+    lattice = standard_e_frame(field, n)
+    in_e = frame_in_e(kind, n, field)
+    sets = [s for k, s in enumerate(all_index_sets(n)) if k % (41 if n == 7 else 1) == 0]
+    for s in sets:
+        want = wedge_columns_masks([ambient.vector(p) for p in s.members], ring)
+        got = {}
+        for t, c in basis_wedge(in_e, s, ring).terms.items():
+            cols = [lattice.vector(q) for q in t.members]
+            for mask, x in wedge_columns_masks(cols, ring).items():
+                total = got.get(mask, ring.zero) + c * x
+                if total.is_zero:
+                    got.pop(mask, None)
+                else:
+                    got[mask] = total
+        assert got == want
+    if kind == "chart":
+        # the chart frame is a permutation of the standard lattice basis
+        one = PiLaurent.one(field)
+        assert sorted(next(iter(v)) for v in in_e.vectors) == list(range(1, 2 * n + 1))
+        assert all(list(v.values()) == [one] for v in in_e.vectors)
 
 
-def test_change_basis_round_trip():
-    rng = random.Random(11)
+def test_pi_action_has_the_same_matrix_in_e_coordinates():
+    # pi x 1 applied to standard lattice vector p equals sum_q A[q, p] times
+    # vector q, A the ambient matrix of pi x 1
     for n in (3, 4, 5):
-        e_fr = standard_e_frame(F, n)
-        terms = {}
-        for s in rng.sample(list(all_index_sets(n)), 5):
-            terms[s] = L({rng.randrange(-3, 4): rng.randrange(1, 13)})
-        w = WedgeVector(E_BASIS, n, terms)
-        back = change_wedge_basis(change_wedge_basis(w, "ambient_wedge", e_fr),
-                                  E_BASIS, e_fr)
-        assert wedge_eq(w, back)
+        lattice = standard_e_frame(F, n)
+        op = operator_pi_action(F, n)
+        for p in range(1, 2 * n + 1):
+            (q, a), = op[p - 1].items()
+            want = {pos: c * a for pos, c in lattice.vector(q).items()}
+            assert apply_operator(op, lattice.vector(p), F) == want
+
+
+def test_frames_in_e_are_cached():
+    assert frame_in_e("g_split", 5, F) is frame_in_e("g_split", 5, PrimeField(13))
     with pytest.raises(ValueError):
-        change_wedge_basis(w, E_BASIS, e_fr)
+        frame_in_e("f_split", 0, F)
 
 
 def test_hand_expanded_g_wedge():
     # worked instance frozen from a manual expansion: at n = 3 the g-frame
     # wedge over {1, 3, 4} equals -pi*e_{134} - e_{146}
     n = 3
-    w = change_wedge_basis(basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 3, 4))),
-                           E_BASIS, standard_e_frame(F, n))
+    w = basis_wedge(frame_in_e("g_split", n, F), IndexSet.of(n, (1, 3, 4)))
     assert w.terms == {IndexSet.of(n, (1, 3, 4)): L({1: -1}),
                        IndexSet.of(n, (1, 4, 6)): L({0: -1})}
 
@@ -191,12 +196,12 @@ def test_hand_expanded_g_wedge():
 def test_worst_terms_minimum_filter():
     n = 3
     a, b, c = (IndexSet.of(n, t) for t in ((1, 2, 3), (1, 2, 4), (1, 2, 5)))
-    w = WedgeVector(E_BASIS, n, {a: L({-2: 1}), b: L({-1: 1}), c: L({-2: 1})})
+    w = WedgeVector(n, {a: L({-2: 1}), b: L({-1: 1}), c: L({-2: 1})})
     wt, val = worst_terms(w)
     assert val == -2
     assert set(wt.terms) == {a, c}
     with pytest.raises(ValueError):
-        worst_terms(WedgeVector(E_BASIS, n, {}))
+        worst_terms(WedgeVector(n, {}))
 
 
 def test_worst_term_of_near_diagonal_g_wedge():
@@ -204,8 +209,7 @@ def test_worst_term_of_near_diagonal_g_wedge():
     # coefficient (-1)^(1+2)/2 on pi^-3 times the top coordinate
     n, i = 5, 1
     s = IndexSet.of(n, (2, 3, 4, 5, n + i))
-    w = change_wedge_basis(basis_wedge(g_frame(F, n), s), E_BASIS,
-                           standard_e_frame(F, n))
+    w = basis_wedge(frame_in_e("g_split", n, F), s)
     wt, val = worst_terms(w)
     assert val == -3
     half = F.inv(F.of_int(2))
@@ -216,12 +220,11 @@ def test_worst_term_of_near_diagonal_g_wedge():
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_g_wedge_coefficients_preserve_weight(n):
     ring = LaurentOps(F)
-    gfr = g_frame(F, n)
-    efr = standard_e_frame(F, n)
+    gfr = frame_in_e("g_split", n, F)
     stride = {3: 1, 5: 17, 7: 131}[n]
     sets = [s for k, s in enumerate(all_index_sets(n)) if k % stride == 0]
     for s in sets:
-        w = change_wedge_basis(basis_wedge(gfr, s, ring), E_BASIS, efr)
+        w = basis_wedge(gfr, s, ring)
         for t in w.terms:
             assert t.weight() == s.weight()
 
@@ -335,20 +338,9 @@ def test_operator_degree_mismatch_rejected():
         apply_wedge_power_operator(operator_identity(F, n), 3, w, ring=ring)
 
 
-def test_reindex_respects_permutation_parity():
-    n = 3
-    ring = LaurentOps(F)
-    posmap = frame_position_map(chart_frame(F, n), standard_e_frame(F, n))
-    # positions {4,5,6} of the chart frame are pi*e_3, e_1, pi*e_2; sorting
-    # their images needs an even permutation, so the sign is +1
-    terms = {IndexSet.of(n, (4, 5, 6)): PiLaurent.one(F)}
-    out = reindex_wedge_terms(terms, posmap, ring, n)
-    assert out == {IndexSet.of(n, (4, 5, 6)): PiLaurent.one(F)}
-
-
 def test_wedge_vector_json():
     n = 3
-    w = WedgeVector(E_BASIS, n, {IndexSet.of(n, (1, 2, 3)): L({-1: 2})})
+    w = WedgeVector(n, {IndexSet.of(n, (1, 2, 3)): L({-1: 2})})
     obj = w.to_json()
     assert obj["basis"] == E_BASIS
     assert obj["terms"] == [{"indexSet": [1, 2, 3], "coefficient": [[-1, 2]]}]

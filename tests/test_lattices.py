@@ -1,11 +1,13 @@
 """Spanning sets, pi-adic column reduction, residue bases, annihilators."""
 
+import hashlib
+import json
+
 import pytest
 
 from ramwedge.errors import PrecisionExhaustedError
-from ramwedge.exterior import (E_BASIS, WedgeVector, basis_wedge,
-                               change_wedge_basis, f_frame, standard_e_frame,
-                               wedge_eq, wedge_scale)
+from ramwedge.exterior import (WedgeVector, basis_wedge, frame_in_e, wedge_eq,
+                               wedge_scale)
 from ramwedge.fields import PrimeField
 from ramwedge.indexsets import (IndexSet, all_index_sets, sigma_sign_closed)
 from ramwedge.lattices import (annihilators, annihilator_evaluations,
@@ -25,7 +27,7 @@ def L(coeffs):
 
 
 def e_vec(n, sets_coeffs):
-    return WedgeVector(E_BASIS, n, {IndexSet.of(n, m): c for m, c in sets_coeffs})
+    return WedgeVector(n, {IndexSet.of(n, m): c for m, c in sets_coeffs})
 
 
 def test_refined_generator_count_matches_pair_count():
@@ -45,14 +47,13 @@ def test_refined_generator_count_matches_pair_count():
 def test_spin_self_perp_generators_collapse_to_doubles():
     n = 3
     ring = LaurentOps(F)
-    efr = standard_e_frame(F, n)
-    ffr = f_frame(F, n)
+    ffr = frame_in_e("f_split", n, F)
     for eps in (1, -1):
         gens = spanning_set("spin", n, F, eps=eps)
         for s in all_index_sets(n):
             if s.perp() != s:
                 continue
-            f_s = change_wedge_basis(basis_wedge(ffr, s, ring), E_BASIS, efr)
+            f_s = basis_wedge(ffr, s, ring)
             double = wedge_scale(f_s, L({0: 2}), ring)
             present = any(wedge_eq(g, double) for g in gens)
             # the combination survives exactly when eps matches the shuffle sign
@@ -241,3 +242,77 @@ def test_residue_rank_and_span_equality():
     assert residue_rank(F, [v1, v3]) == 2
     assert residue_spans_equal(F, [v1], [v2])
     assert not residue_spans_equal(F, [v1], [v3])
+
+
+# Lattice rank and the first 16 hex digits of the SHA-256 of the residue
+# basis JSON, per (kind, n, p), recorded before frames were converted to
+# e-coordinates at build time.  refined and kl use the signature (n-1, 1);
+# kl uses l = n - 1.
+GOLDEN_SPANS = {
+    ("spin+1", 2, 3): (3, "264c021ff8473f93"),
+    ("spin+1", 2, 5): (3, "e95dac15a708c171"),
+    ("spin+1", 2, 13): (3, "3098cb7d171a24d0"),
+    ("spin+1", 3, 3): (10, "a32274a8f9c5a01a"),
+    ("spin+1", 3, 5): (10, "3b5171138ab5a111"),
+    ("spin+1", 3, 13): (10, "e8ba8f8eef3b9a27"),
+    ("spin+1", 4, 3): (35, "c8d78850ff20befc"),
+    ("spin+1", 4, 5): (35, "e74aa3fb9488fd0c"),
+    ("spin+1", 4, 13): (35, "208d57aa8ad661ea"),
+    ("spin+1", 5, 3): (126, "16eed6dce4bad4ae"),
+    ("spin+1", 5, 5): (126, "648edaa116e6cad0"),
+    ("spin+1", 5, 13): (126, "68ae731fa25138fb"),
+    ("spin-1", 2, 3): (3, "55e60b12107b866c"),
+    ("spin-1", 2, 5): (3, "60301e59ab507646"),
+    ("spin-1", 2, 13): (3, "456694bcce6cc567"),
+    ("spin-1", 3, 3): (10, "35e4ff791cde4a07"),
+    ("spin-1", 3, 5): (10, "a45c73275a39f6a4"),
+    ("spin-1", 3, 13): (10, "219524f4b5ce172e"),
+    ("spin-1", 4, 3): (35, "d809fea7a777d18f"),
+    ("spin-1", 4, 5): (35, "d61903fbca3b5f9c"),
+    ("spin-1", 4, 13): (35, "d526c3e4440a5227"),
+    ("spin-1", 5, 3): (126, "aa456787388e12af"),
+    ("spin-1", 5, 5): (126, "7c98db29928b20d7"),
+    ("spin-1", 5, 13): (126, "6005f7191d7b7801"),
+    ("refined", 2, 3): (3, "ce337b2b38a75119"),
+    ("refined", 2, 5): (3, "49bdd217038b7e70"),
+    ("refined", 2, 13): (3, "4f11d395abfef0db"),
+    ("refined", 3, 3): (6, "24a566c22c32aab5"),
+    ("refined", 3, 5): (6, "c18eb873ebfb280b"),
+    ("refined", 3, 13): (6, "428078b592113c79"),
+    ("refined", 4, 3): (10, "23ef34cdb0f871f4"),
+    ("refined", 4, 5): (10, "7d450bd62ba94459"),
+    ("refined", 4, 13): (10, "dc20ac6726f033b1"),
+    ("refined", 5, 3): (15, "e5c37537b8a828ae"),
+    ("refined", 5, 5): (15, "8514353c9cb6a3d6"),
+    ("refined", 5, 13): (15, "d3c25ee976bff932"),
+    ("kl", 2, 3): (4, "d309c6a5f5488493"),
+    ("kl", 2, 5): (4, "c97fe1c28d84a053"),
+    ("kl", 2, 13): (4, "6b16550245a9961e"),
+    ("kl", 3, 3): (12, "8b31f4772b64ad27"),
+    ("kl", 3, 5): (12, "165dad2c5e146038"),
+    ("kl", 3, 13): (12, "487746c7d769e40a"),
+    ("kl", 4, 3): (28, "8b713d1b830d963e"),
+    ("kl", 4, 5): (28, "e916f4ad7a17399a"),
+    ("kl", 4, 13): (28, "82bf5e97f3f80523"),
+    ("kl", 5, 3): (55, "54d8868431340a19"),
+    ("kl", 5, 5): (55, "ebf0ea5e7a0b0b06"),
+    ("kl", 5, 13): (55, "03f2b89ef5ca5a32"),
+}
+
+
+def span_parameters(kind, n):
+    if kind.startswith("spin"):
+        return "spin", {"eps": int(kind[4:])}
+    if kind == "refined":
+        return "refined", {"eps": -1, "r": n - 1, "s": 1}
+    return "kl", {"l": n - 1, "r": n - 1, "s": 1}
+
+
+@pytest.mark.parametrize("kind,n,p", list(GOLDEN_SPANS))
+def test_spanning_set_golden_spans(kind, n, p):
+    name, kwargs = span_parameters(kind, n)
+    basis = intersect_with_standard_lattice(
+        spanning_set(name, n, PrimeField(p), **kwargs), PRECISION)
+    residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
+    digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
+    assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]
