@@ -18,14 +18,14 @@ from .lattices import (AnnihilatorSet, DVRTriangularBasis, ResidueBasis,
                        annihilators, intersect_with_standard_lattice,
                        membership_over_R, reduce_mod_pi, spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
-from .scalars import PiLaurent, PiSeries, ord_pi, truncated_inverse
+from .scalars import PiLaurent, ord_pi, truncated_inverse
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnihilatorSet", "ChartPoint", "ConditionReport", "DVRTriangularBasis",
     "DualNumbers", "FieldMismatchError", "FieldRing", "Frame", "IndexSet",
-    "IndeterminateValuationError", "PiLaurent", "PiSeries", "PolyRing",
+    "IndeterminateValuationError", "PiLaurent", "PolyRing",
     "PrecisionExhaustedError", "PrimeField", "Rationals", "ResidueBasis",
     "SchemaError", "Verdict", "WedgeVector", "all_index_sets", "annihilators",
     "apply_wedge_power_operator", "basis_wedge", "build_frame", "check_kl",

@@ -20,8 +20,9 @@ from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
 from .drivers import run_driver
 from .errors import PrecisionExhaustedError, SchemaError
 from .fields import PrimeField
-from .lattices import (annihilators, intersect_with_standard_lattice,
-                       reduce_mod_pi, spanning_set)
+from .lattices import (GUARD_BAND, annihilators,
+                       intersect_with_standard_lattice, reduce_mod_pi,
+                       spanning_set)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -199,6 +200,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision <= GUARD_BAND:
+            raise SchemaError(f"--precision must exceed the guard band "
+                              f"{GUARD_BAND}, got {args.precision}")
         return args.func(args)
     except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)

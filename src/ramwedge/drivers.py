@@ -19,11 +19,10 @@ from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
 from .fields import PrimeField
 from .indexsets import (IndexSet, all_index_sets, i_vee, sigma_sign_bruteforce,
                         sigma_sign_closed, type_n11_sets)
-from .lattices import (DVRTriangularBasis, annihilator_evaluations,
-                       annihilators, intersect_with_standard_lattice,
-                       lattice_contains, membership_over_R,
-                       pi_adic_column_echelon, reduce_mod_pi, residue_rank,
-                       residue_spans_equal, spanning_set)
+from .lattices import (annihilator_evaluations, annihilators,
+                       echelon_lattice_basis, intersect_with_standard_lattice,
+                       lattice_contains, membership_over_R, reduce_mod_pi,
+                       residue_rank, residue_spans_equal, spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
 
@@ -284,21 +283,6 @@ def corollary_residue_vectors(field, n: int) -> list:
     return out
 
 
-def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasis:
-    """Unimodular echelon form of the module spanned by the generators over
-    the valuation ring (no saturation scaling), for membership solves."""
-    if not generators:
-        raise ValueError("no generators")
-    n = generators[0].n
-    degree = generators[0].degree()
-    field = next(iter(generators[0].terms.values())).field
-    cols = [dict(g.terms) for g in generators]
-    processed = pi_adic_column_echelon(cols, precision)
-    pivots = tuple((t, val) for t, val, _ in processed)
-    columns = tuple(WedgeVector(n, col) for _, _, col in processed)
-    return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
-
-
 def verify_refined_basis(n: int, p: int = DEFAULT_P,
                          precision: int = DEFAULT_PRECISION) -> Certificate:
     """Two-sided lattice equality between the reduced intersection basis and
@@ -410,34 +394,6 @@ def run_counterexample(n: int, p: int = DEFAULT_P,
 # Symbolic certificate: membership plus antisymmetry force the block to zero
 
 
-def _rank_dense(field, rows: list) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_rows = []
-    for col in range(ncols):
-        pivot = None
-        for r in rows:
-            if not field.is_zero(r[col]):
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        inv = field.inv(pivot[col])
-        pivot = [field.mul(c, inv) for c in pivot]
-        pivot_rows.append(pivot)
-        rank += 1
-        for r in rows:
-            c = r[col]
-            if field.is_zero(c):
-                continue
-            for t in range(ncols):
-                r[t] = field.sub(r[t], field.mul(c, pivot[t]))
-        rows = [r for r in rows if any(not field.is_zero(c) for c in r)]
-    return rank
-
-
 def verify_x1_zero(n: int, p: int = DEFAULT_P,
                    precision: int = DEFAULT_PRECISION) -> Certificate:
     """With the (n-1) x (n-1) block fully symbolic and the other blocks zero,
@@ -463,7 +419,7 @@ def verify_x1_zero(n: int, p: int = DEFAULT_P,
         if ring.is_zero(value):
             continue
         if ring.is_homogeneous_linear(value):
-            linear_rows.append(ring.linear_row(value))
+            linear_rows.append(dict(enumerate(ring.linear_row(value))))
         else:
             nonlinear += 1
     j_mat = block_reflection(ring, d)
@@ -475,11 +431,11 @@ def verify_x1_zero(n: int, p: int = DEFAULT_P,
                 continue
             if not ring.is_homogeneous_linear(entry):
                 raise AssertionError("symmetry relation produced a nonlinear entry")
-            symmetry_rows.append(ring.linear_row(entry))
+            symmetry_rows.append(dict(enumerate(ring.linear_row(entry))))
     nvars = d * d
-    rank_ann = _rank_dense(field, linear_rows) if linear_rows else 0
-    rank_sym = _rank_dense(field, symmetry_rows) if symmetry_rows else 0
-    rank_all = _rank_dense(field, linear_rows + symmetry_rows)
+    rank_ann = residue_rank(field, linear_rows)
+    rank_sym = residue_rank(field, symmetry_rows)
+    rank_all = residue_rank(field, linear_rows + symmetry_rows)
     if rank_all == nvars:
         verdict = "pass"
     elif nonlinear:

@@ -15,7 +15,7 @@ the standard lattice.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .errors import PrecisionExhaustedError
@@ -95,10 +95,10 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
 # pi-adic column echelon over the valuation ring
 
 
-def pi_adic_column_echelon(columns: list, precision: int, guard: int = GUARD_BAND):
+def pi_adic_column_echelon(columns: list, precision: int):
     """Unimodular column reduction with global minimum-valuation pivots.
 
-    columns: sparse {IndexSet: PiLaurent|PiSeries} maps (consumed).
+    columns: sparse {IndexSet: PiLaurent} maps (consumed).
     Returns [(pivot_set, pivot_valuation, column)] in processing order; each
     pivot row is eliminated from every later column.  Ties break to the
     lexicographically least index set, then the earliest column.  Raises
@@ -129,9 +129,9 @@ def pi_adic_column_echelon(columns: list, precision: int, guard: int = GUARD_BAN
             if c is None or c.ord() != val:
                 continue
             break
-        if val >= precision - guard:
+        if val >= precision - GUARD_BAND:
             raise PrecisionExhaustedError(
-                f"pivot valuation {val} within {guard} of precision {precision}")
+                f"pivot valuation {val} within {GUARD_BAND} of precision {precision}")
         pivot_col = live.pop(cid)
         for t2 in pivot_col:
             incidence[t2].discard(cid)
@@ -190,11 +190,11 @@ class DVRTriangularBasis:
         }
 
 
-def intersect_with_standard_lattice(generators: list, precision: int,
-                                    guard: int = GUARD_BAND) -> DVRTriangularBasis:
-    """Basis of (F-span of the generators) intersected with the standard
-    lattice, at the working precision.  Generators must be e-basis wedge
-    vectors of a common degree; redundant generators are tolerated."""
+def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasis:
+    """Unimodular echelon form of the module spanned by the generators over
+    the valuation ring, without saturation scaling.  Generators must be
+    e-basis wedge vectors of a common degree; zero and redundant generators
+    are tolerated."""
     if not generators:
         raise ValueError("no generators")
     n = generators[0].n
@@ -209,27 +209,32 @@ def intersect_with_standard_lattice(generators: list, precision: int,
             degree = d
         elif d != degree:
             raise ValueError("generators of mixed wedge degree")
-        for c in g.terms.values():
-            field = c.field
-            break
+        field = next(iter(g.terms.values())).field
         cols.append(dict(g.terms))
     if not cols:
         raise ValueError("all generators are zero")
-    processed = pi_adic_column_echelon(cols, precision, guard)
-    pivots = []
+    processed = pi_adic_column_echelon(cols, precision)
+    pivots = tuple((t, val) for t, val, _ in processed)
+    columns = tuple(WedgeVector(n, col) for _, _, col in processed)
+    return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
+
+
+def intersect_with_standard_lattice(generators: list,
+                                    precision: int) -> DVRTriangularBasis:
+    """Basis of (F-span of the generators) intersected with the standard
+    lattice, at the working precision: the echelon basis with each column
+    saturated to minimum valuation 0."""
+    echelon = echelon_lattice_basis(generators, precision)
     columns = []
-    for t, val, col in processed:
-        if any(c.ord() < val for c in col.values()):
+    for (t, val), col in zip(echelon.pivots, echelon.columns):
+        if any(c.ord() < val for c in col.terms.values()):
             raise AssertionError("pivot does not attain the column minimum")
-        scaled = {t2: c.shift(-val) for t2, c in col.items()}
-        pivots.append((t, val))
-        columns.append(WedgeVector(n, scaled))
-    return DVRTriangularBasis(n, degree, field, precision,
-                              tuple(pivots), tuple(columns))
+        columns.append(WedgeVector(echelon.n, {t2: c.shift(-val)
+                                               for t2, c in col.terms.items()}))
+    return replace(echelon, columns=tuple(columns))
 
 
-def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector,
-                     guard: int = GUARD_BAND) -> bool:
+def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
     """Whether w lies in the span of the basis columns over the valuation
     ring, decided at the basis precision."""
     rem = dict(w.terms)
@@ -255,7 +260,7 @@ def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector,
     leftovers = [c for c in rem.values() if not c.is_zero]
     if not leftovers:
         return True
-    if all(c.ord() >= basis.precision - guard for c in leftovers):
+    if all(c.ord() >= basis.precision - GUARD_BAND for c in leftovers):
         raise PrecisionExhaustedError("membership remainder falls in the guard band")
     return False
 
@@ -314,7 +319,8 @@ def reduce_mod_pi(basis: DVRTriangularBasis) -> ResidueBasis:
 
 
 def residue_rank(field, vectors: list) -> int:
-    """Rank of a family of sparse k-coefficient vectors."""
+    """Rank of a family of sparse k-coefficient vectors, keyed by anything
+    hashable (index sets, column numbers)."""
     rows = [dict(v) for v in vectors if v]
     pivots = {}
     rank = 0
@@ -332,7 +338,7 @@ def residue_rank(field, vectors: list) -> int:
         row = {t: c for t, c in row.items() if not field.is_zero(c)}
         if not row:
             continue
-        p = min(row, key=IndexSet.sort_key)
+        p = next(iter(row))
         inv = field.inv(row[p])
         pivots[p] = {t: field.mul(c, inv) for t, c in row.items()}
         rank += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SchemaError
+from .fields import is_json_int
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,12 @@ class PolyRing:
         for term in obj:
             if not (isinstance(term, dict) and "coeff" in term and "exponents" in term):
                 raise SchemaError(f"polynomial term must carry coeff and exponents: {term!r}")
-            exps = tuple(term["exponents"])
+            exps = term["exponents"]
+            if not (isinstance(exps, list)
+                    and all(is_json_int(e) and e >= 0 for e in exps)):
+                raise SchemaError(
+                    f"exponents must be a list of non-negative integers, got {exps!r}")
+            exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise SchemaError(
                     f"term has {len(exps)} exponents for {self.nvars} variables")

@@ -1,11 +1,14 @@
 """Exact arithmetic in k((pi)) with pi^2 playing the role of the degree-0
-uniformizer: finite Laurent polynomials in pi over a base field, plus
-truncated series for division by non-monomials.
+uniformizer: Laurent polynomials in pi over a base field, each known modulo
+pi^precision.
 
-PiLaurent is exact. PiSeries carries a precision N and stores coefficients
-only for exponents below N; arithmetic results carry the minimum precision
-of the operands.  Zero coefficients are never stored, so an empty PiSeries
-means "zero to the stored precision" and its valuation is indeterminate.
+One scalar type, PiLaurent, carries a precision N and stores coefficients
+only for exponents below N; precision INF means the element is exact.
+Arithmetic results carry the minimum precision of the operands, so only
+truncated inverses (needed for division by non-monomials) and what is
+computed from them are inexact.  Zero coefficients are never stored, so an
+empty element of finite precision means "zero to the stored precision" and
+its valuation is indeterminate.
 """
 
 from __future__ import annotations
@@ -18,26 +21,21 @@ from .errors import FieldMismatchError, IndeterminateValuationError
 INF = math.inf
 
 
-def _normalized(field, coeffs: dict, bound=None) -> dict:
-    out = {}
-    for e, c in coeffs.items():
-        if bound is not None and e >= bound:
-            continue
-        if not field.is_zero(c):
-            out[e] = c
-    return out
-
-
 @dataclass(frozen=True)
 class PiLaurent:
-    """A finite Laurent polynomial sum_e c_e * pi^e with c_e in the base field."""
+    """sum_e c_e * pi^e with c_e in the base field, known modulo
+    pi^precision (INF: a finite Laurent polynomial, exact)."""
 
     field: object
     coeffs: dict
+    precision: float = INF
 
     @staticmethod
-    def make(field, coeffs: dict) -> "PiLaurent":
-        return PiLaurent(field, _normalized(field, coeffs))
+    def make(field, coeffs: dict, precision=INF) -> "PiLaurent":
+        """Drops zero coefficients and exponents at or above the precision."""
+        return PiLaurent(field, {e: c for e, c in coeffs.items()
+                                 if e < precision and not field.is_zero(c)},
+                         precision)
 
     @staticmethod
     def zero(field) -> "PiLaurent":
@@ -62,9 +60,13 @@ class PiLaurent:
         return not self.coeffs
 
     def ord(self):
-        """Least exponent with nonzero coefficient; +inf for the zero element."""
+        """Least exponent with nonzero coefficient; +inf for the exact zero.
+        Raises IndeterminateValuationError for a zero of finite precision."""
         if not self.coeffs:
-            return INF
+            if self.precision == INF:
+                return INF
+            raise IndeterminateValuationError(
+                f"zero to precision {self.precision}; valuation indeterminate")
         return min(self.coeffs)
 
     def items_sorted(self):
@@ -72,18 +74,22 @@ class PiLaurent:
 
     def scale(self, c) -> "PiLaurent":
         f = self.field
-        return PiLaurent(f, _normalized(f, {e: f.mul(v, c) for e, v in self.coeffs.items()}))
+        return PiLaurent.make(f, {e: f.mul(v, c) for e, v in self.coeffs.items()},
+                              self.precision)
 
     def shift(self, k: int) -> "PiLaurent":
-        return PiLaurent(self.field, {e + k: v for e, v in self.coeffs.items()})
+        return PiLaurent(self.field, {e + k: v for e, v in self.coeffs.items()},
+                         self.precision + k)
 
-    def truncate(self, precision: int) -> "PiSeries":
-        return PiSeries.make(self.field, dict(self.coeffs), precision)
+    def truncate(self, precision: int) -> "PiLaurent":
+        return PiLaurent.make(self.field, self.coeffs, min(self.precision, precision))
 
     def residue(self):
-        """Coefficient of pi^0, requiring ord >= 0."""
+        """Coefficient of pi^0, requiring ord >= 0 and precision > 0."""
         if self.coeffs and min(self.coeffs) < 0:
             raise ValueError("residue of an element with negative valuation")
+        if self.precision <= 0:
+            raise IndeterminateValuationError("residue not determined at this precision")
         return self.coeffs.get(0, self.field.zero)
 
     def __add__(self, other):
@@ -110,83 +116,20 @@ class PiLaurent:
         return PiLaurent.make(field, coeffs)
 
 
-@dataclass(frozen=True)
-class PiSeries:
-    """A Laurent series known modulo pi^precision."""
-
-    field: object
-    coeffs: dict
-    precision: int
-
-    @staticmethod
-    def make(field, coeffs: dict, precision: int) -> "PiSeries":
-        return PiSeries(field, _normalized(field, coeffs, bound=precision), precision)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def ord(self):
-        if not self.coeffs:
-            raise IndeterminateValuationError(
-                f"zero to precision {self.precision}; valuation indeterminate")
-        return min(self.coeffs)
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
-
-    def scale(self, c) -> "PiSeries":
-        f = self.field
-        return PiSeries.make(f, {e: f.mul(v, c) for e, v in self.coeffs.items()}, self.precision)
-
-    def shift(self, k: int) -> "PiSeries":
-        return PiSeries(self.field, {e + k: v for e, v in self.coeffs.items()},
-                        self.precision + k)
-
-    def residue(self):
-        if self.coeffs and min(self.coeffs) < 0:
-            raise ValueError("residue of an element with negative valuation")
-        if self.precision <= 0:
-            raise IndeterminateValuationError("residue not determined at this precision")
-        return self.coeffs.get(0, self.field.zero)
-
-    def __add__(self, other):
-        return _add(self, other)
-
-    def __sub__(self, other):
-        return _add(self, _neg(other))
-
-    def __mul__(self, other):
-        return _mul(self, other)
-
-    def __neg__(self):
-        return _neg(self)
-
-    def to_json(self):
-        return [[e, self.field.element_to_json(c)] for e, c in self.items_sorted()]
-
-
 def _check_fields(a, b):
     if a.field != b.field:
         raise FieldMismatchError(f"mixed base fields {a.field} and {b.field}")
 
 
-def _precision(x):
-    return x.precision if isinstance(x, PiSeries) else INF
-
-
 def _neg(a):
     f = a.field
-    coeffs = {e: f.neg(c) for e, c in a.coeffs.items()}
-    if isinstance(a, PiSeries):
-        return PiSeries(f, coeffs, a.precision)
-    return PiLaurent(f, coeffs)
+    return PiLaurent(f, {e: f.neg(c) for e, c in a.coeffs.items()}, a.precision)
 
 
 def _add(a, b):
     _check_fields(a, b)
     f = a.field
-    prec = min(_precision(a), _precision(b))
+    prec = min(a.precision, b.precision)
     out = dict(a.coeffs)
     for e, c in b.coeffs.items():
         s = f.add(out.get(e, f.zero), c)
@@ -194,15 +137,15 @@ def _add(a, b):
             out.pop(e, None)
         else:
             out[e] = s
-    if prec is INF:
-        return PiLaurent(f, out)
-    return PiSeries.make(f, out, prec)
+    if prec != INF:
+        out = {e: c for e, c in out.items() if e < prec}
+    return PiLaurent(f, out, prec)
 
 
 def _mul(a, b):
     _check_fields(a, b)
     f = a.field
-    prec = min(_precision(a), _precision(b))
+    prec = min(a.precision, b.precision)
     out = {}
     for e1, c1 in a.coeffs.items():
         for e2, c2 in b.coeffs.items():
@@ -214,17 +157,15 @@ def _mul(a, b):
                 out.pop(e, None)
             else:
                 out[e] = s
-    if prec is INF:
-        return PiLaurent(f, out)
-    return PiSeries(f, out, prec)
+    return PiLaurent(f, out, prec)
 
 
 def ord_pi(a):
-    """Valuation of a PiLaurent or PiSeries; +inf for exact zero."""
+    """Valuation of a PiLaurent; +inf for exact zero."""
     return a.ord()
 
 
-def truncated_inverse(a, precision: int) -> PiSeries:
+def truncated_inverse(a, precision: int) -> PiLaurent:
     """Multiplicative inverse of a, correct so that a * result == 1 through
     pi-exponent precision - 1.  The result has valuation -ord(a)."""
     if a.is_zero:
@@ -232,17 +173,11 @@ def truncated_inverse(a, precision: int) -> PiSeries:
     f = a.field
     v = a.ord()
     lead_inv = f.inv(a.coeffs[v])
-    # Relative precision of the geometric series 1/(1 + t).
-    rel = precision
-    if isinstance(a, PiSeries):
-        rel = min(rel, a.precision - v)
-    unit = a.shift(-v).scale(lead_inv)
-    if isinstance(unit, PiLaurent):
-        unit = unit.truncate(rel)
-    else:
-        unit = PiSeries.make(f, unit.coeffs, rel)
+    # The unit part carries the relative precision of the geometric series
+    # 1/(1 + t): the request, or less if a itself is truncated.
+    unit = a.shift(-v).scale(lead_inv).truncate(precision)
     t = _add(unit, PiLaurent.make(f, {0: f.neg(f.one)}))
-    acc = PiSeries.make(f, {0: f.one}, rel)
+    acc = PiLaurent.make(f, {0: f.one}, unit.precision)
     term = acc
     while not term.is_zero:
         term = _neg(_mul(term, t))
@@ -251,8 +186,8 @@ def truncated_inverse(a, precision: int) -> PiSeries:
 
 
 class LaurentOps:
-    """Coefficient-ring adapter so generic wedge code can run over exact
-    Laurent scalars (elements are PiLaurent or PiSeries)."""
+    """Coefficient-ring adapter so generic wedge code can run over
+    PiLaurent scalars."""
 
     def __init__(self, field):
         self.field = field

@@ -59,10 +59,20 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_precision_exhaustion_exit_code(tmp_path, capsys):
     out = str(tmp_path / "results")
-    code = main(["verify", "refined-basis", "--n", "3", "--precision", "3",
+    code = main(["basis", "kl", "--n", "5", "--l", "3", "--precision", "5",
                  "--out", out])
     assert code == 3
-    assert "precision" in capsys.readouterr().err
+    assert "precision exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "3"])
+def test_precision_within_guard_band_is_usage_error(tmp_path, capsys, precision):
+    out = tmp_path / "results"
+    code = main(["verify", "refined-basis", "--n", "3", "--precision", precision,
+                 "--out", str(out)])
+    assert code == 2
+    assert "--precision" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_check_point_worst(tmp_path, capsys):
@@ -184,3 +194,17 @@ def test_booleans_are_not_integers(tmp_path, capsys, kind, field, value):
     assert main(["check-point", "--input", str(src),
                  "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponents", [[-1], [1.5], "a"])
+def test_poly_exponents_must_be_non_negative_integers(tmp_path, capsys, exponents):
+    point = {"n": 3, "p": 13, "signature": [2, 1],
+             "ring": {"kind": "poly", "variables": ["a"]},
+             "X": [[[] for _ in range(3)] for _ in range(3)]}
+    point["X"][1][2] = [{"coeff": 1, "exponents": exponents}]
+    src = tmp_path / "poly.json"
+    src.write_text(json.dumps(point))
+    out = tmp_path / "results"
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    assert "X[1][2]" in capsys.readouterr().err
+    assert not out.exists()

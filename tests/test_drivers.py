@@ -114,6 +114,19 @@ def test_x1_zero_driver_small():
         verify_x1_zero(7)
 
 
+# Evidence recorded with the dense eliminator the driver used before it
+# shared lattices.residue_rank: variables, combined rank, linear equations,
+# nonlinear equations, rank of membership alone, rank of symmetry alone.
+@pytest.mark.parametrize("n,evidence", [(3, (4, 4, 1, 1, 1, 3)),
+                                        (5, (16, 16, 6, 53, 6, 10))])
+def test_x1_zero_evidence_pinned(n, evidence):
+    cert = verify_x1_zero(n)
+    assert cert.passed
+    keys = ("variables", "combined_rank", "linear_equations",
+            "nonlinear_equations", "rank_membership_alone", "rank_symmetry_alone")
+    assert tuple(cert.evidence[k] for k in keys) == evidence
+
+
 def test_operator_identities_driver():
     cert = verify_operator_identities(3, 2, 1)
     assert cert.passed

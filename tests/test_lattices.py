@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import random
+from itertools import combinations
 
 import pytest
 
+from ramwedge.chart import _det
 from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (WedgeVector, basis_wedge, frame_in_e, wedge_eq,
                                wedge_scale)
-from ramwedge.fields import PrimeField
+from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, all_index_sets, sigma_sign_closed)
-from ramwedge.lattices import (annihilators, annihilator_evaluations,
+from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations,
+                               echelon_lattice_basis,
                                intersect_with_standard_lattice,
                                lattice_contains, lattices_equal,
                                membership_over_R, reduce_mod_pi, residue_rank,
@@ -120,6 +124,30 @@ def test_precision_guard_trips():
     gen = e_vec(n, [((1, 2, 3), L({23: 1}))])
     with pytest.raises(PrecisionExhaustedError):
         intersect_with_standard_lattice([gen], PRECISION)
+
+
+@pytest.mark.parametrize("build", [echelon_lattice_basis,
+                                   intersect_with_standard_lattice])
+def test_echelon_entry_points_reject_bad_generators(build):
+    n = 3
+    deg3 = e_vec(n, [((1, 2, 3), L({0: 1}))])
+    deg2 = e_vec(n, [((1, 2), L({0: 1}))])
+    with pytest.raises(ValueError, match="no generators"):
+        build([], PRECISION)
+    with pytest.raises(ValueError, match="all generators are zero"):
+        build([WedgeVector(n, {})], PRECISION)
+    with pytest.raises(ValueError, match="mixed wedge degree"):
+        build([deg3, WedgeVector(n, {}), deg2], PRECISION)
+
+
+def test_intersection_saturates_the_echelon():
+    gens = spanning_set("refined", 3, F, eps=-1, r=2, s=1)
+    echelon = echelon_lattice_basis(gens, PRECISION)
+    basis = intersect_with_standard_lattice(gens, PRECISION)
+    assert basis.pivots == echelon.pivots
+    assert (basis.n, basis.degree, basis.field) == (echelon.n, echelon.degree, F)
+    for (_, val), col, scaled in zip(echelon.pivots, echelon.columns, basis.columns):
+        assert scaled.terms == {t: c.shift(-val) for t, c in col.terms.items()}
 
 
 def test_intersection_idempotence():
@@ -244,6 +272,27 @@ def test_residue_rank_and_span_equality():
     assert not residue_spans_equal(F, [v1], [v3])
 
 
+def test_residue_rank_is_largest_nonzero_minor():
+    rng = random.Random(7)
+    for p in (3, 5):
+        field = PrimeField(p)
+        ring = FieldRing(field)
+        for _ in range(80):
+            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+            m = [[field.of_int(rng.randrange(p)) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            want = 0
+            for k in range(1, min(nrows, ncols) + 1):
+                if any(not field.is_zero(_det(ring, m, list(rs), list(cs)))
+                       for rs in combinations(range(nrows), k)
+                       for cs in combinations(range(ncols), k)):
+                    want = k
+            assert residue_rank(field, [dict(enumerate(r)) for r in m]) == want
+            # another key order picks other pivots but not another rank
+            backwards = [dict(reversed(list(enumerate(r)))) for r in m]
+            assert residue_rank(field, backwards) == want
+
+
 # Lattice rank and the first 16 hex digits of the SHA-256 of the residue
 # basis JSON, per (kind, n, p), recorded before frames were converted to
 # e-coordinates at build time.  refined and kl use the signature (n-1, 1);
@@ -316,3 +365,34 @@ def test_spanning_set_golden_spans(kind, n, p):
     residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
     digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
     assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]
+
+
+def smallest_working_precision(gens):
+    """The least precision the guard band admits, with the basis at it."""
+    precision = 1
+    while True:
+        try:
+            return precision, intersect_with_standard_lattice(gens, precision)
+        except PrecisionExhaustedError:
+            precision += 1
+
+
+# Precision oracle: the residue basis at the tightest precision, just above
+# the largest pivot valuation plus the guard band, is the one at PRECISION
+# (pinned in GOLDEN_SPANS over F_p, recomputed over Q).
+@pytest.mark.parametrize("kind", ["spin+1", "spin-1", "refined", "kl"])
+@pytest.mark.parametrize("n,p", [(3, 3), (3, 13), (5, 3), (5, 13),
+                                 (3, "rationals")])
+def test_residue_basis_at_smallest_working_precision(kind, n, p):
+    field = Rationals() if p == "rationals" else PrimeField(p)
+    name, kwargs = span_parameters(kind, n)
+    gens = spanning_set(name, n, field, **kwargs)
+    precision, basis = smallest_working_precision(gens)
+    assert precision == max(val for _, val in basis.pivots) + GUARD_BAND + 1
+    if p == "rationals":
+        at_default = intersect_with_standard_lattice(gens, PRECISION)
+        assert reduce_mod_pi(basis).to_json() == reduce_mod_pi(at_default).to_json()
+    else:
+        residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
+        digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
+        assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]

@@ -7,7 +7,7 @@ import pytest
 
 from ramwedge.errors import FieldMismatchError, IndeterminateValuationError
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.scalars import PiLaurent, PiSeries, ord_pi, truncated_inverse
+from ramwedge.scalars import INF, PiLaurent, ord_pi, truncated_inverse
 
 F13 = PrimeField(13)
 
@@ -60,7 +60,7 @@ def test_ord_examples():
 
 def test_truncated_inverse_monomial():
     inv = truncated_inverse(PiLaurent.monomial(F13, 1), 8)
-    assert isinstance(inv, PiSeries)
+    assert inv.precision == 7
     assert dict(inv.coeffs) == {-1: 1}
 
 
@@ -139,6 +139,23 @@ def test_series_precision_minimum_rule():
     assert (a * b).precision == 6
     exact = L(F13, {0: 2})
     assert (a * exact).precision == 10
+
+
+def test_one_type_carries_its_precision():
+    exact = L(F13, {-1: 2, 3: 1})
+    assert exact.precision == INF
+    assert exact.shift(2).precision == INF
+    cut = exact.truncate(3)
+    assert cut.precision == 3
+    assert dict(cut.coeffs) == {-1: 2}
+    assert cut != exact
+    assert cut.shift(-2).precision == 1
+    assert cut.truncate(8).precision == 3
+    assert (-cut).precision == 3
+    assert PiLaurent.make(F13, {0: 1, 2: 0, 5: 3}, 5).coeffs == {0: 1}
+    assert L(F13, {0: 4, 2: 1}).residue() == 4
+    with pytest.raises(IndeterminateValuationError):
+        PiLaurent.one(F13).truncate(0).residue()
 
 
 def test_series_drops_coefficients_beyond_precision():
