@@ -24,9 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SchemaError
-from .exterior import WedgeVector, frame_in_e, wedge_columns_masks
+from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
-from .indexsets import IndexSet
 from .lattices import (annihilators, intersect_with_standard_lattice,
                        membership_over_R, reduce_mod_pi, spanning_set)
 from .rings import ring_from_json, ring_to_json
@@ -132,15 +131,10 @@ def _columns_in_e(pt: ChartPoint) -> list:
     return [{posmap[p - 1]: c for p, c in col.items()} for col in chart_point_embed(pt)]
 
 
-def _wedge_in_e(pt: ChartPoint, cols: list) -> WedgeVector:
-    masks = wedge_columns_masks(cols, pt.ring)
-    return WedgeVector(pt.n, {IndexSet(pt.n, m): c for m, c in masks.items()})
-
-
 def wedge_vector(pt: ChartPoint) -> WedgeVector:
     """Wedge of the point's columns from left to right, in e-basis
     coordinates over the point's coefficient ring."""
-    return _wedge_in_e(pt, _columns_in_e(pt))
+    return wedge_columns(pt.n, _columns_in_e(pt), pt.ring)
 
 
 def partial_wedge_vectors(pt: ChartPoint, l: int):
@@ -148,7 +142,7 @@ def partial_wedge_vectors(pt: ChartPoint, l: int):
     order, as (column tuple, WedgeVector) pairs."""
     cols = _columns_in_e(pt)
     for combo in combinations(range(pt.n), l):
-        yield combo, _wedge_in_e(pt, [cols[j] for j in combo])
+        yield combo, wedge_columns(pt.n, [cols[j] for j in combo], pt.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +187,6 @@ def mat_transpose(a):
 
 def mat_neg(ring, a):
     return [[ring.neg(x) for x in row] for row in a]
-
-
-def mat_is_zero(ring, a) -> bool:
-    return all(ring.is_zero(x) for row in a for x in row)
 
 
 def _first_nonzero(ring, a):
@@ -308,6 +298,12 @@ def check_trace(pt: ChartPoint) -> Verdict:
     return Verdict(PASS)
 
 
+def signature_eps(s: int) -> int:
+    """The half-spin sign that goes with a signature (r, s): -1 for odd s,
+    +1 for even s."""
+    return -1 if s % 2 else 1
+
+
 @lru_cache(maxsize=None)
 def spin_annihilators(n: int, field_key: tuple, eps: int,
                       precision: int = DEFAULT_PRECISION):
@@ -320,8 +316,7 @@ def spin_annihilators(n: int, field_key: tuple, eps: int,
 def refined_annihilators(n: int, field_key: tuple, r: int, s: int,
                          precision: int = DEFAULT_PRECISION):
     field = field_from_key(field_key)
-    eps = -1 if s % 2 else 1
-    gens = spanning_set("refined", n, field, eps=eps, r=r, s=s)
+    gens = spanning_set("refined", n, field, eps=signature_eps(s), r=r, s=s)
     return annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, precision)))
 
 

@@ -16,9 +16,9 @@ import sys
 import tempfile
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
-                    full_report)
-from .drivers import run_driver
-from .errors import PrecisionExhaustedError, SchemaError
+                    full_report, signature_eps)
+from .drivers import bundle_ranks, run_driver
+from .errors import PrecisionExhaustedError, RankError, SchemaError
 from .fields import PrimeField
 from .lattices import (GUARD_BAND, annihilators,
                        intersect_with_standard_lattice, reduce_mod_pi,
@@ -73,8 +73,12 @@ def cmd_verify(args) -> int:
             raise SchemaError("--signature requires --n")
         signature = _parse_signature(args.signature, args.n)
     certificates = run_driver(args.result_id, n=args.n, p=args.p,
-                              precision=args.precision, signature=signature,
-                              seed=args.seed)
+                              precision=args.precision, signature=signature)
+    if args.result_id == "all" and args.n is not None:
+        for result_id, rank in bundle_ranks(args.n):
+            if rank != args.n:
+                print(f"{result_id}: run at n = {rank}, not --n {args.n}",
+                      file=sys.stderr)
     invocation = {"p": args.p, "precision": args.precision, "seed": args.seed}
     all_pass = True
     for cert in certificates:
@@ -123,7 +127,7 @@ def cmd_dump_basis(args) -> int:
         label = f"spin{kwargs['eps']:+d}"
     elif args.kind == "refined":
         r, s = _parse_signature(args.signature, n) if args.signature else (n - 1, 1)
-        kwargs.update(eps=-1 if s % 2 else 1, r=r, s=s)
+        kwargs.update(eps=signature_eps(s), r=r, s=s)
         label = f"refined-{r}-{s}"
     elif args.kind == "kl":
         r, s = _parse_signature(args.signature, n) if args.signature else (n - 1, 1)
@@ -207,6 +211,9 @@ def main(argv=None) -> int:
     except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
+    except RankError as exc:
+        print(f"error: --n {args.n}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     block_reflection, full_report, mat_add, mat_mul,
-                    mat_transpose, refined_annihilators, wedge_vector)
+                    mat_transpose, refined_annihilators, signature_eps,
+                    wedge_vector)
+from .errors import RankError
 from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
                        frame_in_e, operator_add, operator_pi_action,
                        operator_scalar, operator_sub, wedge_add, wedge_eq,
@@ -43,21 +45,37 @@ class Certificate:
                 "verdict": self.verdict, "evidence": self.evidence}
 
 
-def _require_odd(n: int, low: int, high: int):
-    if n % 2 == 0 or not low <= n <= high:
-        raise ValueError(f"n must be odd with {low} <= n <= {high}, got {n}")
+# The ranks each driver supports: (least, greatest or None, odd only,
+# default).  `verify all --n N` runs a driver at min(N, greatest), and one
+# without a greatest rank at max(N, least).
+DRIVER_RANKS = {
+    "sign-lemma": (2, 6, False, 6),
+    "worst-terms": (3, 9, True, 7),
+    "refined-basis": (3, 7, True, 5),
+    "spin-structure": (3, 7, True, 5),
+    "counterexample": (5, None, True, 5),
+    "x1-zero": (3, 5, True, 3),
+    "operator-identities": (3, 7, True, 3),
+}
+
+
+def _require_rank(result_id: str, n: int):
+    low, high, odd, _ = DRIVER_RANKS[result_id]
+    if n < low or (high is not None and n > high) or (odd and n % 2 == 0):
+        bounds = f"{low} <= n <= {high}" if high is not None else f"n >= {low}"
+        raise RankError(f"{result_id} needs {'odd ' if odd else ''}n with "
+                        f"{bounds}, got {n}")
 
 
 # ---------------------------------------------------------------------------
 # Shuffle-sign closed form
 
 
-def verify_sign_lemma(n_max: int = 6) -> Certificate:
+def verify_sign_lemma(n_max: int) -> Certificate:
     """Exhaustive agreement of the closed form (-1)^(sum(S) + ceil(n/2))
     with brute-force permutation parity, for all cardinality-n subsets of
     {1..2n} and all n up to n_max."""
-    if not 2 <= n_max <= 6:
-        raise ValueError("exhaustive sign check supports 2 <= n_max <= 6")
+    _require_rank("sign-lemma", n_max)
     counts = {}
     mismatches = []
     for n in range(2, n_max + 1):
@@ -200,7 +218,7 @@ def verify_worst_term_tables(n: int, p: int = DEFAULT_P) -> Certificate:
     """Engine worst terms against the coded six-case and nine-case closed
     forms for every type-(n-1, 1) set and every canonical pair, plus the
     check that exactly one case predicate fires per pair."""
-    _require_odd(n, 3, 9)
+    _require_rank("worst-terms", n)
     field = PrimeField(p)
     ring = LaurentOps(field)
     gfr = frame_in_e("g_split", n, field)
@@ -288,7 +306,7 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
     """Two-sided lattice equality between the reduced intersection basis and
     the scaled pair generators, and residue-span equality with the six
     coded families."""
-    _require_odd(n, 3, 7)
+    _require_rank("refined-basis", n)
     field = PrimeField(p)
     gens = spanning_set("refined", n, field, eps=-1, r=n - 1, s=1)
     computed = intersect_with_standard_lattice(gens, precision)
@@ -318,7 +336,7 @@ def verify_spin_structure(n: int, p: int = DEFAULT_P,
     """For both signs: the coordinate detecting the chart corner entry
     vanishes identically on the half-spin residue basis, and the listed
     monomial elements are members of the residue span."""
-    _require_odd(n, 3, 7)
+    _require_rank("spin-structure", n)
     field = PrimeField(p)
     m = n // 2
     detector = _pset(n, m + 1, m + 1)
@@ -355,8 +373,7 @@ def counterexample_point(n: int, p: int = DEFAULT_P) -> ChartPoint:
     """X1 = diag(x, -x, 0, ..., 0, -x, x) over the dual numbers, X2 = X3 =
     X4 = 0, signature (n-1, 1).  Needs odd n >= 5 so the four nonzero
     entries fit."""
-    if n % 2 == 0 or n < 5:
-        raise ValueError("the separating point requires odd n >= 5")
+    _require_rank("counterexample", n)
     ring = DualNumbers(PrimeField(p))
     x = ring.x()
     diag = [ring.zero] * (n - 1)
@@ -403,7 +420,7 @@ def verify_x1_zero(n: int, p: int = DEFAULT_P,
     coefficient k-algebra at once: membership plus the antisymmetry relation
     force X1 = 0.  If the linear equations fall short while nonlinear ones
     exist, the certificate is inconclusive rather than failed."""
-    _require_odd(n, 3, 5)
+    _require_rank("x1-zero", n)
     field = PrimeField(p)
     d = n - 1
     names = tuple(f"x{i + 1}_{j + 1}" for i in range(d) for j in range(d))
@@ -459,6 +476,7 @@ def verify_operator_identities(n: int, r: int, s: int,
     """Eigenvalue identity on the signature summand (sampled at T = 0, 1,
     pi) and annihilation of the two displayed operators on the bounded
     lower-degree summands."""
+    _require_rank("operator-identities", n)
     if r + s != n or r < 0 or s < 0:
         raise ValueError("signature must satisfy r + s = n")
     field = PrimeField(p)
@@ -563,7 +581,7 @@ def check_point_implications(pt: ChartPoint, precision: int = DEFAULT_PRECISION)
     and (on the translated locus) refined => wedge."""
     report = full_report(pt, precision)
     v = report.conditions
-    eps = -1 if pt.signature[1] % 2 else 1
+    eps = signature_eps(pt.signature[1])
     spin_key = f"spin({eps:+d})"
     out = []
     if v["refined"].passed and not v[spin_key].passed:
@@ -606,43 +624,35 @@ def verify_implications(n: int, p: int = DEFAULT_P, samples: int = 200,
 # Registry
 
 
+def bundle_ranks(n: int) -> list:
+    """(result id, rank) for each driver of `verify all --n n`, in order."""
+    return [(result_id, max(n, low) if high is None else min(n, high))
+            for result_id, (low, high, _, _) in DRIVER_RANKS.items()]
+
+
 def run_driver(result_id: str, n: int = None, p: int = DEFAULT_P,
-               precision: int = DEFAULT_PRECISION, signature=None,
-               seed: int = 0) -> list:
-    """Run one named driver (or the whole bundle) with sensible parameter
-    clamping; returns the list of certificates."""
-    if result_id == "sign-lemma":
-        return [verify_sign_lemma(min(n or 6, 6))]
-    if result_id == "worst-terms":
-        return [verify_worst_term_tables(_clamp_odd(n, 3, 9, 7), p)]
-    if result_id == "refined-basis":
-        return [verify_refined_basis(_clamp_odd(n, 3, 7, 5), p, precision)]
-    if result_id == "spin-structure":
-        return [verify_spin_structure(_clamp_odd(n, 3, 7, 5), p, precision)]
-    if result_id == "counterexample":
-        return [run_counterexample(n if n is not None else 5, p, precision)]
-    if result_id == "x1-zero":
-        return [verify_x1_zero(_clamp_odd(n, 3, 5, 3), p, precision)]
-    if result_id == "operator-identities":
-        nn = _clamp_odd(n, 3, 7, 3)
-        r, s = signature if signature else (nn - 1, 1)
-        return [verify_operator_identities(nn, r, s, p)]
+               precision: int = DEFAULT_PRECISION, signature=None) -> list:
+    """Run one named driver at rank n (its default when None), or the
+    whole bundle at the ranks of bundle_ranks (n = 3 when None); returns
+    the list of certificates.  A rank outside a driver's range raises
+    RankError before anything runs."""
     if result_id == "all":
-        nn = n if n is not None else 3
-        out = []
-        out += run_driver("sign-lemma", nn, p, precision)
-        out += run_driver("worst-terms", nn, p, precision)
-        out += run_driver("refined-basis", nn, p, precision)
-        out += run_driver("spin-structure", nn, p, precision)
-        out += run_driver("counterexample", max(_clamp_odd(nn, 5, 9, 5), 5), p, precision)
-        out += run_driver("x1-zero", nn, p, precision)
-        out += run_driver("operator-identities", nn, p, precision, signature)
-        return out
-    raise ValueError(f"unknown result id {result_id!r}")
-
-
-def _clamp_odd(n, low, high, default):
-    if n is None:
-        return default
-    n = max(low, min(high, n))
-    return n if n % 2 else n - 1
+        plan = bundle_ranks(3 if n is None else n)
+        for rid, rank in plan:
+            _require_rank(rid, rank)
+        return [cert for rid, rank in plan
+                for cert in run_driver(rid, rank, p, precision, signature)]
+    if result_id not in DRIVER_RANKS:
+        raise ValueError(f"unknown result id {result_id!r}")
+    n = DRIVER_RANKS[result_id][3] if n is None else n
+    r, s = signature or (n - 1, 1)
+    run = {
+        "sign-lemma": lambda: verify_sign_lemma(n),
+        "worst-terms": lambda: verify_worst_term_tables(n, p),
+        "refined-basis": lambda: verify_refined_basis(n, p, precision),
+        "spin-structure": lambda: verify_spin_structure(n, p, precision),
+        "counterexample": lambda: run_counterexample(n, p, precision),
+        "x1-zero": lambda: verify_x1_zero(n, p, precision),
+        "operator-identities": lambda: verify_operator_identities(n, r, s, p),
+    }
+    return [run[result_id]()]

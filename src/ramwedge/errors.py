@@ -17,3 +17,7 @@ class PrecisionExhaustedError(ArithmeticError):
 
 class SchemaError(ValueError):
     """Raised when an input file does not match the expected JSON schema."""
+
+
+class RankError(ValueError):
+    """Raised when a driver is asked for a rank outside its supported range."""

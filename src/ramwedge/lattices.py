@@ -1,7 +1,8 @@
 """Lattices over the valuation ring inside wedge powers: spanning sets for
 the half-spin, signature-refined, and lower-degree eigenspace subspaces;
 intersection with the standard lattice by pi-adic column reduction;
-reduction mod pi; and annihilator-based membership over coefficient rings.
+reduction mod pi; one Gauss-Jordan elimination over k for ranks and
+annihilators; and annihilator-based membership over coefficient rings.
 
 All wedge coordinates here are in the e-basis of the standard lattice,
 where lattice membership means every coefficient has valuation >= 0.  The
@@ -95,6 +96,20 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
 # pi-adic column echelon over the valuation ring
 
 
+def _sub_multiple(ops, target: dict, q, source: dict) -> None:
+    """target -= q * source on sparse vectors, in place, dropping entries
+    that cancel.  ops is a LaurentOps or a field: anything with mul, neg,
+    sub and is_zero."""
+    for t, v in source.items():
+        delta = ops.mul(q, v)
+        cur = target.get(t)
+        new = ops.neg(delta) if cur is None else ops.sub(cur, delta)
+        if ops.is_zero(new):
+            target.pop(t, None)
+        else:
+            target[t] = new
+
+
 def pi_adic_column_echelon(columns: list, precision: int):
     """Unimodular column reduction with global minimum-valuation pivots.
 
@@ -122,42 +137,32 @@ def pi_adic_column_echelon(columns: list, precision: int):
             if not heap:
                 raise AssertionError("live columns but no heap candidates")
             val, _, cid, t = heapq.heappop(heap)
-            col = live.get(cid)
-            if col is None:
-                continue
-            c = col.get(t)
-            if c is None or c.ord() != val:
-                continue
-            break
+            pivot = live.get(cid, {}).get(t)
+            if pivot is not None and pivot.ord() == val:
+                break
         if val >= precision - GUARD_BAND:
             raise PrecisionExhaustedError(
                 f"pivot valuation {val} within {GUARD_BAND} of precision {precision}")
         pivot_col = live.pop(cid)
-        for t2 in pivot_col:
-            incidence[t2].discard(cid)
-        pivot = pivot_col[t]
         processed.append((t, val, pivot_col))
+        ops = LaurentOps(pivot.field)
         inv = truncated_inverse(pivot, precision)
-        for cid2 in sorted(incidence.get(t, set())):
-            col2 = live[cid2]
+        rest = [t2 for t2 in pivot_col if t2 != t]
+        for cid2 in sorted(incidence.pop(t, ())):
+            # incidence also lists columns that have since lost t or left
+            col2 = live.get(cid2)
+            if col2 is None or t not in col2:
+                continue
             q = col2[t] * inv
             if not q.is_zero:
-                for t2, p2 in pivot_col.items():
-                    delta = q * p2
-                    cur = col2.get(t2)
-                    new = -delta if cur is None else cur - delta
-                    if new.is_zero:
-                        if cur is not None:
-                            del col2[t2]
-                            incidence[t2].discard(cid2)
-                    else:
-                        col2[t2] = new
-                        incidence.setdefault(t2, set()).add(cid2)
-                        heapq.heappush(heap, (new.ord(), t2.sort_key(), cid2, t2))
+                _sub_multiple(ops, col2, q, pivot_col)
+                for t2 in rest:
+                    c = col2.get(t2)
+                    if c is not None:
+                        incidence[t2].add(cid2)
+                        heapq.heappush(heap, (c.ord(), t2.sort_key(), cid2, t2))
             # the pivot row cancels exactly at working precision
-            if t in col2:
-                del col2[t]
-                incidence[t].discard(cid2)
+            col2.pop(t, None)
             if not col2:
                 del live[cid2]
     return processed
@@ -237,6 +242,7 @@ def intersect_with_standard_lattice(generators: list,
 def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
     """Whether w lies in the span of the basis columns over the valuation
     ring, decided at the basis precision."""
+    ops = LaurentOps(basis.field)
     rem = dict(w.terms)
     for (t, _), col in zip(basis.pivots, basis.columns):
         c = rem.get(t)
@@ -248,14 +254,7 @@ def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
             continue
         if a.ord() < 0:
             return False
-        for t2, p2 in col.terms.items():
-            delta = a * p2
-            cur = rem.get(t2)
-            new = -delta if cur is None else cur - delta
-            if new.is_zero:
-                rem.pop(t2, None)
-            else:
-                rem[t2] = new
+        _sub_multiple(ops, rem, a, col.terms)
         rem.pop(t, None)
     leftovers = [c for c in rem.values() if not c.is_zero]
     if not leftovers:
@@ -318,31 +317,39 @@ def reduce_mod_pi(basis: DVRTriangularBasis) -> ResidueBasis:
     return ResidueBasis(basis.n, basis.degree, f, tuple(vectors), tuple(pivots))
 
 
-def residue_rank(field, vectors: list) -> int:
-    """Rank of a family of sparse k-coefficient vectors, keyed by anything
-    hashable (index sets, column numbers)."""
-    rows = [dict(v) for v in vectors if v]
-    pivots = {}
-    rank = 0
-    for row in rows:
-        for p, prow in pivots.items():
-            c = row.get(p)
-            if c is None or field.is_zero(c):
-                continue
-            for t, v in prow.items():
-                s = field.sub(row.get(t, field.zero), field.mul(c, v))
-                if field.is_zero(s):
-                    row.pop(t, None)
-                else:
-                    row[t] = s
-        row = {t: c for t, c in row.items() if not field.is_zero(c)}
+def gauss_jordan(field, rows) -> dict:
+    """Reduced row echelon form of sparse k-vectors keyed by anything
+    hashable (index sets, column numbers), built one row at a time: each
+    row is reduced against the rows so far, takes the first key of what is
+    left as its pivot, is scaled to 1 there, and clears that pivot from the
+    earlier rows.  Returns {pivot: row} in input order; zero rows drop out."""
+    reduced = {}
+    holders = {}  # key -> pivots of the reduced rows that had an entry there
+    for vec in rows:
+        row = {t: c for t, c in vec.items() if not field.is_zero(c)}
+        # reduced rows vanish at each other's pivots: one subtraction each
+        for p in [t for t in row if t in reduced]:
+            _sub_multiple(field, row, row[p], reduced[p])
         if not row:
             continue
         p = next(iter(row))
         inv = field.inv(row[p])
-        pivots[p] = {t: field.mul(c, inv) for t, c in row.items()}
-        rank += 1
-    return rank
+        row = {t: field.mul(c, inv) for t, c in row.items()}
+        for q in holders.pop(p, ()):
+            prow = reduced[q]
+            if p in prow:  # p may have cancelled there since q was recorded
+                _sub_multiple(field, prow, prow[p], row)
+                for t in row:
+                    holders.setdefault(t, set()).add(q)
+        reduced[p] = row
+        for t in row:
+            holders.setdefault(t, set()).add(p)
+    return reduced
+
+
+def residue_rank(field, vectors: list) -> int:
+    """Rank of a family of sparse k-coefficient vectors."""
+    return len(gauss_jordan(field, vectors))
 
 
 def residue_spans_equal(field, vecs_a: list, vecs_b: list) -> bool:
@@ -384,50 +391,26 @@ class AnnihilatorSet:
 
 
 def annihilators(rb: ResidueBasis) -> AnnihilatorSet:
-    """Kernel functionals of the residue span, exploiting the triangular
-    pivot structure (Gauss-Jordan on the pivot coordinates)."""
+    """Kernel functionals of the residue span, read off its reduced row
+    echelon form: one per non-pivot coordinate t of the support, with 1 at
+    t and minus the t-entry of each reduced row at that row's pivot."""
     f = rb.field
-    rows = []
-    for p, vec in zip(rb.pivots, rb.vectors):
-        inv = f.inv(vec[p])
-        rows.append({t: f.mul(c, inv) for t, c in vec.items()})
-    pivot_of = {p: i for i, p in enumerate(rb.pivots)}
-    incidence = {}
-    for i, row in enumerate(rows):
-        for t in row:
-            incidence.setdefault(t, set()).add(i)
-    for i, p in enumerate(rb.pivots):
-        holders = sorted(incidence.get(p, set()) - {i})
-        for j in holders:
-            row = rows[j]
-            c = row.pop(p)
-            incidence[p].discard(j)
-            for t, v in rows[i].items():
-                if t == p:
-                    continue
-                s = f.sub(row.get(t, f.zero), f.mul(c, v))
-                if f.is_zero(s):
-                    if t in row:
-                        del row[t]
-                        incidence[t].discard(j)
-                else:
-                    row[t] = s
-                    incidence.setdefault(t, set()).add(j)
-    support = set()
-    for row in rows:
-        support.update(row)
-    support.update(rb.pivots)
-    support = tuple(sorted(support, key=IndexSet.sort_key))
-    functionals = []
-    one = f.one
-    for t in support:
-        if t in pivot_of:
-            continue
-        phi = {t: one}
-        for i in incidence.get(t, set()):
-            phi[rb.pivots[i]] = f.neg(rows[i][t])
-        functionals.append(phi)
-    return AnnihilatorSet(rb.n, rb.degree, f, support, tuple(functionals), len(rows))
+    # A residue vector holds no earlier pivot, so with its own pivot moved
+    # to the front it keeps that pivot through the Gauss-Jordan step.
+    reduced = gauss_jordan(f, ({p: vec[p], **vec}
+                               for p, vec in zip(rb.pivots, rb.vectors)))
+    if tuple(reduced) != rb.pivots:
+        raise AssertionError("residue basis is not triangular in its pivots")
+    functionals = {}
+    for p, row in reduced.items():
+        for t, c in row.items():
+            if t not in reduced:
+                functionals.setdefault(t, {t: f.one})[p] = f.neg(c)
+    support = sorted({t for row in reduced.values() for t in row},
+                     key=IndexSet.sort_key)
+    return AnnihilatorSet(rb.n, rb.degree, f, tuple(support),
+                          tuple(functionals[t] for t in support if t not in reduced),
+                          len(reduced))
 
 
 @dataclass(frozen=True)

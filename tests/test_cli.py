@@ -47,6 +47,42 @@ def test_verify_all_small(tmp_path):
     assert all(read_json(os.path.join(out, f))["verdict"] == "pass" for f in files)
 
 
+@pytest.mark.parametrize("n,notes", [
+    ("3", ["counterexample: run at n = 5, not --n 3"]),
+    ("5", []),
+    ("7", ["sign-lemma: run at n = 6, not --n 7",
+           "x1-zero: run at n = 5, not --n 7"]),
+])
+def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
+                                                         capsys, n, notes):
+    import ramwedge.cli as cli_mod
+
+    def fake(result_id, **kwargs):
+        return [Certificate(result_id, {}, "pass", {})]
+
+    monkeypatch.setattr(cli_mod, "run_driver", fake)
+    assert main(["verify", "all", "--n", n, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == notes
+
+
+@pytest.mark.parametrize("argv,bounds", [
+    (["worst-terms", "--n", "100"], "odd n with 3 <= n <= 9, got 100"),
+    (["sign-lemma", "--n", "0"], "n with 2 <= n <= 6, got 0"),
+    (["spin-structure", "--n", "-3"], "odd n with 3 <= n <= 7, got -3"),
+    (["x1-zero", "--n", "7"], "odd n with 3 <= n <= 5, got 7"),
+    (["operator-identities", "--n", "4", "--signature", "3,1"],
+     "odd n with 3 <= n <= 7, got 4"),
+    (["all", "--n", "4"], "odd n with 3 <= n <= 9, got 4"),
+])
+def test_rank_out_of_range_is_usage_error(tmp_path, capsys, argv, bounds):
+    # no driver silently runs at another rank than --n asks for
+    out = tmp_path / "results"
+    assert main(["verify"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n" in err and bounds in err
+    assert not out.exists()
+
+
 def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     import ramwedge.cli as cli_mod
 

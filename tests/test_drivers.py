@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from ramwedge.drivers import (canonical_pairs, classify_pair_case,
+from ramwedge.drivers import (bundle_ranks, canonical_pairs, classify_pair_case,
                               counterexample_point, expected_pair_worst_term,
                               run_counterexample, run_driver,
                               scaled_generator_exponent, verify_implications,
                               verify_operator_identities, verify_refined_basis,
                               verify_sign_lemma, verify_spin_structure,
                               verify_worst_term_tables, verify_x1_zero)
+from ramwedge.errors import RankError
 from ramwedge.fields import PrimeField
 
 F = PrimeField(13)
@@ -156,6 +157,24 @@ def test_run_driver_registry():
     assert all(c.passed for c in bundle)
     with pytest.raises(ValueError):
         run_driver("nonsense")
+
+
+def test_bundle_ranks_cap_each_driver_at_its_range():
+    ids = ["sign-lemma", "worst-terms", "refined-basis", "spin-structure",
+           "counterexample", "x1-zero", "operator-identities"]
+    assert bundle_ranks(3) == list(zip(ids, [3, 3, 3, 3, 5, 3, 3]))
+    assert bundle_ranks(5) == list(zip(ids, [5, 5, 5, 5, 5, 5, 5]))
+    assert bundle_ranks(9) == list(zip(ids, [6, 9, 7, 7, 9, 5, 7]))
+
+
+@pytest.mark.parametrize("result_id,n", [
+    ("sign-lemma", 0), ("sign-lemma", 7), ("worst-terms", 100),
+    ("worst-terms", 4), ("refined-basis", 9), ("spin-structure", -3),
+    ("counterexample", 3), ("x1-zero", 7), ("operator-identities", 4),
+    ("all", 4), ("all", 1)])
+def test_run_driver_rejects_ranks_out_of_range(result_id, n):
+    with pytest.raises(RankError):
+        run_driver(result_id, n=n)
 
 
 def test_certificates_serialize():

@@ -14,7 +14,7 @@ from ramwedge.exterior import (WedgeVector, basis_wedge, frame_in_e, wedge_eq,
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, all_index_sets, sigma_sign_closed)
 from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations,
-                               echelon_lattice_basis,
+                               echelon_lattice_basis, gauss_jordan,
                                intersect_with_standard_lattice,
                                lattice_contains, lattices_equal,
                                membership_over_R, reduce_mod_pi, residue_rank,
@@ -206,10 +206,21 @@ def test_annihilator_toy_examples():
 
 
 def test_rank_nullity_on_computed_lattices():
-    for n in (3, 5):
-        gens = spanning_set("refined", n, F, eps=-1, r=n - 1, s=1)
-        ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
-        assert ann.functional_count + ann.span_rank == ann.coordinate_dim
+    ring = FieldRing(F)
+    for kind in ("spin+1", "spin-1", "refined", "kl"):
+        for n in (3, 4, 5):
+            name, kwargs = span_parameters(kind, n)
+            rb = reduce_mod_pi(intersect_with_standard_lattice(
+                spanning_set(name, n, F, **kwargs), PRECISION))
+            ann = annihilators(rb)
+            assert ann.functional_count + ann.span_rank == ann.coordinate_dim
+            assert ann.span_rank == len(rb)
+            for vec in rb.vectors:
+                # every tracked functional vanishes on every residue vector
+                assert all(F.is_zero(value) for label, value
+                           in annihilator_evaluations(ann, vec, ring)
+                           if label.startswith("functional"))
+                assert membership_over_R(vec, ann, ring).ok
 
 
 def test_membership_of_zero_vector():
@@ -293,6 +304,33 @@ def test_residue_rank_is_largest_nonzero_minor():
             assert residue_rank(field, backwards) == want
 
 
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), Rationals()],
+                         ids=["F3", "F5", "Q"])
+def test_gauss_jordan_rows_are_reduced_and_span_the_input(field):
+    rng = random.Random(11)
+    for _ in range(120):
+        nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
+        keys = rng.sample(range(10), ncols)
+        rows = [{k: field.of_int(rng.randrange(-3, 4)) for k in keys
+                 if rng.random() < 0.6} for _ in range(nrows)]
+        reduced = gauss_jordan(field, rows)
+        for p, row in reduced.items():
+            # 1 at its own pivot, 0 (no entry) at every other pivot
+            assert row[p] == field.one
+            assert not any(q in row for q in reduced if q != p)
+            assert not any(field.is_zero(c) for c in row.values())
+        # each input row is the combination of the reduced rows that its
+        # pivot entries dictate
+        for vec in rows:
+            rest = {k: c for k, c in vec.items() if not field.is_zero(c)}
+            for p, row in reduced.items():
+                a = vec.get(p, field.zero)
+                for k, c in row.items():
+                    rest[k] = field.sub(rest.get(k, field.zero), field.mul(a, c))
+            assert all(field.is_zero(c) for c in rest.values())
+        assert residue_spans_equal(field, list(reduced.values()), rows)
+
+
 # Lattice rank and the first 16 hex digits of the SHA-256 of the residue
 # basis JSON, per (kind, n, p), recorded before frames were converted to
 # e-coordinates at build time.  refined and kl use the signature (n-1, 1);
@@ -365,6 +403,81 @@ def test_spanning_set_golden_spans(kind, n, p):
     residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
     digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
     assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]
+
+
+# Lattice rank and the first 16 hex digits of the SHA-256 of the annihilator
+# set JSON (support, functionals in order, each sorted by index set, and the
+# span rank), per (kind, n, p) with the parameters of GOLDEN_SPANS; recorded
+# before the Gauss-Jordan step of annihilators was shared with residue_rank.
+GOLDEN_ANNIHILATORS = {
+    ("spin+1", 2, 3): (3, "54ad42d0fc1508d0"),
+    ("spin+1", 2, 5): (3, "54ad42d0fc1508d0"),
+    ("spin+1", 2, 13): (3, "54ad42d0fc1508d0"),
+    ("spin+1", 3, 3): (10, "13635b4de4a6b477"),
+    ("spin+1", 3, 5): (10, "13635b4de4a6b477"),
+    ("spin+1", 3, 13): (10, "13635b4de4a6b477"),
+    ("spin+1", 4, 3): (35, "672db4f2fe4cde75"),
+    ("spin+1", 4, 5): (35, "22987bfbbb3a58b4"),
+    ("spin+1", 4, 13): (35, "91249b8b19966534"),
+    ("spin+1", 5, 3): (126, "ab11eb72c3d7f01d"),
+    ("spin+1", 5, 5): (126, "ab11eb72c3d7f01d"),
+    ("spin+1", 5, 13): (126, "ab11eb72c3d7f01d"),
+    ("spin-1", 2, 3): (3, "d57600da0a840024"),
+    ("spin-1", 2, 5): (3, "9d2317c835ce175a"),
+    ("spin-1", 2, 13): (3, "adbd7bc0015cd971"),
+    ("spin-1", 3, 3): (10, "13635b4de4a6b477"),
+    ("spin-1", 3, 5): (10, "13635b4de4a6b477"),
+    ("spin-1", 3, 13): (10, "13635b4de4a6b477"),
+    ("spin-1", 4, 3): (35, "c3fd6b7359355c41"),
+    ("spin-1", 4, 5): (35, "747a6e3719c3965f"),
+    ("spin-1", 4, 13): (35, "c596b99aa99e8e79"),
+    ("spin-1", 5, 3): (126, "ab11eb72c3d7f01d"),
+    ("spin-1", 5, 5): (126, "ab11eb72c3d7f01d"),
+    ("spin-1", 5, 13): (126, "ab11eb72c3d7f01d"),
+    ("refined", 2, 3): (3, "d57600da0a840024"),
+    ("refined", 2, 5): (3, "9d2317c835ce175a"),
+    ("refined", 2, 13): (3, "adbd7bc0015cd971"),
+    ("refined", 3, 3): (6, "242da71634ae01c9"),
+    ("refined", 3, 5): (6, "242da71634ae01c9"),
+    ("refined", 3, 13): (6, "242da71634ae01c9"),
+    ("refined", 4, 3): (10, "56910e01eeffe65a"),
+    ("refined", 4, 5): (10, "329b98caf495b111"),
+    ("refined", 4, 13): (10, "9a8537874d6d2c98"),
+    ("refined", 5, 3): (15, "052f928518331a23"),
+    ("refined", 5, 5): (15, "b43d0e5e965aca4a"),
+    ("refined", 5, 13): (15, "415709ffcaf08f5b"),
+    ("kl", 2, 3): (4, "faf75706b8c0879e"),
+    ("kl", 2, 5): (4, "faf75706b8c0879e"),
+    ("kl", 2, 13): (4, "faf75706b8c0879e"),
+    ("kl", 3, 3): (12, "611cce98555bd1c6"),
+    ("kl", 3, 5): (12, "611cce98555bd1c6"),
+    ("kl", 3, 13): (12, "611cce98555bd1c6"),
+    ("kl", 4, 3): (28, "1711fcdb3dbc5c05"),
+    ("kl", 4, 5): (28, "1711fcdb3dbc5c05"),
+    ("kl", 4, 13): (28, "1711fcdb3dbc5c05"),
+    ("kl", 5, 3): (55, "5a9116e1ebba585c"),
+    ("kl", 5, 5): (55, "5a9116e1ebba585c"),
+    ("kl", 5, 13): (55, "5a9116e1ebba585c"),
+}
+
+
+def annihilator_digest(ann):
+    field = ann.field
+    obj = {"support": [t.to_json() for t in ann.support],
+           "functionals": [[[t.to_json(), field.element_to_json(c)]
+                            for t, c in sorted(phi.items(),
+                                               key=lambda kv: kv[0].sort_key())]
+                           for phi in ann.functionals],
+           "span_rank": ann.span_rank}
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind,n,p", list(GOLDEN_ANNIHILATORS))
+def test_annihilator_golden_digests(kind, n, p):
+    name, kwargs = span_parameters(kind, n)
+    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(
+        spanning_set(name, n, PrimeField(p), **kwargs), PRECISION)))
+    assert (ann.span_rank, annihilator_digest(ann)) == GOLDEN_ANNIHILATORS[kind, n, p]
 
 
 def smallest_working_precision(gens):
