@@ -18,7 +18,8 @@ import tempfile
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
                     full_report, signature_eps)
 from .drivers import bundle_ranks, run_driver
-from .errors import PrecisionExhaustedError, RankError, SchemaError
+from .errors import (PrecisionExhaustedError, RankError, SchemaError,
+                     SignatureError)
 from .fields import PrimeField
 from .lattices import (GUARD_BAND, annihilators,
                        intersect_with_standard_lattice, reduce_mod_pi,
@@ -64,6 +65,16 @@ def _parse_eps(text: str) -> int:
     if text == "-1":
         return -1
     raise SchemaError(f"eps must be +1 or -1, got {text!r}")
+
+
+def _dump_signature(args, n: int):
+    """The signature of a refined or kl dump, (n - 1, 1) unless given; an
+    --eps must agree with the eps the signature fixes."""
+    r, s = _parse_signature(args.signature, n) if args.signature else (n - 1, 1)
+    if args.eps and _parse_eps(args.eps) != signature_eps(s):
+        raise SchemaError(f"--eps {args.eps} disagrees with signature {r},{s}, "
+                          f"whose eps is {signature_eps(s):+d}")
+    return r, s
 
 
 def cmd_verify(args) -> int:
@@ -126,11 +137,11 @@ def cmd_dump_basis(args) -> int:
         kwargs["eps"] = _parse_eps(args.eps) if args.eps else 1
         label = f"spin{kwargs['eps']:+d}"
     elif args.kind == "refined":
-        r, s = _parse_signature(args.signature, n) if args.signature else (n - 1, 1)
+        r, s = _dump_signature(args, n)
         kwargs.update(eps=signature_eps(s), r=r, s=s)
         label = f"refined-{r}-{s}"
     elif args.kind == "kl":
-        r, s = _parse_signature(args.signature, n) if args.signature else (n - 1, 1)
+        r, s = _dump_signature(args, n)
         l = args.l if args.l is not None else n
         kwargs.update(l=l, r=r, s=s)
         label = f"kl-{l}-{r}-{s}"
@@ -213,6 +224,9 @@ def main(argv=None) -> int:
         return EXIT_PRECISION
     except RankError as exc:
         print(f"error: --n {args.n}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except SignatureError as exc:
+        print(f"error: --signature {args.signature}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     block_reflection, full_report, mat_add, mat_mul,
                     mat_transpose, refined_annihilators, signature_eps,
                     wedge_vector)
-from .errors import RankError
+from .errors import RankError, SignatureError
 from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
                        frame_in_e, operator_add, operator_pi_action,
                        operator_scalar, operator_sub, wedge_add, wedge_eq,
@@ -65,6 +65,13 @@ def _require_rank(result_id: str, n: int):
         bounds = f"{low} <= n <= {high}" if high is not None else f"n >= {low}"
         raise RankError(f"{result_id} needs {'odd ' if odd else ''}n with "
                         f"{bounds}, got {n}")
+
+
+def _require_signature(result_id: str, n: int, signature):
+    r, s = signature
+    if r + s != n or r < 0 or s < 0:
+        raise SignatureError(f"{result_id} runs at n = {n} and needs r + s = {n} "
+                             f"with r, s >= 0, got {r},{s}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +484,7 @@ def verify_operator_identities(n: int, r: int, s: int,
     pi) and annihilation of the two displayed operators on the bounded
     lower-degree summands."""
     _require_rank("operator-identities", n)
-    if r + s != n or r < 0 or s < 0:
-        raise ValueError("signature must satisfy r + s = n")
+    _require_signature("operator-identities", n, (r, s))
     field = PrimeField(p)
     ring = LaurentOps(field)
     gfr = frame_in_e("g_split", n, field)
@@ -635,11 +641,15 @@ def run_driver(result_id: str, n: int = None, p: int = DEFAULT_P,
     """Run one named driver at rank n (its default when None), or the
     whole bundle at the ranks of bundle_ranks (n = 3 when None); returns
     the list of certificates.  A rank outside a driver's range raises
-    RankError before anything runs."""
+    RankError, and a signature that is not a partition of the rank of
+    operator-identities (the one driver that takes it) SignatureError,
+    before anything runs."""
     if result_id == "all":
         plan = bundle_ranks(3 if n is None else n)
         for rid, rank in plan:
             _require_rank(rid, rank)
+            if rid == "operator-identities" and signature is not None:
+                _require_signature(rid, rank, signature)
         return [cert for rid, rank in plan
                 for cert in run_driver(rid, rank, p, precision, signature)]
     if result_id not in DRIVER_RANKS:

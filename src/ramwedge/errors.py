@@ -21,3 +21,8 @@ class SchemaError(ValueError):
 
 class RankError(ValueError):
     """Raised when a driver is asked for a rank outside its supported range."""
+
+
+class SignatureError(ValueError):
+    """Raised when a driver's signature (r, s) is not a partition of the
+    rank it runs at."""

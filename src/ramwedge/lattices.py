@@ -428,9 +428,8 @@ def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     off-support coordinates present in the vector, then the tracked kernel
     functionals.  Yields (label, value) pairs."""
     support = set(ann.support)
-    for t, c in sorted(terms.items(), key=lambda kv: kv[0].sort_key()):
-        if t not in support:
-            yield (f"coordinate{t.members}", c)
+    for t in sorted((t for t in terms if t not in support), key=IndexSet.sort_key):
+        yield (f"coordinate{t.members}", terms[t])
     for idx, phi in enumerate(ann.functionals):
         total = ring.zero
         for t, coef in phi.items():

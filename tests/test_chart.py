@@ -1,13 +1,19 @@
 """Chart points and the condition checkers."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from ramwedge.chart import (ChartPoint, chart_point_embed, chart_point_from_json,
+from ramwedge import chart, exterior
+from ramwedge.chart import (ChartPoint, _det, charpoly_coefficients,
+                            chart_point_embed, chart_point_from_json,
                             chart_point_to_json, check_kl, check_kottwitz,
                             check_naive_relations, check_refined, check_spin,
                             check_trace, check_wedge, full_report, wedge_vector)
+from ramwedge.drivers import sample_chart_points
 from ramwedge.errors import SchemaError
-from ramwedge.fields import PrimeField
+from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 
@@ -87,6 +93,8 @@ def test_kottwitz_verdicts():
     n = 5
     ring = FieldRing(F)
     assert check_kottwitz(worst_point(n, ring)).passed
+    for pt in sampled_points(n, 10, seed=3):
+        check_kottwitz(pt)
     dual = DualNumbers(F)
     assert check_kottwitz(counterexample(n, dual)).passed
     one_entry = diag_point(n, ring, [ring.one] + [ring.zero] * (n - 2))
@@ -218,3 +226,158 @@ def test_chart_point_schema_errors():
     with pytest.raises(SchemaError, match="'p'"):
         chart_point_from_json({"n": 3, "p": 9, "ring": {"kind": "field"},
                                "X": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]})
+
+
+# ---------------------------------------------------------------------------
+# The characteristic polynomial against principal minors, and one fold per
+# report
+
+
+def principal_minor_coefficients(ring, m):
+    """The reference for charpoly_coefficients: c_k is (-1)^k times the sum
+    of the k x k principal minors, each by cofactor expansion."""
+    n = len(m)
+    out = [ring.one]
+    for k in range(1, n + 1):
+        total = ring.zero
+        for combo in combinations(range(n), k):
+            total = ring.add(total, _det(ring, m, combo, combo))
+        out.append(ring.neg(total) if k % 2 else total)
+    return out
+
+
+def integer_nilpotent(n, rng):
+    """Dense integer L N L^-1 with N strictly upper triangular and L lower
+    unitriangular, so it is nilpotent over Z and over every ring."""
+    lower = [[int(i == j) or (rng.randrange(-2, 3) if i > j else 0)
+              for j in range(n)] for i in range(n)]
+    inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):  # forward substitution, column by column
+        for j in range(i):
+            inverse[i][j] = -sum(lower[i][k] * inverse[k][j] for k in range(j, i))
+    upper = [[rng.randrange(-2, 3) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    return mul(mul(lower, upper), inverse)
+
+
+def nilpotent_point(n, ring, rng):
+    """M, (1 + x) M and (a + 2b) M for an integer nilpotent M: dense, with
+    every charpoly coefficient below the top cancelling to zero."""
+    f = ring.field
+    if ring.kind == "field":
+        scale = ring.one
+    elif ring.kind == "dual":
+        scale = ring.add(ring.one, ring.x())
+    else:
+        scale = ring.add(ring.var(0), ring.mul(ring.const(f.of_int(2)), ring.var(1)))
+    m = integer_nilpotent(n, rng)
+    rows = tuple(tuple(ring.mul(scale, ring.from_base(f.of_int(c))) for c in row)
+                 for row in m)
+    return ChartPoint(n, ring, rows, (n - 1, 1))
+
+
+def rings_over(field):
+    return [FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))]
+
+
+def sampled_points(n, count, seed):
+    pts = []
+    for ring in rings_over(F):
+        pts += sample_chart_points(n, ring, count, seed)
+        pts.append(nilpotent_point(n, ring, random.Random(seed)))
+    return pts
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), PrimeField(13),
+                                   Rationals()], ids=["F3", "F5", "F13", "Q"])
+def test_berkowitz_matches_principal_minor_sums(field):
+    # (sampled, nilpotent) points per rank; the reference costs n! per
+    # dense point, so n = 7 gets two dense sampled points and one nilpotent
+    counts = {3: (8, 3), 5: (8, 3), 7: (3, 1)}
+    compared = 0
+    for ring in rings_over(field):
+        for n, (sampled, nilpotent) in counts.items():
+            rng = random.Random(f"berkowitz:{n}:{ring.kind}")
+            pts = sample_chart_points(n, ring, sampled, seed=n)
+            nil = [nilpotent_point(n, ring, rng) for _ in range(nilpotent)]
+            for pt in pts + nil:
+                got = charpoly_coefficients(ring, pt.rows)
+                assert len(got) == n + 1
+                assert got == principal_minor_coefficients(ring, pt.rows)
+                compared += n
+            for pt in nil:
+                assert all(ring.is_zero(c)
+                           for c in charpoly_coefficients(ring, pt.rows)[1:])
+                assert check_kottwitz(pt).passed
+    assert compared == 3 * (11 * 3 + 11 * 5 + 4 * 7)
+
+
+def test_kottwitz_names_first_nonzero_coefficient_without_minors(monkeypatch):
+    def no_minors(*args):
+        raise AssertionError("check_kottwitz expanded a minor")
+
+    monkeypatch.setattr(chart, "_det", no_minors)
+    ring = FieldRing(F)
+    n = 5
+    # trace zero, second coefficient -1: the first nonzero is at T^(n-2)
+    x1 = zero_matrix(ring, n - 1, n - 1)
+    x1[0][1], x1[1][0] = ring.one, ring.one
+    pt = ChartPoint.from_blocks(n, ring, x1, [ring.zero] * (n - 1))
+    assert check_kottwitz(pt).witness == f"charpoly coefficient at T^{n - 2} is nonzero"
+    one_entry = diag_point(n, ring, [ring.one] + [ring.zero] * (n - 2))
+    assert check_kottwitz(one_entry).witness == f"charpoly coefficient at T^{n - 1} is nonzero"
+    assert check_kottwitz(worst_point(n, ring)).passed
+    for pt in sampled_points(n, 10, seed=3):
+        check_kottwitz(pt)
+
+
+def test_full_report_folds_the_top_wedge_once(monkeypatch):
+    folds = []
+    fold = exterior.wedge_columns_masks
+
+    def counting_fold(columns, ring):
+        folds.append(len(columns))
+        return fold(columns, ring)
+
+    pts = sampled_points(3, 5, seed=7) + sampled_points(5, 5, seed=7)
+    for pt in pts:
+        full_report(pt)  # lattice construction folds too: warm its caches
+    monkeypatch.setattr(exterior, "wedge_columns_masks", counting_fold)
+    for pt in pts:
+        folds.clear()
+        full_report(pt)
+        assert folds == [pt.n]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_full_report_matches_standalone_checkers(n):
+    checked = 0
+    for pt in sampled_points(n, 10, seed=11):
+        r, s = pt.signature
+        standalone = {
+            "naive": check_naive_relations(pt),
+            "kottwitz": check_kottwitz(pt),
+            "wedge": check_wedge(pt),
+            "trace": check_trace(pt),
+            "spin(+1)": check_spin(pt, 1),
+            "spin(-1)": check_spin(pt, -1),
+            "refined": check_refined(pt, r, s),
+            "kn": check_kl(pt, n, r, s),
+        }
+        report = full_report(pt).conditions
+        assert report == standalone
+        checked += sum(v.failed for v in report.values())
+    assert checked > 0
+
+
+def test_kl_takes_a_given_wedge_only_at_top_degree():
+    pt = counterexample(5, DualNumbers(F))
+    w = wedge_vector(pt)
+    assert check_kl(pt, 5, wedge=w) == check_kl(pt, 5)
+    with pytest.raises(ValueError, match="top wedge"):
+        check_kl(pt, 3, wedge=w)

@@ -195,6 +195,49 @@ def test_bad_eps_and_signature(tmp_path, capsys):
                  "--signature", "2,2", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["refined", "--n", "3", "--eps", "+1"],
+    ["refined", "--n", "5", "--signature", "3,2", "--eps", "-1"],
+    ["kl", "--n", "3", "--l", "2", "--eps", "1"],
+])
+def test_basis_eps_must_agree_with_signature(tmp_path, capsys, argv):
+    out = tmp_path / "results"
+    assert main(["basis"] + argv + ["--out", str(out)]) == 2
+    assert "--eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_basis_eps_agreeing_with_signature_is_accepted(tmp_path):
+    out = str(tmp_path / "results")
+    assert main(["basis", "refined", "--n", "3", "--eps", "-1", "--out", out]) == 0
+    assert main(["basis", "refined", "--n", "3", "--signature", "1,2",
+                 "--eps", "+1", "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["basis-refined-1-2-n3.json",
+                                       "basis-refined-2-1-n3.json"]
+
+
+def test_verify_all_checks_signature_at_each_driver_rank(tmp_path, monkeypatch,
+                                                        capsys):
+    # operator-identities runs at 7 under --n 9, so 8,1 is refused before
+    # any driver runs
+    import ramwedge.drivers as drivers
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a driver ran before the signature was checked")
+
+    for name in ("verify_sign_lemma", "verify_worst_term_tables",
+                 "verify_refined_basis", "verify_spin_structure",
+                 "run_counterexample", "verify_x1_zero",
+                 "verify_operator_identities"):
+        monkeypatch.setattr(drivers, name, ran)
+    out = tmp_path / "results"
+    assert main(["verify", "all", "--n", "9", "--signature", "8,1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--signature 8,1" in err and "n = 7" in err
+    assert not out.exists()
+
+
 def test_zero_denominator_entry_names_field(tmp_path, capsys):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps({"n": 3, "p": "rationals", "ring": {"kind": "field"},
