@@ -9,8 +9,8 @@ from .errors import (FieldMismatchError, IndeterminateValuationError,
                      PrecisionExhaustedError, SchemaError)
 from .exterior import (Frame, WedgeVector, apply_wedge_power_operator,
                        basis_wedge, build_frame, f_frame, form_eval,
-                       frame_in_e, g_frame, lambda_frame, spin_involution,
-                       standard_e_frame, wedge_columns, worst_terms)
+                       frame_in_e, g_frame, lambda_frame, standard_e_frame,
+                       wedge_columns, worst_terms)
 from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, all_index_sets, sigma_sign_bruteforce,
                         sigma_sign_closed)
@@ -18,7 +18,7 @@ from .lattices import (AnnihilatorSet, DVRTriangularBasis, ResidueBasis,
                        annihilators, intersect_with_standard_lattice,
                        membership_over_R, reduce_mod_pi, spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
-from .scalars import PiLaurent, ord_pi, truncated_inverse
+from .scalars import PiLaurent, truncated_inverse
 
 __version__ = "0.1.0"
 
@@ -31,9 +31,9 @@ __all__ = [
     "apply_wedge_power_operator", "basis_wedge", "build_frame", "check_kl",
     "check_kottwitz", "check_naive_relations", "check_refined", "check_spin",
     "check_trace", "check_wedge", "f_frame", "form_eval", "frame_in_e",
-    "full_report", "g_frame",
-    "intersect_with_standard_lattice", "lambda_frame", "membership_over_R",
-    "ord_pi", "reduce_mod_pi", "sigma_sign_bruteforce", "sigma_sign_closed",
-    "spanning_set", "spin_involution", "standard_e_frame",
-    "truncated_inverse", "wedge_columns", "wedge_vector", "worst_terms",
+    "full_report", "g_frame", "intersect_with_standard_lattice",
+    "lambda_frame", "membership_over_R", "reduce_mod_pi",
+    "sigma_sign_bruteforce", "sigma_sign_closed", "spanning_set",
+    "standard_e_frame", "truncated_inverse", "wedge_columns", "wedge_vector",
+    "worst_terms",
 ]

@@ -197,27 +197,6 @@ def _first_nonzero(ring, a):
     return None
 
 
-def _det(ring, m, rows, cols):
-    """Determinant of the submatrix on the given rows and columns, by
-    expansion along the first row (sparse entries prune the recursion).
-    No checker calls it; the tests keep it as a brute-force oracle."""
-    if not rows:
-        return ring.one
-    i = rows[0]
-    rest = rows[1:]
-    acc = ring.zero
-    for pos, j in enumerate(cols):
-        c = m[i][j]
-        if ring.is_zero(c):
-            continue
-        sub = _det(ring, m, rest, cols[:pos] + cols[pos + 1:])
-        term = ring.mul(c, sub)
-        if pos % 2:
-            term = ring.neg(term)
-        acc = ring.add(acc, term)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Condition checkers
 

@@ -80,6 +80,9 @@ def _dump_signature(args, n: int):
 def cmd_verify(args) -> int:
     signature = None
     if args.signature:
+        if args.result_id not in ("operator-identities", "all"):
+            raise SignatureError(f"{args.result_id} reads no signature; only "
+                                 f"operator-identities does")
         if args.n is None:
             raise SchemaError("--signature requires --n")
         signature = _parse_signature(args.signature, args.n)
@@ -131,9 +134,14 @@ def cmd_dump_basis(args) -> int:
     n = args.n
     if n is None:
         raise SchemaError("basis dumps require --n")
+    if args.l is not None and args.kind != "kl":
+        raise SchemaError(f"--l {args.l}: basis {args.kind} reads no degree; "
+                          f"only basis kl does")
     kwargs = {}
     label = args.kind
     if args.kind == "spin":
+        if args.signature:
+            raise SignatureError("basis spin reads no signature; its sign is --eps")
         kwargs["eps"] = _parse_eps(args.eps) if args.eps else 1
         label = f"spin{kwargs['eps']:+d}"
     elif args.kind == "refined":
@@ -180,14 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=DEFAULT_P,
-                        help="odd prime modulus of the base field (default 13)")
     common.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help="working pi-adic precision (default 24)")
     common.add_argument("--out", default="results",
                         help="output directory for artifact files")
+    modulus = argparse.ArgumentParser(add_help=False)
+    modulus.add_argument("--p", type=int, default=DEFAULT_P,
+                         help="odd prime modulus of the base field (default 13)")
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[common, modulus],
                               help="run a named verification driver")
     p_verify.add_argument("result_id", choices=RESULT_IDS)
     p_verify.add_argument("--n", type=int, default=None)
@@ -195,12 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_check = sub.add_parser("check-point", parents=[common],
+    # check-point takes p from its point file; without abbreviations a
+    # stray --p is refused instead of read as --precision
+    p_check = sub.add_parser("check-point", parents=[common], allow_abbrev=False,
                              help="evaluate every condition on a chart point file")
     p_check.add_argument("--input", required=True, metavar="FILE")
     p_check.set_defaults(func=cmd_check_point)
 
-    p_basis = sub.add_parser("basis", parents=[common],
+    p_basis = sub.add_parser("basis", parents=[common, modulus],
                              help="dump a lattice basis and its residue basis")
     p_basis.add_argument("kind", choices=("spin", "refined", "kl"))
     p_basis.add_argument("--n", type=int, required=True)
@@ -218,6 +229,11 @@ def main(argv=None) -> int:
         if args.precision <= GUARD_BAND:
             raise SchemaError(f"--precision must exceed the guard band "
                               f"{GUARD_BAND}, got {args.precision}")
+        if "p" in vars(args):
+            try:
+                PrimeField(args.p)
+            except ValueError as exc:
+                raise SchemaError(f"--p {args.p}: {exc}") from None
         return args.func(args)
     except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
@@ -230,6 +246,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # check-point's --input turns its read errors into SchemaError, so
+        # what is left comes from writing artifacts under --out
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,9 +14,8 @@ from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     mat_transpose, refined_annihilators, signature_eps,
                     wedge_vector)
 from .errors import RankError, SignatureError
-from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
-                       frame_in_e, operator_add, operator_pi_action,
-                       operator_scalar, operator_sub, wedge_add, wedge_eq,
+from .exterior import (WedgeVector, _add_multiple, apply_wedge_power_operator,
+                       basis_wedge, frame_in_e, operator_pi_action,
                        wedge_scale, worst_terms)
 from .fields import PrimeField
 from .indexsets import (IndexSet, all_index_sets, i_vee, sigma_sign_bruteforce,
@@ -214,11 +213,10 @@ def pair_element(field, n: int, i: int, j: int) -> WedgeVector:
     gfr = frame_in_e("g_split", n, field)
     base = frozenset(range(1, n + 1))
     s = IndexSet.of(n, (base - {j}) | {n + i})
-    ws = basis_wedge(gfr, s, ring)
-    wp = basis_wedge(gfr, s.perp(), ring)
-    sgn = sigma_sign_closed(s)
-    factor = PiLaurent.const(field, field.neg(field.of_int(sgn)))
-    return wedge_add(ws, wedge_scale(wp, factor, ring), ring)
+    terms = dict(basis_wedge(gfr, s, ring).terms)
+    q = PiLaurent.const(field, field.of_int(-sigma_sign_closed(s)))
+    _add_multiple(ring, terms, q, basis_wedge(gfr, s.perp(), ring).terms)
+    return WedgeVector(n, terms)
 
 
 def verify_worst_term_tables(n: int, p: int = DEFAULT_P) -> Certificate:
@@ -481,44 +479,42 @@ def verify_x1_zero(n: int, p: int = DEFAULT_P,
 def verify_operator_identities(n: int, r: int, s: int,
                                p: int = DEFAULT_P) -> Certificate:
     """Eigenvalue identity on the signature summand (sampled at T = 0, 1,
-    pi) and annihilation of the two displayed operators on the bounded
-    lower-degree summands."""
+    pi): the degree-n action of pi x 1 - T scales a type-(r, s) g-wedge by
+    (-pi - T)^r (pi - T)^s; and annihilation of pi x 1 + pi and pi x 1 - pi
+    on the bounded summands of degrees s + 1 and r + 1."""
     _require_rank("operator-identities", n)
     _require_signature("operator-identities", n, (r, s))
     field = PrimeField(p)
     ring = LaurentOps(field)
     gfr = frame_in_e("g_split", n, field)
-    pi_op = operator_pi_action(field, n)
     pi = PiLaurent.monomial(field, 1)
     failures = []
     eig_checked = 0
     type_sets = [t for t in all_index_sets(n) if t.type_pair() == (r, s)]
     for t_val in (PiLaurent.zero(field), PiLaurent.one(field), pi):
-        op = operator_sub(operator_scalar(field, n, t_val), pi_op)
+        shift = -t_val
+        op = operator_pi_action(field, n, shift)
         scalar = PiLaurent.one(field)
-        for _ in range(r):
-            scalar = scalar * (t_val + pi)
-        for _ in range(s):
-            scalar = scalar * (t_val - pi)
+        for eigenvalue, power in ((shift - pi, r), (shift + pi, s)):
+            for _ in range(power):
+                scalar = scalar * eigenvalue
         for t in type_sets:
             w = basis_wedge(gfr, t, ring)
-            lhs = apply_wedge_power_operator(op, n, w, ring=ring)
-            rhs = wedge_scale(w, scalar, ring)
+            lhs = apply_wedge_power_operator(op, n, w, ring)
             eig_checked += 1
-            if not wedge_eq(lhs, rhs):
+            if lhs != wedge_scale(w, scalar, ring):
                 failures.append({"kind": "eigenvalue", "T": t_val.to_json(),
                                  "set": t.to_json()})
     ann_checked = 0
     if r != s:
-        plus = operator_add(pi_op, operator_scalar(field, n, pi))
-        minus = operator_sub(pi_op, operator_scalar(field, n, pi))
-        for degree, op, label in ((s + 1, plus, "pi_action+pi"),
-                                  (r + 1, minus, "pi_action-pi")):
+        for degree, shift, label in ((s + 1, pi, "pi_action+pi"),
+                                     (r + 1, -pi, "pi_action-pi")):
+            op = operator_pi_action(field, n, shift)
             for t in all_index_sets(n, card=degree):
                 jk = t.type_pair()
                 if jk[0] <= r and jk[1] <= s:
                     w = basis_wedge(gfr, t, ring)
-                    image = apply_wedge_power_operator(op, degree, w, ring=ring)
+                    image = apply_wedge_power_operator(op, degree, w, ring)
                     ann_checked += 1
                     if not image.is_zero:
                         failures.append({"kind": "annihilation", "operator": label,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .indexsets import IndexSet, sigma_sign_closed
+from .indexsets import IndexSet
 from .scalars import INF, LaurentOps, PiLaurent
 
 E_BASIS = "e_basis"
@@ -244,13 +244,13 @@ def _check_split(frame: Frame):
 def _check_pi_eigen(frame: Frame):
     """First n vectors scale by -pi, last n by +pi, under pi x 1."""
     n, field = frame.n, frame.field
-    op = operator_pi_action(field, n)
+    op = operator_pi_action(field, n, PiLaurent.zero(field))
     pi = PiLaurent.monomial(field, 1)
     for pos in range(1, 2 * n + 1):
         image = apply_operator(op, frame.vector(pos), field)
         lam = -pi if pos <= n else pi
         want = {p: c * lam for p, c in frame.vector(pos).items()}
-        if not _vec_eq(image, want):
+        if image != want:
             raise AssertionError(f"{frame.kind} vector {pos} is not a pi-eigenvector")
 
 
@@ -266,20 +266,6 @@ def _check_monomial(frame: Frame):
         if amb in seen:
             raise AssertionError(f"{frame.kind} repeats ambient position {amb}")
         seen.add(amb)
-
-
-def _vec_eq(v: dict, w: dict) -> bool:
-    keys = set(v) | set(w)
-    for k in keys:
-        a = v.get(k)
-        b = w.get(k)
-        if a is None or b is None:
-            if (a or b).is_zero:
-                continue
-            return False
-        if a != b:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -360,30 +346,26 @@ def wedge_columns(n: int, columns, ring) -> WedgeVector:
     return WedgeVector(n, {IndexSet(n, m): c for m, c in masks.items()})
 
 
-def wedge_add(a: WedgeVector, b: WedgeVector, ring) -> WedgeVector:
-    if a.n != b.n:
-        raise ValueError("wedge vectors of different rank")
-    out = dict(a.terms)
-    for s, c in b.terms.items():
-        if s in out:
-            merged = ring.add(out[s], c)
-            if ring.is_zero(merged):
-                del out[s]
-            else:
-                out[s] = merged
+def _add_multiple(ops, target: dict, q, source: dict) -> None:
+    """target += q * source on sparse vectors, in place, dropping entries
+    that cancel: existing keys keep their order and new keys follow in
+    source order.  ops is a LaurentOps, a field or a coefficient ring:
+    anything with mul, add and is_zero.  The one sparse linear-combination
+    loop of the package, except the wedge fold above."""
+    for t, v in source.items():
+        delta = ops.mul(q, v)
+        cur = target.get(t)
+        new = delta if cur is None else ops.add(cur, delta)
+        if ops.is_zero(new):
+            target.pop(t, None)
         else:
-            out[s] = c
-    return WedgeVector(a.n, out)
+            target[t] = new
 
 
 def wedge_scale(w: WedgeVector, c, ring) -> WedgeVector:
     if ring.is_zero(c):
         return WedgeVector(w.n, {})
     return WedgeVector(w.n, {s: ring.mul(v, c) for s, v in w.terms.items()})
-
-
-def wedge_eq(a: WedgeVector, b: WedgeVector) -> bool:
-    return a.n == b.n and a.terms == b.terms
 
 
 def basis_wedge(frame: Frame, s: IndexSet, ring=None) -> WedgeVector:
@@ -417,92 +399,36 @@ def worst_terms(w: WedgeVector):
 # Operators on V and their wedge powers
 
 
-def operator_identity(field, n: int) -> tuple:
-    one = PiLaurent.one(field)
-    return tuple({p: one} for p in range(1, 2 * n + 1))
-
-
-def operator_pi_action(field, n: int) -> tuple:
-    """Matrix of pi x 1: position j to n+j, position n+j to pi^2 times j."""
+def operator_pi_action(field, n: int, shift: PiLaurent) -> tuple:
+    """Matrix of pi x 1 + shift, as 2n sparse columns: position j goes to
+    n+j and position n+j to pi^2 times j, plus shift on the diagonal (zero
+    for the bare action)."""
     pi_sq = PiLaurent.monomial(field, 2)
     one = PiLaurent.one(field)
     cols = []
     for j in range(1, n + 1):
-        cols.append({n + j: one})
+        cols.append({n + j: one} if shift.is_zero else {j: shift, n + j: one})
     for j in range(1, n + 1):
-        cols.append({j: pi_sq})
+        cols.append({j: pi_sq} if shift.is_zero else {j: pi_sq, n + j: shift})
     return tuple(cols)
 
 
-def operator_scalar(field, n: int, t: PiLaurent) -> tuple:
-    if t.is_zero:
-        return tuple({} for _ in range(2 * n))
-    return tuple({p: t} for p in range(1, 2 * n + 1))
-
-
-def operator_add(cols_a: tuple, cols_b: tuple) -> tuple:
-    out = []
-    for a, b in zip(cols_a, cols_b):
-        col = dict(a)
-        for p, c in b.items():
-            s = col.get(p)
-            s = c if s is None else s + c
-            if s.is_zero:
-                col.pop(p, None)
-            else:
-                col[p] = s
-        out.append(col)
-    return tuple(out)
-
-
-def operator_sub(cols_a: tuple, cols_b: tuple) -> tuple:
-    neg_b = tuple({p: -c for p, c in col.items()} for col in cols_b)
-    return operator_add(cols_a, neg_b)
-
-
 def apply_operator(op_cols: tuple, v: dict, field) -> dict:
+    ops = LaurentOps(field)
     out = {}
     for pos, c in v.items():
-        for q, a in op_cols[pos - 1].items():
-            s = out.get(q)
-            s = a * c if s is None else s + a * c
-            if s.is_zero:
-                out.pop(q, None)
-            else:
-                out[q] = s
+        _add_multiple(ops, out, c, op_cols[pos - 1])
     return out
 
 
 def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
-                               ring=None, field=None) -> WedgeVector:
+                               ring) -> WedgeVector:
     """Induced action of the degree-th wedge power of an operator on V; on a
     decomposable vector it is the wedge of the images."""
     if w.terms and w.degree() != degree:
         raise ValueError(f"vector has degree {w.degree()}, expected {degree}")
-    if ring is None:
-        if field is None:
-            raise ValueError("a coefficient ring or field is required")
-        ring = LaurentOps(field)
-    total = WedgeVector(w.n, {})
+    out = {}
     for s, c in w.terms.items():
         images = [op_cols[p - 1] for p in s.members]
-        piece = wedge_columns(w.n, images, ring)
-        total = wedge_add(total, wedge_scale(piece, c, ring), ring)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# The half-spin involution on top-degree coordinates
-
-
-def spin_involution(terms: dict, ring) -> dict:
-    """The involution sending the basis wedge at S to its shuffle sign times
-    the basis wedge at S-perp, extended linearly over coordinates in any
-    split frame.  An involution because S and S-perp share their shuffle
-    sign."""
-    out = {}
-    for s, c in terms.items():
-        if sigma_sign_closed(s) < 0:
-            c = ring.neg(c)
-        out[s.perp()] = c
-    return out
+        _add_multiple(ring, out, c, wedge_columns(w.n, images, ring).terms)
+    return WedgeVector(w.n, out)

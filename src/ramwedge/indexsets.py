@@ -89,11 +89,6 @@ class IndexSet:
         return list(self.members)
 
 
-def weight_vee(w: tuple) -> tuple:
-    """Reverse a weight vector (entry i becomes entry i_vee)."""
-    return tuple(reversed(w))
-
-
 def sigma_sign_bruteforce(s: IndexSet) -> int:
     """Sign of the shuffle sending {1..n} onto S in increasing order and
     {n+1..2n} onto the complement in increasing order, computed as the

@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from .errors import PrecisionExhaustedError
-from .exterior import (WedgeVector, basis_wedge, frame_in_e, wedge_add,
-                       wedge_scale)
+from .exterior import WedgeVector, _add_multiple, basis_wedge, frame_in_e
 from .indexsets import IndexSet, all_index_sets, sigma_sign_closed
 from .scalars import LaurentOps, PiLaurent, truncated_inverse
 
@@ -46,12 +45,11 @@ def _paired_generators(frame, sets, eps: int):
         sp = s.perp()
         if sp not in wanted:
             raise ValueError("perp partner escapes the requested family")
-        partner = wedge_scale(cache[sp], PiLaurent.const(field, field.of_int(eps)), ring)
-        if sigma_sign_closed(s) < 0:
-            partner = wedge_scale(partner, PiLaurent.const(field, field.neg(field.one)), ring)
-        w = wedge_add(cache[s], partner, ring)
-        if not w.is_zero:
-            gens.append(w)
+        terms = dict(cache[s].terms)
+        q = PiLaurent.const(field, field.of_int(eps * sigma_sign_closed(s)))
+        _add_multiple(ring, terms, q, cache[sp].terms)
+        if terms:
+            gens.append(WedgeVector(frame.n, terms))
     return gens
 
 
@@ -94,20 +92,6 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
 
 # ---------------------------------------------------------------------------
 # pi-adic column echelon over the valuation ring
-
-
-def _sub_multiple(ops, target: dict, q, source: dict) -> None:
-    """target -= q * source on sparse vectors, in place, dropping entries
-    that cancel.  ops is a LaurentOps or a field: anything with mul, neg,
-    sub and is_zero."""
-    for t, v in source.items():
-        delta = ops.mul(q, v)
-        cur = target.get(t)
-        new = ops.neg(delta) if cur is None else ops.sub(cur, delta)
-        if ops.is_zero(new):
-            target.pop(t, None)
-        else:
-            target[t] = new
 
 
 def pi_adic_column_echelon(columns: list, precision: int):
@@ -153,9 +137,9 @@ def pi_adic_column_echelon(columns: list, precision: int):
             col2 = live.get(cid2)
             if col2 is None or t not in col2:
                 continue
-            q = col2[t] * inv
+            q = -(col2[t] * inv)
             if not q.is_zero:
-                _sub_multiple(ops, col2, q, pivot_col)
+                _add_multiple(ops, col2, q, pivot_col)
                 for t2 in rest:
                     c = col2.get(t2)
                     if c is not None:
@@ -254,7 +238,7 @@ def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
             continue
         if a.ord() < 0:
             return False
-        _sub_multiple(ops, rem, a, col.terms)
+        _add_multiple(ops, rem, -a, col.terms)
         rem.pop(t, None)
     leftovers = [c for c in rem.values() if not c.is_zero]
     if not leftovers:
@@ -262,12 +246,6 @@ def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
     if all(c.ord() >= basis.precision - GUARD_BAND for c in leftovers):
         raise PrecisionExhaustedError("membership remainder falls in the guard band")
     return False
-
-
-def lattices_equal(a: DVRTriangularBasis, b: DVRTriangularBasis) -> bool:
-    """Mutual membership of the two column families."""
-    return (all(lattice_contains(b, col) for col in a.columns)
-            and all(lattice_contains(a, col) for col in b.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +307,7 @@ def gauss_jordan(field, rows) -> dict:
         row = {t: c for t, c in vec.items() if not field.is_zero(c)}
         # reduced rows vanish at each other's pivots: one subtraction each
         for p in [t for t in row if t in reduced]:
-            _sub_multiple(field, row, row[p], reduced[p])
+            _add_multiple(field, row, field.neg(row[p]), reduced[p])
         if not row:
             continue
         p = next(iter(row))
@@ -338,7 +316,7 @@ def gauss_jordan(field, rows) -> dict:
         for q in holders.pop(p, ()):
             prow = reduced[q]
             if p in prow:  # p may have cancelled there since q was recorded
-                _sub_multiple(field, prow, prow[p], row)
+                _add_multiple(field, prow, field.neg(prow[p]), row)
                 for t in row:
                     holders.setdefault(t, set()).add(q)
         reduced[p] = row

@@ -107,14 +107,6 @@ class PiLaurent:
     def to_json(self):
         return [[e, self.field.element_to_json(c)] for e, c in self.items_sorted()]
 
-    @staticmethod
-    def from_json(field, obj) -> "PiLaurent":
-        coeffs = {}
-        for pair in obj:
-            e, c = pair
-            coeffs[int(e)] = field.element_from_json(c)
-        return PiLaurent.make(field, coeffs)
-
 
 def _check_fields(a, b):
     if a.field != b.field:
@@ -160,11 +152,6 @@ def _mul(a, b):
     return PiLaurent(f, out, prec)
 
 
-def ord_pi(a):
-    """Valuation of a PiLaurent; +inf for exact zero."""
-    return a.ord()
-
-
 def truncated_inverse(a, precision: int) -> PiLaurent:
     """Multiplicative inverse of a, correct so that a * result == 1 through
     pi-exponent precision - 1.  The result has valuation -ord(a)."""
@@ -196,9 +183,6 @@ class LaurentOps:
 
     def add(self, a, b):
         return _add(a, b)
-
-    def sub(self, a, b):
-        return _add(a, _neg(b))
 
     def mul(self, a, b):
         return _mul(a, b)

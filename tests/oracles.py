@@ -1,0 +1,23 @@
+"""Brute-force oracles shared by the tests; the package does not use them."""
+
+
+def det(ring, m, rows, cols):
+    """Determinant of the submatrix of m on the given rows and columns, by
+    cofactor expansion along the first row (sparse entries prune the
+    recursion).  The reference for the Berkowitz characteristic polynomial
+    (test_chart.py) and for ranks (test_lattices.py); no checker calls it."""
+    if not rows:
+        return ring.one
+    i = rows[0]
+    rest = rows[1:]
+    acc = ring.zero
+    for pos, j in enumerate(cols):
+        c = m[i][j]
+        if ring.is_zero(c):
+            continue
+        sub = det(ring, m, rest, cols[:pos] + cols[pos + 1:])
+        term = ring.mul(c, sub)
+        if pos % 2:
+            term = ring.neg(term)
+        acc = ring.add(acc, term)
+    return acc

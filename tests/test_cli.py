@@ -287,3 +287,81 @@ def test_poly_exponents_must_be_non_negative_integers(tmp_path, capsys, exponent
     assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
     assert "X[1][2]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sign-lemma", "--n", "3"],
+    ["basis", "spin", "--n", "3"],
+], ids=["verify", "basis"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, argv, below):
+    # a file where the output directory should be is malformed input, not a
+    # verification failure
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if below else blocker
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ")
+    assert blocker.read_text() == "keep\n"
+    assert os.listdir(tmp_path) == ["F"]
+
+
+@pytest.mark.parametrize("argv,p", [
+    (["verify", "sign-lemma", "--n", "3"], "4"),
+    (["verify", "sign-lemma", "--n", "3"], "-7"),
+    (["verify", "refined-basis", "--n", "3"], "15"),
+    (["basis", "spin", "--n", "3"], "2"),
+], ids=["4", "-7", "15", "2"])
+def test_p_must_be_an_odd_prime(tmp_path, capsys, argv, p):
+    out = tmp_path / "results"
+    assert main(argv + ["--p", p, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --p {p}: ")
+    assert not out.exists()
+
+
+def test_check_point_takes_p_from_the_point_file(tmp_path, capsys):
+    point = {"n": 3, "p": 13, "signature": [2, 1], "ring": {"kind": "field"},
+             "X": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps(point))
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as err:
+        main(["check-point", "--input", str(src), "--p", "5", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--p" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["basis", "spin", "--n", "3", "--signature", "3,0"], "--signature 3,0"),
+    (["basis", "spin", "--n", "3", "--l", "1"], "--l 1"),
+    (["basis", "refined", "--n", "3", "--l", "2"], "--l 2"),
+    (["verify", "counterexample", "--n", "5", "--signature", "4,1"],
+     "--signature 4,1"),
+] + [(["verify", rid, "--n", "3", "--signature", "2,1"], "--signature 2,1")
+     for rid in ("sign-lemma", "worst-terms", "refined-basis", "spin-structure",
+                 "x1-zero")],
+    ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else v.split()[0])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, argv,
+                                                        flag):
+    out = tmp_path / "results"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+def test_verify_all_passes_signature_to_operator_identities(tmp_path,
+                                                           monkeypatch):
+    import ramwedge.cli as cli_mod
+
+    seen = []
+
+    def fake(result_id, **kwargs):
+        seen.append(kwargs["signature"])
+        return [Certificate(result_id, {}, "pass", {})]
+
+    monkeypatch.setattr(cli_mod, "run_driver", fake)
+    assert main(["verify", "all", "--n", "3", "--signature", "1,2",
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [(1, 2)]

@@ -5,19 +5,18 @@ import random
 
 import pytest
 
-from ramwedge.exterior import (E_BASIS, WedgeVector, apply_operator,
-                               apply_wedge_power_operator, basis_wedge,
-                               build_frame, f_frame, form_eval, frame_in_e,
-                               g_frame, lambda_frame, operator_add,
-                               operator_identity, operator_pi_action,
-                               operator_scalar, operator_sub, spin_involution,
-                               standard_e_frame, wedge_columns,
-                               wedge_columns_masks, wedge_eq, wedge_scale,
+from ramwedge.exterior import (E_BASIS, WedgeVector, _add_multiple,
+                               apply_operator, apply_wedge_power_operator,
+                               basis_wedge, build_frame, f_frame, form_eval,
+                               frame_in_e, g_frame, lambda_frame,
+                               operator_pi_action, standard_e_frame,
+                               wedge_columns, wedge_columns_masks, wedge_scale,
                                worst_terms)
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, all_index_sets, i_star, i_vee,
                                 sigma_sign_closed)
-from ramwedge.scalars import LaurentOps, PiLaurent
+from ramwedge.rings import DualNumbers, FieldRing, PolyRing
+from ramwedge.scalars import INF, LaurentOps, PiLaurent
 
 F = PrimeField(13)
 Q = Rationals()
@@ -171,7 +170,7 @@ def test_pi_action_has_the_same_matrix_in_e_coordinates():
     # vector q, A the ambient matrix of pi x 1
     for n in (3, 4, 5):
         lattice = standard_e_frame(F, n)
-        op = operator_pi_action(F, n)
+        op = operator_pi_action(F, n, PiLaurent.zero(F))
         for p in range(1, 2 * n + 1):
             (q, a), = op[p - 1].items()
             want = {pos: c * a for pos, c in lattice.vector(q).items()}
@@ -260,6 +259,19 @@ def test_pair_factor_identity():
             assert lhs == rhs
 
 
+def spin_involution(terms: dict, ring) -> dict:
+    """The involution sending the basis wedge at S to its shuffle sign times
+    the basis wedge at S-perp, extended linearly over coordinates in any
+    split frame.  An involution because S and S-perp share their shuffle
+    sign."""
+    out = {}
+    for s, c in terms.items():
+        if sigma_sign_closed(s) < 0:
+            c = ring.neg(c)
+        out[s.perp()] = c
+    return out
+
+
 def test_spin_involution_squares_to_identity():
     ring = LaurentOps(F)
     rng = random.Random(3)
@@ -294,25 +306,25 @@ def test_spin_generators_are_eigenvectors(n, eps):
 def test_identity_operator_fixes_wedges():
     n = 3
     ring = LaurentOps(F)
+    identity = tuple({p: PiLaurent.one(F)} for p in range(1, 2 * n + 1))
     w = basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 2, 4)), ring)
-    out = apply_wedge_power_operator(operator_identity(F, n), n, w, ring=ring)
-    assert wedge_eq(out, w)
+    out = apply_wedge_power_operator(identity, n, w, ring=ring)
+    assert out == w
 
 
 def test_pi_action_eigenvalue_products():
-    # degree-n action of (T - pi x 1) at T = 0 multiplies a type-(r, s)
-    # g-frame wedge by pi^r(-pi)^s
+    # degree-n action of (pi x 1 - T) at T = 0 multiplies a type-(r, s)
+    # g-frame wedge by (-pi)^r pi^s
     n = 3
     ring = LaurentOps(F)
     gfr = g_frame(F, n)
-    op = operator_sub(operator_scalar(F, n, PiLaurent.zero(F)),
-                      operator_pi_action(F, n))
+    op = operator_pi_action(F, n, PiLaurent.zero(F))
     for s in all_index_sets(n):
-        _, ss = s.type_pair()
+        rr, _ = s.type_pair()
         w = basis_wedge(gfr, s, ring)
         lhs = apply_wedge_power_operator(op, n, w, ring=ring)
-        coeff = PiLaurent.make(F, {n: F.of_int((-1) ** ss)})
-        assert wedge_eq(lhs, wedge_scale(w, coeff, ring))
+        coeff = PiLaurent.make(F, {n: F.of_int((-1) ** rr)})
+        assert lhs == wedge_scale(w, coeff, ring)
 
 
 def test_pi_action_annihilation_on_bounded_summand():
@@ -321,8 +333,7 @@ def test_pi_action_annihilation_on_bounded_summand():
     n, r, s = 3, 2, 1
     ring = LaurentOps(F)
     gfr = g_frame(F, n)
-    op = operator_add(operator_pi_action(F, n),
-                      operator_scalar(F, n, PiLaurent.monomial(F, 1)))
+    op = operator_pi_action(F, n, PiLaurent.monomial(F, 1))
     for t in all_index_sets(n, card=s + 1):
         j, k = t.type_pair()
         if j <= r and k <= s:
@@ -330,12 +341,104 @@ def test_pi_action_annihilation_on_bounded_summand():
             assert apply_wedge_power_operator(op, s + 1, w, ring=ring).is_zero
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_shifted_pi_action_scales_the_g_frame(n):
+    # pi x 1 + c acts by c - pi on the first n g-frame vectors and by c + pi
+    # on the last n
+    pi = PiLaurent.monomial(F, 1)
+    g = g_frame(F, n)
+    for c in (PiLaurent.zero(F), PiLaurent.one(F), pi, -pi):
+        op = operator_pi_action(F, n, c)
+        for pos in range(1, 2 * n + 1):
+            lam = c - pi if pos <= n else c + pi
+            want = {p: x * lam for p, x in g.vector(pos).items()}
+            want = {p: x for p, x in want.items() if not x.is_zero}
+            assert apply_operator(op, g.vector(pos), F) == want
+
+
 def test_operator_degree_mismatch_rejected():
     n = 3
     ring = LaurentOps(F)
     w = basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 2)), ring)
     with pytest.raises(ValueError):
-        apply_wedge_power_operator(operator_identity(F, n), 3, w, ring=ring)
+        apply_wedge_power_operator(operator_pi_action(F, n, PiLaurent.zero(F)),
+                                   3, w, ring=ring)
+
+
+# ---------------------------------------------------------------------------
+# The one sparse update against a dense coordinatewise reference
+
+
+def _laurent_values(field, precision, exps):
+    def draw(rng):
+        coeffs = {e: field.of_int(rng.randrange(1, 6))
+                  for e in rng.sample(exps, rng.randrange(1, 3))}
+        if field == Q and rng.random() < 0.5:
+            coeffs = {e: c / 3 for e, c in coeffs.items()}
+        return PiLaurent.make(field, coeffs, precision)
+    return draw
+
+
+def _poly_value(ring):
+    def draw(rng):
+        f = ring.field
+        out = ring.const(f.of_int(rng.randrange(1, 13)))
+        if rng.random() < 0.6:
+            term = ring.mul(ring.const(f.of_int(rng.randrange(1, 13))),
+                            ring.var(rng.randrange(ring.nvars)))
+            out = ring.add(out, term)
+        return out
+    return draw
+
+
+UPDATE_CASES = {
+    "laurent-F13": (LaurentOps(F), _laurent_values(F, INF, range(-2, 3))),
+    "laurent-Q": (LaurentOps(Q), _laurent_values(Q, INF, range(-2, 3))),
+    "laurent-Q-truncated": (LaurentOps(Q), _laurent_values(Q, 4, range(0, 6))),
+    "field-F13": (F, lambda rng: F.of_int(rng.randrange(1, 13))),
+    "field-ring": (FieldRing(F), lambda rng: F.of_int(rng.randrange(1, 13))),
+    "dual": (DualNumbers(F), lambda rng: (F.of_int(rng.randrange(0, 3)),
+                                          F.of_int(rng.randrange(0, 3)))),
+    "poly": (PolyRing(F, ("a", "b")), _poly_value(PolyRing(F, ("a", "b")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UPDATE_CASES))
+def test_add_multiple_matches_dense_reference(case):
+    ops, draw = UPDATE_CASES[case]
+    rng = random.Random(f"add_multiple:{case}")
+
+    def sparse(keys):
+        vec = {}
+        for k in keys:
+            v = draw(rng)
+            if not ops.is_zero(v):
+                vec[k] = v
+        return vec
+
+    dropped = 0
+    for trial in range(200):
+        target = sparse(rng.sample(range(12), rng.randrange(0, 7)))
+        source = sparse(rng.sample(range(12), rng.randrange(0, 7)))
+        q = draw(rng)
+        if trial % 3 == 0:
+            # exact cancellation on every shared key
+            q = ops.one
+            source.update({k: ops.neg(v) for k, v in target.items() if k in source})
+        zero = ops.zero
+        want = {}
+        for k in list(target) + [k for k in source if k not in target]:
+            v = ops.add(target.get(k, zero), ops.mul(q, source.get(k, zero)))
+            if not ops.is_zero(v):
+                want[k] = v
+        before = list(target)
+        new_keys = [k for k in source if k not in target]
+        _add_multiple(ops, target, q, source)
+        assert target == want
+        assert not any(ops.is_zero(v) for v in target.values())
+        assert list(target) == [k for k in before + new_keys if k in want]
+        dropped += len(before) + len(new_keys) - len(target)
+    assert dropped > 0
 
 
 def test_wedge_vector_json():

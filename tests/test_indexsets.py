@@ -4,7 +4,7 @@ import pytest
 
 from ramwedge.indexsets import (IndexSet, all_index_sets, i_star, i_vee,
                                 sigma_sign_bruteforce, sigma_sign_closed,
-                                type_n11_sets, weight_vee)
+                                type_n11_sets)
 
 
 def _inline_parity(seq):
@@ -94,7 +94,7 @@ def test_dualities_and_weight_identity(n):
         assert s.perp().perp() == s
         assert s.type_pair() == s.perp().type_pair()
         w_perp = s.perp().weight()
-        total = tuple(a + b for a, b in zip(w_perp, weight_vee(s.weight())))
+        total = tuple(a + b for a, b in zip(w_perp, reversed(s.weight())))
         assert total == (2,) * n
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ramwedge.errors import FieldMismatchError, IndeterminateValuationError
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.scalars import INF, PiLaurent, ord_pi, truncated_inverse
+from ramwedge.scalars import INF, PiLaurent, truncated_inverse
 
 F13 = PrimeField(13)
 
@@ -50,12 +50,12 @@ def test_field_mismatch_rejected():
 
 
 def test_ord_examples():
-    assert ord_pi(L(F13, {-2: 3, 1: 1})) == -2
-    assert ord_pi(PiLaurent.zero(F13)) == math.inf
+    assert L(F13, {-2: 3, 1: 1}).ord() == -2
+    assert PiLaurent.zero(F13).ord() == math.inf
     truncated = PiLaurent.monomial(F13, 5).truncate(4)
     assert truncated.is_zero
     with pytest.raises(IndeterminateValuationError):
-        ord_pi(truncated)
+        truncated.ord()
 
 
 def test_truncated_inverse_monomial():
@@ -97,12 +97,12 @@ def test_ord_is_additive_and_ultrametric():
         b = _random_laurent(rng, F13)
         if a.is_zero or b.is_zero:
             continue
-        assert ord_pi(a * b) == ord_pi(a) + ord_pi(b)
+        assert (a * b).ord() == a.ord() + b.ord()
         s = a + b
         if not s.is_zero:
-            assert ord_pi(s) >= min(ord_pi(a), ord_pi(b))
-        if ord_pi(a) != ord_pi(b):
-            assert ord_pi(s) == min(ord_pi(a), ord_pi(b))
+            assert s.ord() >= min(a.ord(), b.ord())
+        if a.ord() != b.ord():
+            assert s.ord() == min(a.ord(), b.ord())
 
 
 @pytest.mark.parametrize("precision", [4, 9, 24])
@@ -113,7 +113,7 @@ def test_inverse_agrees_through_requested_exponent(precision):
         if a.is_zero:
             continue
         inv = truncated_inverse(a, precision)
-        assert ord_pi(inv) == -ord_pi(a)
+        assert inv.ord() == -a.ord()
         prod = a * inv
         bound = min(precision, prod.precision)
         for exp, c in prod.coeffs.items():
@@ -165,7 +165,7 @@ def test_series_drops_coefficients_beyond_precision():
 
 def test_json_round_trip():
     a = L(F13, {-2: 5, 3: 11})
-    assert PiLaurent.from_json(F13, a.to_json()) == a
+    assert a.to_json() == [[-2, 5], [3, 11]]
     q = Rationals()
-    b = PiLaurent.make(q, {0: q.of_int(1) / 3, 1: q.of_int(-2)})
-    assert PiLaurent.from_json(q, b.to_json()) == b
+    b = PiLaurent.make(q, {1: q.of_int(-2), 0: q.of_int(1) / 3})
+    assert b.to_json() == [[0, "1/3"], [1, "-2/1"]]
