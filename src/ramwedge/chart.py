@@ -347,28 +347,24 @@ def check_spin(pt: ChartPoint, eps: int, precision: int = DEFAULT_PRECISION,
     return _membership_verdict(membership_over_R(w, ann, pt.ring))
 
 
-def check_refined(pt: ChartPoint, r: int = None, s: int = None,
-                  precision: int = DEFAULT_PRECISION,
+def check_refined(pt: ChartPoint, precision: int = DEFAULT_PRECISION,
                   *, wedge: WedgeVector = None) -> Verdict:
-    """The column wedge lies in the mod-pi image of the signature-refined
-    half-spin lattice.  `wedge` is wedge_vector(pt) when the caller has it
-    already."""
-    if r is None or s is None:
-        r, s = pt.signature
+    """The column wedge lies in the mod-pi image of the half-spin lattice
+    refined by the point's signature.  `wedge` is wedge_vector(pt) when the
+    caller has it already."""
+    r, s = pt.signature
     ann = refined_annihilators(pt.n, pt.ring.field.key(), r, s, precision)
     w = wedge_vector(pt) if wedge is None else wedge
     return _membership_verdict(membership_over_R(w, ann, pt.ring))
 
 
-def check_kl(pt: ChartPoint, l: int, r: int = None, s: int = None,
-             precision: int = DEFAULT_PRECISION,
+def check_kl(pt: ChartPoint, l: int, precision: int = DEFAULT_PRECISION,
              *, wedge: WedgeVector = None) -> Verdict:
     """Every l-fold wedge of the point's columns lies in the mod-pi image of
-    the degree-l eigenspace-bounded lattice.  At l = n the one column subset
-    is all columns, and `wedge` is wedge_vector(pt) when the caller has it
-    already."""
-    if r is None or s is None:
-        r, s = pt.signature
+    the degree-l lattice bounded by the point's signature.  At l = n the one
+    column subset is all columns, and `wedge` is wedge_vector(pt) when the
+    caller has it already."""
+    r, s = pt.signature
     if not 1 <= l <= pt.n:
         raise ValueError(f"wedge degree {l} outside 1..{pt.n}")
     if wedge is not None and l != pt.n:
@@ -398,7 +394,6 @@ class ConditionReport:
 def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> ConditionReport:
     """Every condition at one point; the top wedge is folded once and
     shared by the spin, refined and kn membership checks."""
-    r, s = pt.signature
     wedge = wedge_vector(pt)
     conditions = {
         "naive": check_naive_relations(pt),
@@ -407,8 +402,8 @@ def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> Condition
         "trace": check_trace(pt),
         "spin(+1)": check_spin(pt, 1, precision, wedge=wedge),
         "spin(-1)": check_spin(pt, -1, precision, wedge=wedge),
-        "refined": check_refined(pt, r, s, precision, wedge=wedge),
-        "kn": check_kl(pt, pt.n, r, s, precision, wedge=wedge),
+        "refined": check_refined(pt, precision, wedge=wedge),
+        "kn": check_kl(pt, pt.n, precision, wedge=wedge),
     }
     return ConditionReport(conditions)
 
@@ -454,8 +449,9 @@ def chart_point_from_json(obj) -> ChartPoint:
         raise SchemaError(f"field 'ring': {exc}") from exc
     sig = obj.get("signature", [n - 1, 1])
     if (not isinstance(sig, list) or len(sig) != 2
-            or not all(is_json_int(t) for t in sig)):
-        raise SchemaError("field 'signature' must be a pair of integers")
+            or not all(is_json_int(t) and t >= 0 for t in sig) or sum(sig) != n):
+        raise SchemaError(f"field 'signature' must be a pair r, s >= 0 of "
+                          f"integers with r + s = {n}, got {sig!r}")
     x = obj["X"]
     if not isinstance(x, list) or len(x) != n or any(
             not isinstance(row, list) or len(row) != n for row in x):

@@ -49,6 +49,17 @@ def _write_json(path: str, obj) -> None:
         raise
 
 
+def _check_out(path: str) -> None:
+    """Raise OSError, before any work and creating nothing, unless the
+    nearest existing ancestor of path (path itself if it exists) is a
+    writable directory, where the output directory can be made."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe) or not os.access(probe, os.W_OK | os.X_OK):
+        raise OSError(f"{probe} is not a writable directory")
+
+
 def _parse_signature(text: str, n: int):
     try:
         r, s = (int(t) for t in text.split(","))
@@ -132,13 +143,10 @@ def cmd_check_point(args) -> int:
 def cmd_dump_basis(args) -> int:
     field = PrimeField(args.p)
     n = args.n
-    if n is None:
-        raise SchemaError("basis dumps require --n")
     if args.l is not None and args.kind != "kl":
         raise SchemaError(f"--l {args.l}: basis {args.kind} reads no degree; "
                           f"only basis kl does")
     kwargs = {}
-    label = args.kind
     if args.kind == "spin":
         if args.signature:
             raise SignatureError("basis spin reads no signature; its sign is --eps")
@@ -148,13 +156,13 @@ def cmd_dump_basis(args) -> int:
         r, s = _dump_signature(args, n)
         kwargs.update(eps=signature_eps(s), r=r, s=s)
         label = f"refined-{r}-{s}"
-    elif args.kind == "kl":
+    else:  # kl, the last of the parser's choices
         r, s = _dump_signature(args, n)
         l = args.l if args.l is not None else n
+        if not 1 <= l <= n:
+            raise SchemaError(f"--l {l}: basis kl needs 1 <= l <= n = {n}")
         kwargs.update(l=l, r=r, s=s)
         label = f"kl-{l}-{r}-{s}"
-    else:
-        raise SchemaError(f"unknown basis kind {args.kind!r}")
     generators = spanning_set(args.kind, n, field, **kwargs)
     basis = intersect_with_standard_lattice(generators, args.precision)
     residue = reduce_mod_pi(basis)
@@ -234,6 +242,7 @@ def main(argv=None) -> int:
                 PrimeField(args.p)
             except ValueError as exc:
                 raise SchemaError(f"--p {args.p}: {exc}") from None
+        _check_out(args.out)
         return args.func(args)
     except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
@@ -249,7 +258,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         # check-point's --input turns its read errors into SchemaError, so
-        # what is left comes from writing artifacts under --out
+        # what is left comes from --out: checked before any work, or met
+        # when writing artifacts
         print(f"error: --out {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

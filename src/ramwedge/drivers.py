@@ -14,16 +14,17 @@ from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     mat_transpose, refined_annihilators, signature_eps,
                     wedge_vector)
 from .errors import RankError, SignatureError
-from .exterior import (WedgeVector, _add_multiple, apply_wedge_power_operator,
-                       basis_wedge, frame_in_e, operator_pi_action,
-                       wedge_scale, worst_terms)
+from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
+                       frame_in_e, operator_pi_action, wedge_scale,
+                       worst_terms)
 from .fields import PrimeField
 from .indexsets import (IndexSet, all_index_sets, i_vee, sigma_sign_bruteforce,
                         sigma_sign_closed, type_n11_sets)
 from .lattices import (annihilator_evaluations, annihilators,
                        echelon_lattice_basis, intersect_with_standard_lattice,
-                       lattice_contains, membership_over_R, reduce_mod_pi,
-                       residue_rank, residue_spans_equal, spanning_set)
+                       lattice_contains, membership_over_R, paired_generator,
+                       reduce_mod_pi, residue_rank, residue_spans_equal,
+                       spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
 
@@ -100,13 +101,14 @@ def verify_sign_lemma(n_max: int) -> Certificate:
 # Worst-term closed forms
 
 
-def _pset(n: int, i: int, j: int) -> IndexSet:
-    """{i} together with {n+1..2n} minus {n+j}."""
-    return IndexSet.of(n, [i] + [n + t for t in range(1, n + 1) if t != j])
+def _pset(n: int, i: int, j: int) -> int:
+    """The mask of {i} together with {n+1..2n} minus {n+j}."""
+    return IndexSet.of(n, [i] + [n + t for t in range(1, n + 1) if t != j]).mask
 
 
-def _full_set(n: int) -> IndexSet:
-    return IndexSet.of(n, range(n + 1, 2 * n + 1))
+def _full_set(n: int) -> int:
+    """The mask of {n+1..2n}."""
+    return IndexSet.of(n, range(n + 1, 2 * n + 1)).mask
 
 
 def _sign_elem(field, k: int):
@@ -209,14 +211,9 @@ def canonical_pairs(n: int):
 
 def pair_element(field, n: int, i: int, j: int) -> WedgeVector:
     """g_S - sgn(sigma_S)*g_{S-perp} in e-basis for the pair (i, j)."""
-    ring = LaurentOps(field)
-    gfr = frame_in_e("g_split", n, field)
     base = frozenset(range(1, n + 1))
     s = IndexSet.of(n, (base - {j}) | {n + i})
-    terms = dict(basis_wedge(gfr, s, ring).terms)
-    q = PiLaurent.const(field, field.of_int(-sigma_sign_closed(s)))
-    _add_multiple(ring, terms, q, basis_wedge(gfr, s.perp(), ring).terms)
-    return WedgeVector(n, terms)
+    return paired_generator(frame_in_e("g_split", n, field), s, -1)
 
 
 def verify_worst_term_tables(n: int, p: int = DEFAULT_P) -> Certificate:
@@ -225,13 +222,12 @@ def verify_worst_term_tables(n: int, p: int = DEFAULT_P) -> Certificate:
     check that exactly one case predicate fires per pair."""
     _require_rank("worst-terms", n)
     field = PrimeField(p)
-    ring = LaurentOps(field)
     gfr = frame_in_e("g_split", n, field)
     mismatches = []
     singles = 0
     for i, j, s in type_n11_sets(n):
         singles += 1
-        w = basis_wedge(gfr, s, ring)
+        w = basis_wedge(gfr, s)
         wt, val = worst_terms(w)
         want_val, want_terms = expected_single_worst_term(field, n, i, j)
         if val != want_val or wt.terms != want_terms:
@@ -358,7 +354,7 @@ def verify_spin_structure(n: int, p: int = DEFAULT_P,
         members = {}
         for t in listed:
             res = membership_over_R({t: field.one}, ann, ring)
-            members[str(t.members)] = res.ok
+            members[str(IndexSet(n, t).members)] = res.ok
             ok = ok and res.ok
         ok = ok and hits == 0
         evidence[f"eps={eps:+d}"] = {
@@ -499,7 +495,7 @@ def verify_operator_identities(n: int, r: int, s: int,
             for _ in range(power):
                 scalar = scalar * eigenvalue
         for t in type_sets:
-            w = basis_wedge(gfr, t, ring)
+            w = basis_wedge(gfr, t)
             lhs = apply_wedge_power_operator(op, n, w, ring)
             eig_checked += 1
             if lhs != wedge_scale(w, scalar, ring):
@@ -513,7 +509,7 @@ def verify_operator_identities(n: int, r: int, s: int,
             for t in all_index_sets(n, card=degree):
                 jk = t.type_pair()
                 if jk[0] <= r and jk[1] <= s:
-                    w = basis_wedge(gfr, t, ring)
+                    w = basis_wedge(gfr, t)
                     image = apply_wedge_power_operator(op, degree, w, ring)
                     ann_checked += 1
                     if not image.is_zero:

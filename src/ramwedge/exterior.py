@@ -11,10 +11,11 @@ frame coordinate a finite Laurent polynomial.
 Frame builders write their vectors in ambient coordinates and check them
 there; frame_in_e rewrites a frame in the basis of the standard lattice
 frame (e-coordinates) once.  Every wedge is taken of e-coordinate vectors,
-so wedge coordinates are e_S coordinates: sparse {IndexSet: coefficient}
-maps whose value at S is the minor on rows S taken in increasing row
-order, with columns wedged from left to right.  "pi x 1" has the same
-matrix in e-coordinates as in ambient coordinates.
+so wedge coordinates are e_S coordinates: sparse {mask: coefficient} maps,
+keyed by the bitmask of S (bit i-1 is element i, as IndexSet.mask), whose
+value at S is the minor on rows S taken in increasing row order, with
+columns wedged from left to right.  "pi x 1" has the same matrix in
+e-coordinates as in ambient coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .indexsets import IndexSet
+from .indexsets import IndexSet, lex_key
 from .scalars import INF, LaurentOps, PiLaurent
 
 E_BASIS = "e_basis"
@@ -274,8 +275,8 @@ def _check_monomial(frame: Frame):
 
 @dataclass(frozen=True)
 class WedgeVector:
-    """Element of a wedge power as a sparse {IndexSet: coefficient} map;
-    the library builds every one in e_S coordinates."""
+    """Element of a wedge power as a sparse {mask: coefficient} map; the
+    library builds every one in e_S coordinates."""
 
     n: int
     terms: dict
@@ -287,17 +288,17 @@ class WedgeVector:
     def degree(self) -> int:
         if not self.terms:
             return 0
-        return next(iter(self.terms)).card
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return next(iter(self.terms)).bit_count()
 
     def to_json(self):
-        return {
-            "basis": E_BASIS,
-            "terms": [{"indexSet": s.to_json(), "coefficient": c.to_json()}
-                      for s, c in self.items_sorted()],
-        }
+        return {"basis": E_BASIS,
+                "terms": terms_to_json(self.n, self.terms, lambda c: c.to_json())}
+
+
+def terms_to_json(n: int, terms: dict, coefficient_json) -> list:
+    """Sparse {mask: coefficient} terms as JSON records, in lex_key order."""
+    return [{"indexSet": IndexSet(n, t).to_json(), "coefficient": coefficient_json(c)}
+            for t, c in sorted(terms.items(), key=lambda kv: lex_key(kv[0]))]
 
 
 def _insert_sign(mask: int, pos: int) -> int:
@@ -342,8 +343,7 @@ def wedge_columns(n: int, columns, ring) -> WedgeVector:
         for pos in col:
             if not 1 <= pos <= 2 * n:
                 raise ValueError(f"position {pos} outside 1..{2 * n}")
-    masks = wedge_columns_masks(columns, ring)
-    return WedgeVector(n, {IndexSet(n, m): c for m, c in masks.items()})
+    return WedgeVector(n, wedge_columns_masks(columns, ring))
 
 
 def _add_multiple(ops, target: dict, q, source: dict) -> None:
@@ -368,13 +368,11 @@ def wedge_scale(w: WedgeVector, c, ring) -> WedgeVector:
     return WedgeVector(w.n, {s: ring.mul(v, c) for s, v in w.terms.items()})
 
 
-def basis_wedge(frame: Frame, s: IndexSet, ring=None) -> WedgeVector:
+def basis_wedge(frame: Frame, s: IndexSet) -> WedgeVector:
     """Wedge of the frame vectors indexed by s, in increasing order; e_S
     coordinates when the frame comes from frame_in_e."""
-    if ring is None:
-        ring = LaurentOps(frame.field)
     cols = [frame.vector(p) for p in s.members]
-    return wedge_columns(frame.n, cols, ring)
+    return wedge_columns(frame.n, cols, LaurentOps(frame.field))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +427,6 @@ def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
         raise ValueError(f"vector has degree {w.degree()}, expected {degree}")
     out = {}
     for s, c in w.terms.items():
-        images = [op_cols[p - 1] for p in s.members]
+        images = [op_cols[p] for p in range(2 * w.n) if s >> p & 1]
         _add_multiple(ring, out, c, wedge_columns(w.n, images, ring).terms)
     return WedgeVector(w.n, out)

@@ -23,13 +23,24 @@ def i_star(n: int, i: int) -> int:
     return 2 * n + 1 - i
 
 
+def lex_key(mask: int) -> int:
+    """Sort key of an index-set bitmask (bit i-1 is element i): the negated
+    bit reversal at width 2 * MAX_RANK, so element 1 weighs most.  Masks of
+    one cardinality sort exactly as their increasing member tuples; masks of
+    different cardinalities do not."""
+    # bin() of the mask under a sentinel bit is "0b1" and then the width's
+    # digits, most significant first; [:2:-1] reverses just those digits
+    return -int(bin(mask | 1 << 2 * MAX_RANK)[:2:-1], 2)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """A subset of {1..2n}, stored as a bitmask (bit i-1 is element i).
 
     Cardinality-n sets index the top wedge power; smaller cardinalities
     appear in lower wedge degrees.  The shuffle sign is defined only for
-    cardinality n.
+    cardinality n.  Wedge vectors, lattice bases and annihilators key their
+    coordinates by the bare mask; an IndexSet chooses sets and prints them.
     """
 
     n: int
@@ -49,17 +60,6 @@ class IndexSet:
     @property
     def members(self) -> tuple:
         return tuple(i + 1 for i in range(2 * self.n) if self.mask >> i & 1)
-
-    @property
-    def card(self) -> int:
-        return self.mask.bit_count()
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> (i - 1) & 1)
-
-    def total(self) -> int:
-        """Sum of the members."""
-        return sum(self.members)
 
     def star(self) -> "IndexSet":
         mask = 0
@@ -82,9 +82,6 @@ class IndexSet:
             (self.mask >> (i - 1) & 1) + (self.mask >> (self.n + i - 1) & 1)
             for i in range(1, self.n + 1))
 
-    def sort_key(self) -> tuple:
-        return self.members
-
     def to_json(self):
         return list(self.members)
 
@@ -93,11 +90,10 @@ def sigma_sign_bruteforce(s: IndexSet) -> int:
     """Sign of the shuffle sending {1..n} onto S in increasing order and
     {n+1..2n} onto the complement in increasing order, computed as the
     parity of the explicit one-line permutation."""
-    n = s.n
-    if s.card != n:
+    n, members = s.n, s.members
+    if len(members) != n:
         raise ValueError("shuffle sign requires a cardinality-n set")
-    comp = [i for i in range(1, 2 * n + 1) if not s.contains(i)]
-    line = list(s.members) + comp
+    line = list(members) + [i for i in range(1, 2 * n + 1) if i not in members]
     inv = 0
     for a in range(len(line)):
         for b in range(a + 1, len(line)):
@@ -109,9 +105,9 @@ def sigma_sign_bruteforce(s: IndexSet) -> int:
 def sigma_sign_closed(s: IndexSet) -> int:
     """Closed form (-1)^(sum(S) + ceil(n/2)) for the shuffle sign."""
     n = s.n
-    if s.card != n:
+    if s.mask.bit_count() != n:
         raise ValueError("shuffle sign requires a cardinality-n set")
-    return -1 if (s.total() + (n + 1) // 2) % 2 else 1
+    return -1 if (sum(s.members) + (n + 1) // 2) % 2 else 1
 
 
 def all_index_sets(n: int, card: int = None):

@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 from math import comb
 
 from .errors import PrecisionExhaustedError
-from .exterior import WedgeVector, _add_multiple, basis_wedge, frame_in_e
-from .indexsets import IndexSet, all_index_sets, sigma_sign_closed
+from .exterior import (WedgeVector, _add_multiple, basis_wedge, frame_in_e,
+                       terms_to_json)
+from .indexsets import IndexSet, all_index_sets, lex_key, sigma_sign_closed
 from .scalars import LaurentOps, PiLaurent, truncated_inverse
 
 GUARD_BAND = 4
@@ -31,25 +32,33 @@ GUARD_BAND = 4
 # Spanning sets
 
 
-def _paired_generators(frame, sets, eps: int):
-    """Nonzero elements w_S + eps * sgn(sigma_S) * w_{S-perp} for S running
-    over the given sets, one representative per {S, S-perp} pair."""
+def paired_generator(frame, s: IndexSet, eps: int) -> WedgeVector:
+    """w_S + eps * sgn(sigma_S) * w_{S-perp}, with w_T the basis_wedge of
+    the frame at T; a self-perp S is folded once."""
     field = frame.field
-    ring = LaurentOps(field)
+    sp = s.perp()
+    w = basis_wedge(frame, s)
+    terms = dict(w.terms)
+    q = PiLaurent.const(field, field.of_int(eps * sigma_sign_closed(s)))
+    _add_multiple(LaurentOps(field), terms, q,
+                  (w if sp == s else basis_wedge(frame, sp)).terms)
+    return WedgeVector(frame.n, terms)
+
+
+def _paired_generators(frame, sets, eps: int):
+    """The nonzero paired generators for S running over the given sets, one
+    representative (the lexicographically least) per {S, S-perp} pair."""
     wanted = set(sets)
-    chosen = [s for s in sets if s.perp().sort_key() >= s.sort_key()]
-    needed = set(chosen) | {s.perp() for s in chosen}
-    cache = {t: basis_wedge(frame, t, ring) for t in needed}
     gens = []
-    for s in chosen:
+    for s in sets:
         sp = s.perp()
+        if lex_key(sp.mask) < lex_key(s.mask):
+            continue
         if sp not in wanted:
             raise ValueError("perp partner escapes the requested family")
-        terms = dict(cache[s].terms)
-        q = PiLaurent.const(field, field.of_int(eps * sigma_sign_closed(s)))
-        _add_multiple(ring, terms, q, cache[sp].terms)
-        if terms:
-            gens.append(WedgeVector(frame.n, terms))
+        g = paired_generator(frame, s, eps)
+        if g.terms:
+            gens.append(g)
     return gens
 
 
@@ -79,13 +88,12 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
     if kind == "kl":
         if l is None or not 1 <= l <= n or r is None or s is None or r + s != n:
             raise ValueError("kl requires 1 <= l <= n and a signature r + s = n")
-        ring = LaurentOps(field)
         gfr = frame_in_e("g_split", n, field)
         gens = []
         for t in all_index_sets(n, card=l):
             j, k = t.type_pair()
             if j <= r and k <= s:
-                gens.append(basis_wedge(gfr, t, ring))
+                gens.append(basis_wedge(gfr, t))
         return gens
     raise ValueError(f"unknown spanning kind {kind!r}")
 
@@ -97,7 +105,7 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
 def pi_adic_column_echelon(columns: list, precision: int):
     """Unimodular column reduction with global minimum-valuation pivots.
 
-    columns: sparse {IndexSet: PiLaurent} maps (consumed).
+    columns: sparse {mask: PiLaurent} maps (consumed).
     Returns [(pivot_set, pivot_valuation, column)] in processing order; each
     pivot row is eliminated from every later column.  Ties break to the
     lexicographically least index set, then the earliest column.  Raises
@@ -113,7 +121,7 @@ def pi_adic_column_echelon(columns: list, precision: int):
             continue
         live[cid] = col
         for t, c in col.items():
-            heapq.heappush(heap, (c.ord(), t.sort_key(), cid, t))
+            heapq.heappush(heap, (c.ord(), lex_key(t), cid, t))
             incidence.setdefault(t, set()).add(cid)
     processed = []
     while live:
@@ -144,7 +152,7 @@ def pi_adic_column_echelon(columns: list, precision: int):
                     c = col2.get(t2)
                     if c is not None:
                         incidence[t2].add(cid2)
-                        heapq.heappush(heap, (c.ord(), t2.sort_key(), cid2, t2))
+                        heapq.heappush(heap, (c.ord(), lex_key(t2), cid2, t2))
             # the pivot row cancels exactly at working precision
             col2.pop(t, None)
             if not col2:
@@ -172,7 +180,7 @@ class DVRTriangularBasis:
     def to_json(self):
         return {
             "columns": [
-                {"pivot": piv.to_json(), "pivotValuation": val,
+                {"pivot": IndexSet(self.n, piv).to_json(), "pivotValuation": val,
                  "terms": col.to_json()["terms"]}
                 for (piv, val), col in zip(self.pivots, self.columns)
             ],
@@ -267,13 +275,9 @@ class ResidueBasis:
         return len(self.vectors)
 
     def to_json(self):
-        return [
-            {"pivot": p.to_json(),
-             "terms": [{"indexSet": t.to_json(),
-                        "coefficient": self.field.element_to_json(c)}
-                       for t, c in sorted(vec.items(), key=lambda kv: kv[0].sort_key())]}
-            for p, vec in zip(self.pivots, self.vectors)
-        ]
+        return [{"pivot": IndexSet(self.n, p).to_json(),
+                 "terms": terms_to_json(self.n, vec, self.field.element_to_json)}
+                for p, vec in zip(self.pivots, self.vectors)]
 
 
 def reduce_mod_pi(basis: DVRTriangularBasis) -> ResidueBasis:
@@ -297,10 +301,11 @@ def reduce_mod_pi(basis: DVRTriangularBasis) -> ResidueBasis:
 
 def gauss_jordan(field, rows) -> dict:
     """Reduced row echelon form of sparse k-vectors keyed by anything
-    hashable (index sets, column numbers), built one row at a time: each
-    row is reduced against the rows so far, takes the first key of what is
-    left as its pivot, is scaled to 1 there, and clears that pivot from the
-    earlier rows.  Returns {pivot: row} in input order; zero rows drop out."""
+    hashable (index-set masks, column numbers), built one row at a time:
+    each row is reduced against the rows so far, takes the first key of
+    what is left as its pivot, is scaled to 1 there, and clears that pivot
+    from the earlier rows.  Returns {pivot: row} in input order; zero rows
+    drop out."""
     reduced = {}
     holders = {}  # key -> pivots of the reduced rows that had an entry there
     for vec in rows:
@@ -384,8 +389,7 @@ def annihilators(rb: ResidueBasis) -> AnnihilatorSet:
         for t, c in row.items():
             if t not in reduced:
                 functionals.setdefault(t, {t: f.one})[p] = f.neg(c)
-    support = sorted({t for row in reduced.values() for t in row},
-                     key=IndexSet.sort_key)
+    support = sorted({t for row in reduced.values() for t in row}, key=lex_key)
     return AnnihilatorSet(rb.n, rb.degree, f, tuple(support),
                           tuple(functionals[t] for t in support if t not in reduced),
                           len(reduced))
@@ -406,8 +410,8 @@ def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     off-support coordinates present in the vector, then the tracked kernel
     functionals.  Yields (label, value) pairs."""
     support = set(ann.support)
-    for t in sorted((t for t in terms if t not in support), key=IndexSet.sort_key):
-        yield (f"coordinate{t.members}", terms[t])
+    for t in sorted((t for t in terms if t not in support), key=lex_key):
+        yield (f"coordinate{IndexSet(ann.n, t).members}", terms[t])
     for idx, phi in enumerate(ann.functionals):
         total = ring.zero
         for t, coef in phi.items():

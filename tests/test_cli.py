@@ -289,22 +289,42 @@ def test_poly_exponents_must_be_non_negative_integers(tmp_path, capsys, exponent
     assert not out.exists()
 
 
+def _refuse_work(monkeypatch):
+    import ramwedge.cli as cli_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("run_driver", "spanning_set", "full_report"):
+        monkeypatch.setattr(cli_mod, name, refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "sign-lemma", "--n", "3"],
     ["basis", "spin", "--n", "3"],
-], ids=["verify", "basis"])
+    ["verify", "all", "--n", "5"],
+    ["check-point"],
+], ids=["verify", "basis", "verify-all", "check-point"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
-def test_out_naming_a_file_is_usage_error(tmp_path, capsys, argv, below):
+def test_out_naming_a_file_is_usage_error(tmp_path, monkeypatch, capsys, argv,
+                                          below):
     # a file where the output directory should be is malformed input, not a
-    # verification failure
-    blocker = tmp_path / "F"
+    # verification failure, and it is refused before any work starts
+    _refuse_work(monkeypatch)
+    if argv == ["check-point"]:
+        src = tmp_path / "point.json"
+        src.write_text(json.dumps({"n": 3, "ring": {"kind": "field"},
+                                   "X": [[0] * 3 for _ in range(3)]}))
+        argv = argv + ["--input", str(src)]
+    blocker = tmp_path / "out" / "F"
+    blocker.parent.mkdir()
     blocker.write_text("keep\n")
     out = blocker / "sub" if below else blocker
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out}: ")
     assert blocker.read_text() == "keep\n"
-    assert os.listdir(tmp_path) == ["F"]
+    assert os.listdir(blocker.parent) == ["F"]
 
 
 @pytest.mark.parametrize("argv,p", [
@@ -365,3 +385,24 @@ def test_verify_all_passes_signature_to_operator_identities(tmp_path,
     assert main(["verify", "all", "--n", "3", "--signature", "1,2",
                  "--out", str(tmp_path)]) == 0
     assert seen == [(1, 2)]
+
+
+def test_point_signature_not_a_partition_names_the_field(tmp_path, capsys):
+    point = {"n": 3, "p": 13, "signature": [4, -1], "ring": {"kind": "field"},
+             "X": [[0] * 3 for _ in range(3)]}
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps(point))
+    out = tmp_path / "results"
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: field 'signature' ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("l", ["9", "0"])
+def test_kl_degree_out_of_range_names_the_flag(tmp_path, monkeypatch, capsys, l):
+    # a usage error found after --out passed its check still creates nothing
+    _refuse_work(monkeypatch)
+    out = tmp_path / "new" / "results"
+    assert main(["basis", "kl", "--n", "5", "--l", l, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --l {l}: ")
+    assert os.listdir(tmp_path) == []

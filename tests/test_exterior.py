@@ -98,7 +98,7 @@ def test_wedge_of_bottom_identity_block():
     ring = LaurentOps(F)
     cols = [{n + j: PiLaurent.one(F)} for j in range(1, n + 1)]
     w = wedge_columns(n, cols, ring)
-    assert w.terms == {IndexSet.of(n, (4, 5, 6)): PiLaurent.one(F)}
+    assert w.terms == {IndexSet.of(n, (4, 5, 6)).mask: PiLaurent.one(F)}
 
 
 def test_wedge_alternates_in_columns():
@@ -127,7 +127,7 @@ def test_lattice_frame_wedge_is_unit_coordinate():
     for n in (3, 5):
         s = IndexSet.of(n, range(1, n + 1))
         w = basis_wedge(frame_in_e("lambda", n, F), s)
-        assert w.terms == {s: PiLaurent.one(F)}
+        assert w.terms == {s.mask: PiLaurent.one(F)}
 
 
 ORACLE_CASES = [(kind, n) for n in (3, 4, 5, 7)
@@ -149,8 +149,8 @@ def test_e_coordinates_expand_to_ambient_wedge(kind, n, field):
     for s in sets:
         want = wedge_columns_masks([ambient.vector(p) for p in s.members], ring)
         got = {}
-        for t, c in basis_wedge(in_e, s, ring).terms.items():
-            cols = [lattice.vector(q) for q in t.members]
+        for t, c in basis_wedge(in_e, s).terms.items():
+            cols = [lattice.vector(q) for q in IndexSet(n, t).members]
             for mask, x in wedge_columns_masks(cols, ring).items():
                 total = got.get(mask, ring.zero) + c * x
                 if total.is_zero:
@@ -188,13 +188,13 @@ def test_hand_expanded_g_wedge():
     # wedge over {1, 3, 4} equals -pi*e_{134} - e_{146}
     n = 3
     w = basis_wedge(frame_in_e("g_split", n, F), IndexSet.of(n, (1, 3, 4)))
-    assert w.terms == {IndexSet.of(n, (1, 3, 4)): L({1: -1}),
-                       IndexSet.of(n, (1, 4, 6)): L({0: -1})}
+    assert w.terms == {IndexSet.of(n, (1, 3, 4)).mask: L({1: -1}),
+                       IndexSet.of(n, (1, 4, 6)).mask: L({0: -1})}
 
 
 def test_worst_terms_minimum_filter():
     n = 3
-    a, b, c = (IndexSet.of(n, t) for t in ((1, 2, 3), (1, 2, 4), (1, 2, 5)))
+    a, b, c = (IndexSet.of(n, t).mask for t in ((1, 2, 3), (1, 2, 4), (1, 2, 5)))
     w = WedgeVector(n, {a: L({-2: 1}), b: L({-1: 1}), c: L({-2: 1})})
     wt, val = worst_terms(w)
     assert val == -2
@@ -213,7 +213,7 @@ def test_worst_term_of_near_diagonal_g_wedge():
     assert val == -3
     half = F.inv(F.of_int(2))
     expected = PiLaurent.make(F, {-3: F.neg(half)})
-    assert wt.terms == {IndexSet.of(n, range(6, 11)): expected}
+    assert wt.terms == {IndexSet.of(n, range(6, 11)).mask: expected}
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -223,9 +223,9 @@ def test_g_wedge_coefficients_preserve_weight(n):
     stride = {3: 1, 5: 17, 7: 131}[n]
     sets = [s for k, s in enumerate(all_index_sets(n)) if k % stride == 0]
     for s in sets:
-        w = basis_wedge(gfr, s, ring)
+        w = basis_wedge(gfr, s)
         for t in w.terms:
-            assert t.weight() == s.weight()
+            assert IndexSet(n, t).weight() == s.weight()
 
 
 def test_pair_factor_identity():
@@ -307,7 +307,7 @@ def test_identity_operator_fixes_wedges():
     n = 3
     ring = LaurentOps(F)
     identity = tuple({p: PiLaurent.one(F)} for p in range(1, 2 * n + 1))
-    w = basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 2, 4)), ring)
+    w = basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 2, 4)))
     out = apply_wedge_power_operator(identity, n, w, ring=ring)
     assert out == w
 
@@ -321,7 +321,7 @@ def test_pi_action_eigenvalue_products():
     op = operator_pi_action(F, n, PiLaurent.zero(F))
     for s in all_index_sets(n):
         rr, _ = s.type_pair()
-        w = basis_wedge(gfr, s, ring)
+        w = basis_wedge(gfr, s)
         lhs = apply_wedge_power_operator(op, n, w, ring=ring)
         coeff = PiLaurent.make(F, {n: F.of_int((-1) ** rr)})
         assert lhs == wedge_scale(w, coeff, ring)
@@ -337,7 +337,7 @@ def test_pi_action_annihilation_on_bounded_summand():
     for t in all_index_sets(n, card=s + 1):
         j, k = t.type_pair()
         if j <= r and k <= s:
-            w = basis_wedge(gfr, t, ring)
+            w = basis_wedge(gfr, t)
             assert apply_wedge_power_operator(op, s + 1, w, ring=ring).is_zero
 
 
@@ -359,7 +359,7 @@ def test_shifted_pi_action_scales_the_g_frame(n):
 def test_operator_degree_mismatch_rejected():
     n = 3
     ring = LaurentOps(F)
-    w = basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 2)), ring)
+    w = basis_wedge(g_frame(F, n), IndexSet.of(n, (1, 2)))
     with pytest.raises(ValueError):
         apply_wedge_power_operator(operator_pi_action(F, n, PiLaurent.zero(F)),
                                    3, w, ring=ring)
@@ -443,7 +443,7 @@ def test_add_multiple_matches_dense_reference(case):
 
 def test_wedge_vector_json():
     n = 3
-    w = WedgeVector(n, {IndexSet.of(n, (1, 2, 3)): L({-1: 2})})
+    w = WedgeVector(n, {IndexSet.of(n, (1, 2, 3)).mask: L({-1: 2})})
     obj = w.to_json()
     assert obj["basis"] == E_BASIS
     assert obj["terms"] == [{"indexSet": [1, 2, 3], "coefficient": [[-1, 2]]}]

@@ -26,6 +26,28 @@ POINTS = {
     "field-q": {"n": 3, "p": "rationals", "signature": [2, 1],
                 "ring": {"kind": "field"},
                 "X": [["1/2", 0, 0], [0, "2/3", 0], [1, 0, 0]]},
+    # n = 5 points whose spin, refined and kn checks fail, naming an
+    # off-support coordinate that is not the first of all (the order of the
+    # off-support sort) or a kernel functional past the first (the order of
+    # the support)
+    "field-f13-n5": {"n": 5, "p": 13, "signature": [4, 1], "ring": {"kind": "field"},
+                     "X": [[10, 0, 3, 0, 2]] + [[0] * 5 for _ in range(4)]},
+    "field-f13-n5-functional": {"n": 5, "p": 13, "signature": [4, 1],
+                                "ring": {"kind": "field"},
+                                "X": [[0, 0, 3, 0, 0]] + [[0] * 5 for _ in range(4)]},
+    "dual-f13-n5": {"n": 5, "p": 13, "signature": [4, 1], "ring": {"kind": "dual"},
+                    "X": [[[0, 0]] * 5 for _ in range(4)]
+                    + [[[0, 0], [0, 0], [0, 0], [0, 12], [0, 2]]]},
+    "dual-f13-n5-functional": {"n": 5, "p": 13, "signature": [4, 1],
+                               "ring": {"kind": "dual"},
+                               "X": [[[0, 0]] * 5 for _ in range(3)]
+                               + [[[0, 0], [0, 0], [0, 0], [11, 1], [0, 0]],
+                                  [[0, 0]] * 5]},
+    "poly-f13-n5": {"n": 5, "p": 13, "signature": [4, 1],
+                    "ring": {"kind": "poly", "variables": ["a", "b"]},
+                    "X": [[[]] * 5 for _ in range(3)]
+                    + [[[], [], [], [], [{"coeff": 1, "exponents": [0, 0]}]],
+                       [[], [], [], [], [{"coeff": 12, "exponents": [0, 0]}]]]},
 }
 
 GOLDEN = {
@@ -76,6 +98,26 @@ GOLDEN = {
     },
     ("check-point", "field-q"): {
         "report.json": "51185900649a1203066edf43a48742e728ff59b815ffaa057510c3ab605ea1e8",
+    },
+    # witnesses coordinate(4, 6, 7, 9, 10) and functional[0]
+    ("check-point", "field-f13-n5"): {
+        "report.json": "35804be93e0b99f0c93bce43dce14b17e71003d101d1b85e4671941840d2c3f3",
+    },
+    # refined: functional[5]
+    ("check-point", "field-f13-n5-functional"): {
+        "report.json": "444225c5e7b8c8f7439b15038f48af8d70bb1c9a490c492ac13d5e7408f4c5fa",
+    },
+    # witnesses coordinate(3, 6, 7, 9, 10) and functional[0]
+    ("check-point", "dual-f13-n5"): {
+        "report.json": "09cc459595845154f8069c38f4f521db8e7d0653bed7462c097d74870015b168",
+    },
+    # refined: functional[2]; kn: functional[0]
+    ("check-point", "dual-f13-n5-functional"): {
+        "report.json": "437ca6a47200bcd94f1aed9660f51892261daf7bdbca0435cad3731daece9d4f",
+    },
+    # witnesses coordinate(2, 6, 7, 9, 10) and functional[0]
+    ("check-point", "poly-f13-n5"): {
+        "report.json": "5343d04cfec30f923fa86f0721c4b05d27e799f2d1c8b5c275b3667eb611fb82",
     },
 }
 

@@ -3,8 +3,8 @@
 import pytest
 
 from ramwedge.indexsets import (IndexSet, all_index_sets, i_star, i_vee,
-                                sigma_sign_bruteforce, sigma_sign_closed,
-                                type_n11_sets)
+                                lex_key, sigma_sign_bruteforce,
+                                sigma_sign_closed, type_n11_sets)
 
 
 def _inline_parity(seq):
@@ -132,3 +132,12 @@ def test_lexicographic_enumeration_order():
     sets = list(all_index_sets(2))
     assert [s.members for s in sets[:3]] == [(1, 2), (1, 3), (1, 4)]
     assert len(sets) == 6
+
+
+def test_lex_key_orders_masks_as_member_tuples():
+    # all_index_sets enumerates in member-tuple order; within one
+    # cardinality lex_key must give the same order, for every n <= 7
+    for n in range(1, 8):
+        for card in range(2 * n + 1):
+            masks = [s.mask for s in all_index_sets(n, card)]
+            assert sorted(masks, key=lex_key) == masks

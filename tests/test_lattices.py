@@ -10,7 +10,8 @@ import pytest
 from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import WedgeVector, basis_wedge, frame_in_e, wedge_scale
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import (IndexSet, all_index_sets, sigma_sign_closed)
+from ramwedge.indexsets import (IndexSet, all_index_sets, lex_key,
+                                sigma_sign_closed)
 from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations,
                                echelon_lattice_basis, gauss_jordan,
                                intersect_with_standard_lattice,
@@ -31,7 +32,7 @@ def L(coeffs):
 
 
 def e_vec(n, sets_coeffs):
-    return WedgeVector(n, {IndexSet.of(n, m): c for m, c in sets_coeffs})
+    return WedgeVector(n, {IndexSet.of(n, m).mask: c for m, c in sets_coeffs})
 
 
 def test_refined_generator_count_matches_pair_count():
@@ -57,7 +58,7 @@ def test_spin_self_perp_generators_collapse_to_doubles():
         for s in all_index_sets(n):
             if s.perp() != s:
                 continue
-            f_s = basis_wedge(ffr, s, ring)
+            f_s = basis_wedge(ffr, s)
             double = wedge_scale(f_s, L({0: 2}), ring)
             present = double in gens
             # the combination survives exactly when eps matches the shuffle sign
@@ -93,7 +94,7 @@ def test_spanning_parameter_validation():
 
 def test_monomial_saturation():
     n = 3
-    a = IndexSet.of(n, (1, 2, 3))
+    a = IndexSet.of(n, (1, 2, 3)).mask
     basis = intersect_with_standard_lattice([e_vec(n, [((1, 2, 3), L({-3: 1}))])],
                                             PRECISION)
     assert basis.rank == 1
@@ -107,8 +108,8 @@ def test_single_column_scaling():
     basis = intersect_with_standard_lattice([gen], PRECISION)
     assert basis.rank == 1
     col = basis.columns[0].terms
-    assert col[IndexSet.of(n, (1, 2, 3))] == L({1: 1})
-    assert col[IndexSet.of(n, (1, 2, 4))] == L({0: 1})
+    assert col[IndexSet.of(n, (1, 2, 3)).mask] == L({1: 1})
+    assert col[IndexSet.of(n, (1, 2, 4)).mask] == L({0: 1})
 
 
 def test_redundant_generators_detected():
@@ -189,8 +190,8 @@ def test_annihilator_toy_examples():
     # single coordinate in a 2-coordinate space: the complementary
     # coordinate functional is the annihilator
     from ramwedge.lattices import ResidueBasis
-    a = IndexSet.of(1, (1,))
-    b = IndexSet.of(1, (2,))
+    a = IndexSet.of(1, (1,)).mask
+    b = IndexSet.of(1, (2,)).mask
     rb = ResidueBasis(1, 1, F, ({a: F.one},), (a,))
     ann = annihilators(rb)
     assert len(ann.functionals) == 0
@@ -242,7 +243,7 @@ def test_spin_residue_over_dual_numbers():
     ring = DualNumbers(F)
     gens = spanning_set("spin", n, F, eps=-1)
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
-    target = {IndexSet.of(n, (4, 5, 6)): ring.x()}
+    target = {IndexSet.of(n, (4, 5, 6)).mask: ring.x()}
     assert membership_over_R(target, ann, ring).ok
 
 
@@ -252,7 +253,7 @@ def test_annihilator_evaluations_labels():
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
     ring = FieldRing(F)
     labels = [label for label, _ in
-              annihilator_evaluations(ann, {IndexSet.of(n, (1, 2, 3)): F.one}, ring)]
+              annihilator_evaluations(ann, {IndexSet.of(n, (1, 2, 3)).mask: F.one}, ring)]
     assert any(label.startswith("coordinate") for label in labels)
     assert any(label.startswith("functional") for label in labels)
 
@@ -265,7 +266,7 @@ def test_pipeline_over_rationals_cross_check():
     rb = reduce_mod_pi(basis)
     assert basis.rank == len(rb) == 6
     ann = annihilators(rb)
-    full = IndexSet.of(3, (4, 5, 6))
+    full = IndexSet.of(3, (4, 5, 6)).mask
     assert membership_over_R({full: q.one}, ann, FieldRing(q)).ok
 
 
@@ -469,10 +470,10 @@ GOLDEN_ANNIHILATORS = {
 
 def annihilator_digest(ann):
     field = ann.field
-    obj = {"support": [t.to_json() for t in ann.support],
-           "functionals": [[[t.to_json(), field.element_to_json(c)]
+    obj = {"support": [IndexSet(ann.n, t).to_json() for t in ann.support],
+           "functionals": [[[IndexSet(ann.n, t).to_json(), field.element_to_json(c)]
                             for t, c in sorted(phi.items(),
-                                               key=lambda kv: kv[0].sort_key())]
+                                               key=lambda kv: lex_key(kv[0]))]
                            for phi in ann.functionals],
            "span_rank": ann.span_rank}
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
@@ -515,3 +516,26 @@ def test_residue_basis_at_smallest_working_precision(kind, n, p):
         residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
         digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
         assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]
+
+
+def test_engine_structures_hold_only_int_keys():
+    # one key format from fold to witness: the index-set bitmask
+    from ramwedge.chart import wedge_vector
+    from ramwedge.drivers import counterexample_point
+
+    def ints(keys):
+        return all(type(t) is int for t in keys)
+
+    fold = wedge_vector(counterexample_point(5))
+    assert fold.terms and ints(fold.terms)
+    for kind, n in (("spin+1", 3), ("refined", 5), ("kl", 4)):
+        name, kwargs = span_parameters(kind, n)
+        gens = spanning_set(name, n, F, **kwargs)
+        assert all(ints(g.terms) for g in gens)
+        basis = intersect_with_standard_lattice(gens, PRECISION)
+        assert ints(t for t, _ in basis.pivots)
+        assert all(ints(col.terms) for col in basis.columns)
+        rb = reduce_mod_pi(basis)
+        assert ints(rb.pivots) and all(ints(vec) for vec in rb.vectors)
+        ann = annihilators(rb)
+        assert ints(ann.support) and all(ints(phi) for phi in ann.functionals)
