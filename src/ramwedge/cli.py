@@ -33,6 +33,11 @@ EXIT_PRECISION = 3
 RESULT_IDS = ("sign-lemma", "worst-terms", "refined-basis", "spin-structure",
               "counterexample", "x1-zero", "operator-identities", "all")
 
+# The flags a single driver does not read; `verify all` accepts both and
+# passes each to the drivers that read it.
+UNREAD_FLAGS = {"sign-lemma": ("p", "precision"), "worst-terms": ("precision",),
+                "operator-identities": ("precision",)}
+
 
 def _write_json(path: str, obj) -> None:
     data = json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -88,7 +93,22 @@ def _dump_signature(args, n: int):
     return r, s
 
 
+def _modulus(args) -> int:
+    """--p where a command reads it; None in args means not given."""
+    return DEFAULT_P if args.p is None else args.p
+
+
+def _precision(args) -> int:
+    """--precision where a command reads it; None in args means not given."""
+    return DEFAULT_PRECISION if args.precision is None else args.precision
+
+
 def cmd_verify(args) -> int:
+    for flag in UNREAD_FLAGS.get(args.result_id, ()):
+        if getattr(args, flag) is not None:
+            raise SchemaError(f"--{flag} {getattr(args, flag)}: {args.result_id} "
+                              f"reads no --{flag}")
+    p, precision = _modulus(args), _precision(args)
     signature = None
     if args.signature:
         if args.result_id not in ("operator-identities", "all"):
@@ -97,14 +117,14 @@ def cmd_verify(args) -> int:
         if args.n is None:
             raise SchemaError("--signature requires --n")
         signature = _parse_signature(args.signature, args.n)
-    certificates = run_driver(args.result_id, n=args.n, p=args.p,
-                              precision=args.precision, signature=signature)
+    certificates = run_driver(args.result_id, n=args.n, p=p,
+                              precision=precision, signature=signature)
     if args.result_id == "all" and args.n is not None:
         for result_id, rank in bundle_ranks(args.n):
             if rank != args.n:
                 print(f"{result_id}: run at n = {rank}, not --n {args.n}",
                       file=sys.stderr)
-    invocation = {"p": args.p, "precision": args.precision, "seed": args.seed}
+    invocation = {"p": p, "precision": precision, "seed": args.seed}
     all_pass = True
     for cert in certificates:
         path = os.path.join(args.out, f"certificate-{cert.result}.json")
@@ -124,11 +144,12 @@ def cmd_check_point(args) -> int:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {args.input}: {exc}") from exc
     pt = chart_point_from_json(obj)
-    report = full_report(pt, args.precision)
+    precision = _precision(args)
+    report = full_report(pt, precision)
     field = pt.ring.field
     out_obj = {
         "params": {"n": pt.n, "p": getattr(field, "p", "rationals"),
-                   "precision": args.precision,
+                   "precision": precision,
                    "signature": list(pt.signature)},
         "report": report.to_json(),
     }
@@ -141,7 +162,8 @@ def cmd_check_point(args) -> int:
 
 
 def cmd_dump_basis(args) -> int:
-    field = PrimeField(args.p)
+    p, precision = _modulus(args), _precision(args)
+    field = PrimeField(p)
     n = args.n
     if args.l is not None and args.kind != "kl":
         raise SchemaError(f"--l {args.l}: basis {args.kind} reads no degree; "
@@ -164,14 +186,14 @@ def cmd_dump_basis(args) -> int:
         kwargs.update(l=l, r=r, s=s)
         label = f"kl-{l}-{r}-{s}"
     generators = spanning_set(args.kind, n, field, **kwargs)
-    basis = intersect_with_standard_lattice(generators, args.precision)
+    basis = intersect_with_standard_lattice(generators, precision)
     residue = reduce_mod_pi(basis)
     ann = annihilators(residue)
     out_obj = {
         "kind": args.kind,
         "n": n,
-        "p": args.p,
-        "precision": args.precision,
+        "p": p,
+        "precision": precision,
         "parameters": {k: v for k, v in kwargs.items()},
         "columns": basis.to_json()["columns"],
         "residueBasis": residue.to_json(),
@@ -196,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="working pi-adic precision (default 24)")
+    common.add_argument("--precision", type=int, default=None,
+                        help=f"working pi-adic precision (default {DEFAULT_PRECISION})")
     common.add_argument("--out", default="results",
                         help="output directory for artifact files")
     modulus = argparse.ArgumentParser(add_help=False)
-    modulus.add_argument("--p", type=int, default=DEFAULT_P,
-                         help="odd prime modulus of the base field (default 13)")
+    modulus.add_argument("--p", type=int, default=None,
+                         help=f"odd prime modulus of the base field (default {DEFAULT_P})")
 
     p_verify = sub.add_parser("verify", parents=[common, modulus],
                               help="run a named verification driver")
@@ -234,10 +256,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision <= GUARD_BAND:
+        if args.precision is not None and args.precision <= GUARD_BAND:
             raise SchemaError(f"--precision must exceed the guard band "
                               f"{GUARD_BAND}, got {args.precision}")
-        if "p" in vars(args):
+        if vars(args).get("p") is not None:
             try:
                 PrimeField(args.p)
             except ValueError as exc:

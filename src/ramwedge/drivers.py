@@ -18,8 +18,9 @@ from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
                        frame_in_e, operator_pi_action, wedge_scale,
                        worst_terms)
 from .fields import PrimeField
-from .indexsets import (IndexSet, all_index_sets, i_vee, sigma_sign_bruteforce,
-                        sigma_sign_closed, type_n11_sets)
+from .indexsets import (IndexSet, all_index_sets, bounded_type_masks, i_vee,
+                        sigma_sign_bruteforce, sigma_sign_closed, type_masks,
+                        type_n11_sets)
 from .lattices import (annihilator_evaluations, annihilators,
                        echelon_lattice_basis, intersect_with_standard_lattice,
                        lattice_contains, membership_over_R, paired_generator,
@@ -486,7 +487,7 @@ def verify_operator_identities(n: int, r: int, s: int,
     pi = PiLaurent.monomial(field, 1)
     failures = []
     eig_checked = 0
-    type_sets = [t for t in all_index_sets(n) if t.type_pair() == (r, s)]
+    type_sets = [IndexSet(n, m) for m in type_masks(n, r, s)]
     for t_val in (PiLaurent.zero(field), PiLaurent.one(field), pi):
         shift = -t_val
         op = operator_pi_action(field, n, shift)
@@ -506,15 +507,13 @@ def verify_operator_identities(n: int, r: int, s: int,
         for degree, shift, label in ((s + 1, pi, "pi_action+pi"),
                                      (r + 1, -pi, "pi_action-pi")):
             op = operator_pi_action(field, n, shift)
-            for t in all_index_sets(n, card=degree):
-                jk = t.type_pair()
-                if jk[0] <= r and jk[1] <= s:
-                    w = basis_wedge(gfr, t)
-                    image = apply_wedge_power_operator(op, degree, w, ring)
-                    ann_checked += 1
-                    if not image.is_zero:
-                        failures.append({"kind": "annihilation", "operator": label,
-                                         "set": t.to_json()})
+            for m in bounded_type_masks(n, degree, r, s):
+                t = IndexSet(n, m)
+                image = apply_wedge_power_operator(op, degree, basis_wedge(gfr, t), ring)
+                ann_checked += 1
+                if not image.is_zero:
+                    failures.append({"kind": "annihilation", "operator": label,
+                                     "set": t.to_json()})
     verdict = "pass" if not failures else "fail"
     return Certificate("operator-identities", {"n": n, "r": r, "s": s, "p": p},
                        verdict,

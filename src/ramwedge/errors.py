@@ -26,3 +26,9 @@ class RankError(ValueError):
 class SignatureError(ValueError):
     """Raised when a driver's signature (r, s) is not a partition of the
     rank it runs at."""
+
+
+class FrameShapeError(ValueError):
+    """Raised when a frame vector leaves its slot {i, n+i} or has a
+    coordinate that is not an exact monomial, so the closed-form frame
+    wedge does not apply."""

@@ -16,13 +16,22 @@ keyed by the bitmask of S (bit i-1 is element i, as IndexSet.mask), whose
 value at S is the minor on rows S taken in increasing row order, with
 columns wedged from left to right.  "pi x 1" has the same matrix in
 e-coordinates as in ambient coordinates.
+
+Slot/monomial invariant.  Every frame vector, in ambient and in
+e-coordinates, lies in one slot {i, n+i} (at most two coordinates, at
+positions i and n+i), and each of its coordinates is an exact monomial
+c*pi^e.  basis_wedge relies on it: a frame wedge is a signed product of
+per-slot factors, computed on (exponent, coefficient) pairs, and a frame
+that breaks the shape raises FrameShapeError.  The generic fold
+wedge_columns_masks is kept for chart columns and operator images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+from .errors import FrameShapeError
 from .indexsets import IndexSet, lex_key
 from .scalars import INF, LaurentOps, PiLaurent
 
@@ -45,6 +54,61 @@ class Frame:
 
     def vector(self, pos: int) -> dict:
         return self.vectors[pos - 1]
+
+    @cached_property
+    def slot_shape(self) -> tuple:
+        """What basis_wedge reads, checked once per frame: the slot (0-based)
+        of each vector, its coordinates as (bit, exponent, coefficient)
+        triples in the vector's order, and per slot the (exponent,
+        coefficient) of the 2 x 2 determinant of its two vectors at
+        e_i ^ e_{n+i} (None when it vanishes).  Raises FrameShapeError off
+        the slot/monomial shape (module docstring)."""
+        n = self.n
+        slots, entries = [], []
+        for pos, vec in enumerate(self.vectors, 1):
+            if not vec:
+                raise FrameShapeError(f"{self.kind} vector {pos} is zero")
+            if len({(q - 1) % n for q in vec}) > 1:
+                raise FrameShapeError(f"{self.kind} vector {pos} spans the slots "
+                                      f"of positions {sorted(vec)}")
+            for q, x in vec.items():
+                if len(x.coeffs) != 1 or x.precision != INF:
+                    raise FrameShapeError(f"{self.kind} vector {pos} has the non-monomial "
+                                          f"coefficient {x.to_json()} at position {q}")
+            slots.append((next(iter(vec)) - 1) % n)
+            entries.append(tuple((q - 1, *next(iter(x.coeffs.items())))
+                                 for q, x in vec.items()))
+        dets = []
+        for slot in range(n):
+            held = [entries[p] for p, t in enumerate(slots) if t == slot]
+            if len(held) != 2:
+                raise FrameShapeError(f"{self.kind} slot {slot + 1} holds "
+                                      f"{len(held)} vectors, not 2")
+            dets.append(_slot_det(self, slot, *held))
+        return tuple(slots), tuple(entries), tuple(dets)
+
+
+def _slot_det(frame: Frame, slot: int, first: tuple, second: tuple):
+    """(exponent, coefficient) of first ^ second, two vectors of one slot,
+    at e_i ^ e_{n+i}: u_i * v_{n+i} - u_{n+i} * v_i.  None when it
+    vanishes; FrameShapeError when its two products have different
+    exponents, so that it is no monomial."""
+    field = frame.field
+    u = {b: (e, c) for b, e, c in first}
+    v = {b: (e, c) for b, e, c in second}
+    lo, hi = slot, frame.n + slot
+    products = []
+    for a, b, negate in ((lo, hi, False), (hi, lo, True)):
+        if a in u and b in v:
+            c = field.mul(u[a][1], v[b][1])
+            products.append((u[a][0] + v[b][0], field.neg(c) if negate else c))
+    if len({e for e, _ in products}) > 1:
+        raise FrameShapeError(f"{frame.kind} slot {slot + 1} has a 2 x 2 determinant "
+                              f"with exponents {[e for e, _ in products]}")
+    coeff = field.zero
+    for _, c in products:
+        coeff = field.add(coeff, c)
+    return None if field.is_zero(coeff) else (products[0][0], coeff)
 
 
 def _pi_pow_e(field, n: int, j: int, a: int, scale=None) -> dict:
@@ -181,7 +245,10 @@ def frame_in_e(kind: str, n: int, field) -> Frame:
     of standard_e_frame, built and self-checked once per (kind, n, field).
     Ambient position a is c times the standard frame vector p holding it,
     for a monomial c, so an ambient coordinate x at a becomes x / c at p.
-    The vectors are shared by every caller and must not be mutated."""
+    The standard frame keeps every slot {i, n+i} in place, so the rewritten
+    vectors keep the slot/monomial shape that basis_wedge reads (module
+    docstring).  The vectors are shared by every caller and must not be
+    mutated."""
     frame = build_frame(kind, n, field)
     relabel = {}
     for p, vec in enumerate(standard_e_frame(field, n).vectors, 1):
@@ -368,11 +435,69 @@ def wedge_scale(w: WedgeVector, c, ring) -> WedgeVector:
     return WedgeVector(w.n, {s: ring.mul(v, c) for s, v in w.terms.items()})
 
 
+def _crossings(n: int, mask: int) -> int:
+    """Pairs of a high position n+a and a low position b > a in the mask:
+    the transpositions that sort slot-ordered rows into increasing order."""
+    lows = mask & ((1 << n) - 1)
+    highs = mask >> n
+    count = 0
+    while highs:
+        bit = highs & -highs
+        highs ^= bit
+        count += (lows >> bit.bit_length()).bit_count()
+    return count
+
+
 def basis_wedge(frame: Frame, s: IndexSet) -> WedgeVector:
     """Wedge of the frame vectors indexed by s, in increasing order; e_S
-    coordinates when the frame comes from frame_in_e."""
-    cols = [frame.vector(p) for p in s.members]
-    return wedge_columns(frame.n, cols, LaurentOps(frame.field))
+    coordinates when the frame comes from frame_in_e.
+
+    Closed form on the slot/monomial shape (module docstring), read from
+    frame.slot_shape.  Grouping the columns by slot costs the sign of that
+    reordering.  A slot holding one column contributes one of its
+    coordinates, a slot holding both its vectors their 2 x 2 determinant;
+    each term is the product over the slots, signed by the crossings that
+    sort its rows.  Terms come in the key order of the generic fold:
+    lexicographic in the coordinate each lone column contributes, those
+    columns taken in increasing order.
+    """
+    n, field = frame.n, frame.field
+    slots, entries, dets = frame.slot_shape
+    cols = []
+    once = twice = 0  # slots holding at least one, and two, columns so far
+    parity = 0        # inversions of the slot sequence of the columns
+    mask = s.mask
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        p = bit.bit_length() - 1
+        slot = slots[p]
+        parity += (once >> slot + 1).bit_count() + (twice >> slot + 1).bit_count()
+        twice |= once & 1 << slot
+        once |= 1 << slot
+        cols.append(p)
+    base, exp, coeff = 0, 0, field.one
+    full = twice
+    while full:
+        bit = full & -full
+        full ^= bit
+        det = dets[bit.bit_length() - 1]
+        if det is None:
+            return WedgeVector(n, {})
+        base |= bit | bit << n
+        exp += det[0]
+        coeff = field.mul(coeff, det[1])
+    terms = [(base, exp, coeff)]
+    for p in cols:
+        if not twice >> slots[p] & 1:
+            terms = [(m | 1 << b, e + e2, field.mul(c, c2))
+                     for m, e, c in terms for b, e2, c2 in entries[p]]
+    out = {}
+    for m, e, c in terms:
+        if (parity + _crossings(n, m)) % 2:
+            c = field.neg(c)
+        out[m] = PiLaurent(field, {e: c})
+    return WedgeVector(n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Conventions, for a fixed rank n:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 MAX_RANK = 21  # enumeration guard: C(42, 21) is the largest exhaustive mode
@@ -28,9 +29,7 @@ def lex_key(mask: int) -> int:
     bit reversal at width 2 * MAX_RANK, so element 1 weighs most.  Masks of
     one cardinality sort exactly as their increasing member tuples; masks of
     different cardinalities do not."""
-    # bin() of the mask under a sentinel bit is "0b1" and then the width's
-    # digits, most significant first; [:2:-1] reverses just those digits
-    return -int(bin(mask | 1 << 2 * MAX_RANK)[:2:-1], 2)
+    return -star_mask(MAX_RANK, mask)
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,10 @@ class IndexSet:
         return tuple(i + 1 for i in range(2 * self.n) if self.mask >> i & 1)
 
     def star(self) -> "IndexSet":
-        mask = 0
-        for i in self.members:
-            mask |= 1 << (2 * self.n - i)
-        return IndexSet(self.n, mask)
+        return IndexSet(self.n, star_mask(self.n, self.mask))
 
     def perp(self) -> "IndexSet":
-        full = (1 << (2 * self.n)) - 1
-        return IndexSet(self.n, full ^ self.star().mask)
+        return IndexSet(self.n, perp_mask(self.n, self.mask))
 
     def type_pair(self) -> tuple:
         """(r, s) with r = #(S in {1..n}), s = #(S in {n+1..2n})."""
@@ -104,19 +99,73 @@ def sigma_sign_bruteforce(s: IndexSet) -> int:
 
 def sigma_sign_closed(s: IndexSet) -> int:
     """Closed form (-1)^(sum(S) + ceil(n/2)) for the shuffle sign."""
-    n = s.n
-    if s.mask.bit_count() != n:
+    if s.mask.bit_count() != s.n:
         raise ValueError("shuffle sign requires a cardinality-n set")
-    return -1 if (sum(s.members) + (n + 1) // 2) % 2 else 1
+    return shuffle_sign(s.n, s.mask)
+
+
+# ---------------------------------------------------------------------------
+# Bit operations on masks: the enumerators and dualities the engine uses
+
+# bit i-1 for every odd element i: the parity of sum(S) is that of its odd
+# members
+_ODD_ELEMENTS = int("01" * MAX_RANK, 2)
+
+
+def shuffle_sign(n: int, mask: int) -> int:
+    """sigma_sign_closed of a cardinality-n mask, unchecked."""
+    return -1 if ((mask & _ODD_ELEMENTS).bit_count() + (n + 1) // 2) % 2 else 1
+
+
+def star_mask(n: int, mask: int) -> int:
+    """The mask of S*: the bit reversal at width 2n."""
+    # bin() under a sentinel bit is "0b1" and then the 2n digits, most
+    # significant first; [:2:-1] reverses just those digits
+    return int(bin(mask | 1 << 2 * n)[:2:-1], 2)
+
+
+def perp_mask(n: int, mask: int) -> int:
+    """The mask of S-perp, the complement of S*."""
+    return ((1 << 2 * n) - 1) ^ star_mask(n, mask)
+
+
+def index_masks(n: int, card: int = None) -> list:
+    """The masks of all cardinality-card subsets of {1..2n} (n when None),
+    in lexicographic order of their sorted member tuples."""
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"rank {n} out of supported range 1..{MAX_RANK}")
+    return [sum(c) for c in combinations([1 << i for i in range(2 * n)],
+                                         n if card is None else card)]
+
+
+def type_masks(n: int, r: int, s: int) -> list:
+    """The masks of type (r, s) (type_pair), in lexicographic order: the r
+    low members lead the member tuple, so low parts vary slowest."""
+    lows = [sum(c) for c in combinations([1 << i for i in range(n)], r)]
+    highs = [sum(c) << n for c in combinations([1 << i for i in range(n)], s)]
+    return [lo | hi for lo in lows for hi in highs]
+
+
+def bounded_type_masks(n: int, card: int, r: int, s: int) -> list:
+    """The masks of cardinality card and type at most (r, s) componentwise,
+    in lexicographic order."""
+    masks = [m for j in range(max(0, card - s), min(card, r) + 1)
+             for m in type_masks(n, j, card - j)]
+    return sorted(masks, key=lex_key)
+
+
+@lru_cache(maxsize=None)
+def lex_ranks(n: int, card: int) -> dict:
+    """{mask: position} over index_masks(n, card): a sort key on masks of
+    one cardinality that sorts as lex_key, read by dict lookup."""
+    return {m: k for k, m in enumerate(index_masks(n, card))}
 
 
 def all_index_sets(n: int, card: int = None):
     """All cardinality-card subsets of {1..2n} in lexicographic order of
     their sorted member tuples (deterministic driver order)."""
-    if card is None:
-        card = n
-    for members in combinations(range(1, 2 * n + 1), card):
-        yield IndexSet.of(n, members)
+    for mask in index_masks(n, card):
+        yield IndexSet(n, mask)
 
 
 def type_n11_sets(n: int):

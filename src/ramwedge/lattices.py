@@ -16,13 +16,14 @@ the standard lattice.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from math import comb
 
 from .errors import PrecisionExhaustedError
 from .exterior import (WedgeVector, _add_multiple, basis_wedge, frame_in_e,
                        terms_to_json)
-from .indexsets import IndexSet, all_index_sets, lex_key, sigma_sign_closed
+from .indexsets import (IndexSet, bounded_type_masks, index_masks, lex_key,
+                        lex_ranks, sigma_sign_closed, star_mask, type_masks)
 from .scalars import LaurentOps, PiLaurent, truncated_inverse
 
 GUARD_BAND = 4
@@ -45,18 +46,23 @@ def paired_generator(frame, s: IndexSet, eps: int) -> WedgeVector:
     return WedgeVector(frame.n, terms)
 
 
-def _paired_generators(frame, sets, eps: int):
-    """The nonzero paired generators for S running over the given sets, one
-    representative (the lexicographically least) per {S, S-perp} pair."""
-    wanted = set(sets)
+def _paired_generators(frame, masks: list, eps: int):
+    """The nonzero paired generators for S running over the given masks (in
+    lex order), one representative per {S, S-perp} pair: the
+    lexicographically least.  Among masks of one cardinality lex order is
+    the descending order of the bit reversal at width 2n, which is star;
+    the star of S-perp is the complement of S."""
+    n = frame.n
+    full = (1 << 2 * n) - 1
+    wanted = set(masks)
     gens = []
-    for s in sets:
-        sp = s.perp()
-        if lex_key(sp.mask) < lex_key(s.mask):
+    for m in masks:
+        star = star_mask(n, m)
+        if full ^ m > star:
             continue
-        if sp not in wanted:
+        if full ^ star not in wanted:
             raise ValueError("perp partner escapes the requested family")
-        g = paired_generator(frame, s, eps)
+        g = paired_generator(frame, IndexSet(n, m), eps)
         if g.terms:
             gens.append(g)
     return gens
@@ -73,28 +79,25 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
       kl:      the degree-l sum of eigenspace wedges with at most r factors
                from the -pi eigenspace and at most s from the +pi one
                (generators g_S, |S| = l, componentwise type bounded by (r, s)).
+
+    The sets are enumerated as masks in lex order, not filtered.
     """
     if kind == "spin":
         if eps not in (1, -1):
             raise ValueError("spin requires eps in {+1, -1}")
         return _paired_generators(frame_in_e("f_split", n, field),
-                                  list(all_index_sets(n)), eps)
+                                  index_masks(n), eps)
     if kind == "refined":
         if eps not in (1, -1) or r is None or s is None or r + s != n:
             raise ValueError("refined requires eps and a signature r + s = n")
-        gfr = frame_in_e("g_split", n, field)
-        sets = [t for t in all_index_sets(n) if t.type_pair() == (r, s)]
-        return _paired_generators(gfr, sets, eps)
+        return _paired_generators(frame_in_e("g_split", n, field),
+                                  type_masks(n, r, s), eps)
     if kind == "kl":
         if l is None or not 1 <= l <= n or r is None or s is None or r + s != n:
             raise ValueError("kl requires 1 <= l <= n and a signature r + s = n")
         gfr = frame_in_e("g_split", n, field)
-        gens = []
-        for t in all_index_sets(n, card=l):
-            j, k = t.type_pair()
-            if j <= r and k <= s:
-                gens.append(basis_wedge(gfr, t))
-        return gens
+        return [basis_wedge(gfr, IndexSet(n, m))
+                for m in bounded_type_masks(n, l, r, s)]
     raise ValueError(f"unknown spanning kind {kind!r}")
 
 
@@ -361,6 +364,14 @@ class AnnihilatorSet:
     support: tuple
     functionals: tuple
     span_rank: int
+    # read by every evaluation, so built here with the set rather than per
+    # call: the support as a set, and the lex position of each mask
+    support_set: frozenset = dc_field(init=False, repr=False, compare=False)
+    lex_rank: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support_set", frozenset(self.support))
+        object.__setattr__(self, "lex_rank", lex_ranks(self.n, self.degree))
 
     @property
     def coordinate_dim(self) -> int:
@@ -409,8 +420,9 @@ def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     """All functional evaluations against a coefficient vector over R:
     off-support coordinates present in the vector, then the tracked kernel
     functionals.  Yields (label, value) pairs."""
-    support = set(ann.support)
-    for t in sorted((t for t in terms if t not in support), key=lex_key):
+    support = ann.support_set
+    for t in sorted((t for t in terms if t not in support),
+                    key=ann.lex_rank.__getitem__):
         yield (f"coordinate{IndexSet(ann.n, t).members}", terms[t])
     for idx, phi in enumerate(ann.functionals):
         total = ring.zero

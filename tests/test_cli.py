@@ -406,3 +406,52 @@ def test_kl_degree_out_of_range_names_the_flag(tmp_path, monkeypatch, capsys, l)
     assert main(["basis", "kl", "--n", "5", "--l", l, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: --l {l}: ")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("rid,flag,value", [
+    ("sign-lemma", "--p", "5"),
+    ("sign-lemma", "--precision", "30"),
+    ("worst-terms", "--precision", "30"),
+    ("operator-identities", "--precision", "30"),
+])
+def test_flags_a_single_driver_does_not_read_are_usage_errors(tmp_path, monkeypatch,
+                                                              capsys, rid, flag,
+                                                              value):
+    # the certificate's invocation would record a value the driver ignored
+    _refuse_work(monkeypatch)
+    out = tmp_path / "results"
+    assert main(["verify", rid, "--n", "3", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} {value}: ")
+    assert not out.exists()
+
+
+def test_verify_all_passes_p_and_precision_to_the_drivers(tmp_path, monkeypatch):
+    import ramwedge.cli as cli_mod
+
+    seen = []
+
+    def fake(result_id, **kwargs):
+        seen.append((kwargs["p"], kwargs["precision"]))
+        return [Certificate(result_id, {}, "pass", {})]
+
+    monkeypatch.setattr(cli_mod, "run_driver", fake)
+    assert main(["verify", "all", "--n", "3", "--p", "5", "--precision", "30",
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [(5, 30)]
+    cert = read_json(tmp_path / "certificate-all.json")
+    assert cert["invocation"] == {"p": 5, "precision": 30, "seed": 0}
+
+
+@pytest.mark.parametrize("argv,invocation", [
+    (["verify", "sign-lemma", "--n", "3"], {"p": 13, "precision": 24, "seed": 0}),
+    (["verify", "worst-terms", "--n", "3", "--p", "5"],
+     {"p": 5, "precision": 24, "seed": 0}),
+    (["verify", "spin-structure", "--n", "3", "--p", "5", "--precision", "30"],
+     {"p": 5, "precision": 30, "seed": 0}),
+], ids=["defaults", "p-read", "both-read"])
+def test_invocation_records_defaults_where_flags_are_omitted(tmp_path, argv,
+                                                             invocation):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    cert = read_json(tmp_path / f"certificate-{argv[1]}.json")
+    assert cert["invocation"] == invocation
+    assert cert["params"].get("p", 5 if "--p" in argv else 13) == invocation["p"]

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ramwedge.exterior import (E_BASIS, WedgeVector, _add_multiple,
+from ramwedge.errors import FrameShapeError
+from ramwedge.exterior import (E_BASIS, Frame, WedgeVector, _add_multiple,
                                apply_operator, apply_wedge_power_operator,
                                basis_wedge, build_frame, f_frame, form_eval,
                                frame_in_e, g_frame, lambda_frame,
@@ -447,3 +448,80 @@ def test_wedge_vector_json():
     obj = w.to_json()
     assert obj["basis"] == E_BASIS
     assert obj["terms"] == [{"indexSet": [1, 2, 3], "coefficient": [[-1, 2]]}]
+
+
+# ---------------------------------------------------------------------------
+# The closed-form frame wedge against the generic fold
+
+FIELDS = [PrimeField(3), PrimeField(13), Q]
+
+
+def oracle_frames(n, field):
+    """The frame_in_e frames (chart at odd n only) and the ambient g-frame."""
+    kinds = ("f_split", "g_split", "lambda") + (("chart",) if n % 2 else ())
+    return [frame_in_e(kind, n, field) for kind in kinds] + [g_frame(field, n)]
+
+
+def assert_matches_fold(frame, sets):
+    ring = LaurentOps(frame.field)
+    for s in sets:
+        want = wedge_columns_masks([frame.vector(p) for p in s.members], ring)
+        # terms, coefficients and key order
+        assert list(basis_wedge(frame, s).terms.items()) == list(want.items()), \
+            (frame.kind, s.members)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_basis_wedge_is_the_fold_at_every_set(n, field):
+    for frame in oracle_frames(n, field):
+        for card in range(1, 2 * n + 1):
+            assert_matches_fold(frame, all_index_sets(n, card))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [7, 9])
+def test_basis_wedge_is_the_fold_on_a_seeded_sample(n, field):
+    rng = random.Random(n)
+    for frame in oracle_frames(n, field):
+        masks = rng.sample(range(1 << 2 * n), 12)
+        assert_matches_fold(frame, [IndexSet(n, m) for m in masks])
+        sets = list(all_index_sets(n))
+        assert_matches_fold(frame, rng.sample(sets, 12))
+
+
+def reshaped_unit_frame(n, replaced):
+    """frame_in_e("lambda"), the unit frame e_1, ..., e_2n, with the
+    vectors at the given positions replaced."""
+    vectors = list(frame_in_e("lambda", n, F).vectors)
+    for pos, vector in replaced.items():
+        vectors[pos - 1] = vector
+    return Frame("reshaped", n, F, tuple(vectors))
+
+
+@pytest.mark.parametrize("vector,message", [
+    ({1: PiLaurent.one(F), 2: PiLaurent.one(F)}, "spans the slots"),
+    ({1: L({0: 1, 1: 1})}, "non-monomial"),
+    ({1: PiLaurent(F, {0: 1}, 5)}, "non-monomial"),
+    ({}, "is zero"),
+], ids=["two-slots", "binomial", "truncated", "zero"])
+def test_basis_wedge_refuses_a_frame_off_the_slot_shape(vector, message):
+    # the refusal holds for every set, also one avoiding the bad vector
+    frame = reshaped_unit_frame(3, {1: vector})
+    with pytest.raises(FrameShapeError, match=message):
+        basis_wedge(frame, IndexSet.of(3, (2, 3, 5)))
+
+
+def test_basis_wedge_refuses_a_slot_determinant_with_two_exponents():
+    # e_1 + e_4 and pi^5 e_1 + e_4 fill slot 1: the determinant is 1 - pi^5
+    one = PiLaurent.one(F)
+    frame = reshaped_unit_frame(3, {1: {1: one, 4: one},
+                                    4: {1: PiLaurent.monomial(F, 5), 4: one}})
+    with pytest.raises(FrameShapeError, match="2 x 2 determinant"):
+        basis_wedge(frame, IndexSet.of(3, (1, 4)))
+
+
+def test_basis_wedge_refuses_a_slot_holding_three_vectors():
+    frame = reshaped_unit_frame(3, {2: {4: PiLaurent.one(F)}})
+    with pytest.raises(FrameShapeError, match="holds 3 vectors"):
+        basis_wedge(frame, IndexSet.of(3, (1,)))

@@ -1,10 +1,14 @@
 """Index-set dualities, shuffle signs, weights, and types."""
 
+from itertools import combinations
+
 import pytest
 
-from ramwedge.indexsets import (IndexSet, all_index_sets, i_star, i_vee,
-                                lex_key, sigma_sign_bruteforce,
-                                sigma_sign_closed, type_n11_sets)
+from ramwedge.indexsets import (IndexSet, all_index_sets, bounded_type_masks,
+                                i_star, i_vee, index_masks, lex_key, lex_ranks,
+                                perp_mask, shuffle_sign, sigma_sign_bruteforce,
+                                sigma_sign_closed, star_mask, type_masks,
+                                type_n11_sets)
 
 
 def _inline_parity(seq):
@@ -141,3 +145,48 @@ def test_lex_key_orders_masks_as_member_tuples():
         for card in range(2 * n + 1):
             masks = [s.mask for s in all_index_sets(n, card)]
             assert sorted(masks, key=lex_key) == masks
+
+
+# ---------------------------------------------------------------------------
+# Mask enumerations and dualities against filters and member definitions
+
+
+def member_masks(n, card):
+    return [IndexSet.of(n, c).mask for c in combinations(range(1, 2 * n + 1), card)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_mask_enumerations_are_the_filters_they_replace(n):
+    for card in range(2 * n + 1):
+        assert index_masks(n, card) == member_masks(n, card)
+        assert list(lex_ranks(n, card)) == index_masks(n, card)
+    assert index_masks(n) == member_masks(n, n)
+    for r in range(n + 1):
+        s = n - r
+        assert type_masks(n, r, s) == [t.mask for t in all_index_sets(n)
+                                       if t.type_pair() == (r, s)]
+        for card in range(1, n + 1):
+            want = [t.mask for t in all_index_sets(n, card)
+                    if t.type_pair()[0] <= r and t.type_pair()[1] <= s]
+            assert bounded_type_masks(n, card, r, s) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_mask_dualities_match_member_definitions(n):
+    for card in range(2 * n + 1):
+        for m in index_masks(n, card):
+            members = IndexSet(n, m).members
+            star = IndexSet.of(n, [i_star(n, i) for i in members])
+            perp = IndexSet.of(n, [i for i in range(1, 2 * n + 1)
+                                   if i not in star.members])
+            assert star_mask(n, m) == star.mask
+            assert perp_mask(n, m) == perp.mask
+            if card == n:
+                assert shuffle_sign(n, m) == sigma_sign_bruteforce(IndexSet(n, m))
+
+
+def test_mask_enumeration_checks_the_rank():
+    with pytest.raises(ValueError):
+        index_masks(0)
+    with pytest.raises(ValueError):
+        list(all_index_sets(22))

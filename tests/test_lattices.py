@@ -8,7 +8,8 @@ from itertools import combinations
 import pytest
 
 from ramwedge.errors import PrecisionExhaustedError
-from ramwedge.exterior import WedgeVector, basis_wedge, frame_in_e, wedge_scale
+from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
+                               frame_in_e, wedge_columns_masks, wedge_scale)
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, all_index_sets, lex_key,
                                 sigma_sign_closed)
@@ -539,3 +540,74 @@ def test_engine_structures_hold_only_int_keys():
         assert ints(rb.pivots) and all(ints(vec) for vec in rb.vectors)
         ann = annihilators(rb)
         assert ints(ann.support) and all(ints(phi) for phi in ann.functionals)
+
+
+# ---------------------------------------------------------------------------
+# Mask-enumerated generators against the filters and folds they replace
+
+
+def filtered_spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
+    """spanning_set as it was built before the closed form: IndexSet
+    filters over all C(2n, card) sets, perp() and lex_key for the pair
+    representatives, and the generic fold for every frame wedge."""
+    ring = LaurentOps(field)
+
+    def fold(frame, t):
+        return wedge_columns_masks([frame.vector(p) for p in t.members], ring)
+
+    def paired(frame, sets):
+        gens = []
+        for t in sets:
+            tp = t.perp()
+            if lex_key(tp.mask) < lex_key(t.mask):
+                continue
+            terms = fold(frame, t)
+            q = PiLaurent.const(field, field.of_int(eps * sigma_sign_closed(t)))
+            _add_multiple(ring, terms, q, fold(frame, tp))
+            if terms:
+                gens.append(terms)
+        return gens
+
+    if kind == "spin":
+        return paired(frame_in_e("f_split", n, field), all_index_sets(n))
+    gfr = frame_in_e("g_split", n, field)
+    if kind == "refined":
+        return paired(gfr, [t for t in all_index_sets(n) if t.type_pair() == (r, s)])
+    return [fold(gfr, t) for t in all_index_sets(n, l)
+            if t.type_pair()[0] <= r and t.type_pair()[1] <= s]
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), F, Rationals()],
+                         ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_spanning_sets_are_the_filtered_folds(n, field):
+    cases = [("spin", {"eps": eps}) for eps in (1, -1)]
+    for r in range(n + 1):
+        cases += [("refined", {"eps": eps, "r": r, "s": n - r}) for eps in (1, -1)]
+        cases += [("kl", {"l": l, "r": r, "s": n - r}) for l in range(1, n + 1)]
+    for kind, kwargs in cases:
+        got = [list(g.terms.items()) for g in spanning_set(kind, n, field, **kwargs)]
+        want = [list(g.items()) for g in filtered_spanning_set(kind, n, field, **kwargs)]
+        # terms, coefficients and key order, generator by generator
+        assert got == want, (kind, kwargs)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_spin_generators_are_the_filtered_folds_at_rank_7(eps):
+    got = [list(g.terms.items()) for g in spanning_set("spin", 7, F, eps=eps)]
+    want = [list(g.items()) for g in filtered_spanning_set("spin", 7, F, eps=eps)]
+    assert got == want
+
+
+def test_off_support_witnesses_come_in_lex_order():
+    # the rank table sorts off-support coordinates as lex_key does
+    n = 3
+    gens = spanning_set("refined", n, F, eps=-1, r=2, s=1)
+    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
+    assert ann.support_set == frozenset(ann.support)
+    assert list(ann.support) == sorted(ann.support, key=lex_key)
+    dense = {t.mask: F.one for t in reversed(list(all_index_sets(n)))}
+    labels = [label for label, _ in annihilator_evaluations(ann, dense, FieldRing(F))
+              if label.startswith("coordinate")]
+    off = sorted((t for t in dense if t not in ann.support_set), key=lex_key)
+    assert labels == [f"coordinate{IndexSet(n, t).members}" for t in off]
