@@ -12,8 +12,8 @@ from .exterior import (Frame, WedgeVector, apply_wedge_power_operator,
                        frame_in_e, g_frame, lambda_frame, standard_e_frame,
                        wedge_columns, worst_terms)
 from .fields import PrimeField, Rationals
-from .indexsets import (IndexSet, all_index_sets, sigma_sign_bruteforce,
-                        sigma_sign_closed)
+from .indexsets import (IndexSet, index_masks, shuffle_sign,
+                        sigma_sign_bruteforce)
 from .lattices import (AnnihilatorSet, DVRTriangularBasis, ResidueBasis,
                        annihilators, intersect_with_standard_lattice,
                        membership_over_R, reduce_mod_pi, spanning_set)
@@ -23,17 +23,17 @@ from .scalars import PiLaurent, truncated_inverse
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnihilatorSet", "ChartPoint", "ConditionReport", "DVRTriangularBasis",
-    "DualNumbers", "FieldMismatchError", "FieldRing", "Frame", "IndexSet",
-    "IndeterminateValuationError", "PiLaurent", "PolyRing",
-    "PrecisionExhaustedError", "PrimeField", "Rationals", "ResidueBasis",
-    "SchemaError", "Verdict", "WedgeVector", "all_index_sets", "annihilators",
-    "apply_wedge_power_operator", "basis_wedge", "build_frame", "check_kl",
-    "check_kottwitz", "check_naive_relations", "check_refined", "check_spin",
-    "check_trace", "check_wedge", "f_frame", "form_eval", "frame_in_e",
-    "full_report", "g_frame", "intersect_with_standard_lattice",
-    "lambda_frame", "membership_over_R", "reduce_mod_pi",
-    "sigma_sign_bruteforce", "sigma_sign_closed", "spanning_set",
-    "standard_e_frame", "truncated_inverse", "wedge_columns", "wedge_vector",
-    "worst_terms",
+    "AnnihilatorSet", "ChartPoint", "ConditionReport",
+    "DVRTriangularBasis", "DualNumbers", "FieldMismatchError", "FieldRing",
+    "Frame", "IndexSet", "IndeterminateValuationError", "PiLaurent",
+    "PolyRing", "PrecisionExhaustedError", "PrimeField", "Rationals",
+    "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
+    "annihilators", "apply_wedge_power_operator", "basis_wedge",
+    "build_frame", "check_kl", "check_kottwitz", "check_naive_relations",
+    "check_refined", "check_spin", "check_trace", "check_wedge", "f_frame",
+    "form_eval", "frame_in_e", "full_report", "g_frame", "index_masks",
+    "intersect_with_standard_lattice", "lambda_frame", "membership_over_R",
+    "reduce_mod_pi", "shuffle_sign", "sigma_sign_bruteforce",
+    "spanning_set", "standard_e_frame", "truncated_inverse",
+    "wedge_columns", "wedge_vector", "worst_terms",
 ]

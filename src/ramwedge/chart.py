@@ -302,12 +302,6 @@ def check_trace(pt: ChartPoint) -> Verdict:
     return Verdict(PASS)
 
 
-def signature_eps(s: int) -> int:
-    """The half-spin sign that goes with a signature (r, s): -1 for odd s,
-    +1 for even s."""
-    return -1 if s % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def spin_annihilators(n: int, field_key: tuple, eps: int,
                       precision: int = DEFAULT_PRECISION):
@@ -320,7 +314,7 @@ def spin_annihilators(n: int, field_key: tuple, eps: int,
 def refined_annihilators(n: int, field_key: tuple, r: int, s: int,
                          precision: int = DEFAULT_PRECISION):
     field = field_from_key(field_key)
-    gens = spanning_set("refined", n, field, eps=signature_eps(s), r=r, s=s)
+    gens = spanning_set("refined", n, field, r=r, s=s)
     return annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, precision)))
 
 

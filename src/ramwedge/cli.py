@@ -16,14 +16,15 @@ import sys
 import tempfile
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
-                    full_report, signature_eps)
+                    full_report)
 from .drivers import bundle_ranks, run_driver
 from .errors import (PrecisionExhaustedError, RankError, SchemaError,
                      SignatureError)
 from .fields import PrimeField
+from .indexsets import MAX_RANK
 from .lattices import (GUARD_BAND, annihilators,
                        intersect_with_standard_lattice, reduce_mod_pi,
-                       spanning_set)
+                       signature_eps, spanning_set)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -124,7 +125,8 @@ def cmd_verify(args) -> int:
             if rank != args.n:
                 print(f"{result_id}: run at n = {rank}, not --n {args.n}",
                       file=sys.stderr)
-    invocation = {"p": p, "precision": precision, "seed": args.seed}
+    # no driver is seeded; the field stays so certificates keep their bytes
+    invocation = {"p": p, "precision": precision, "seed": 0}
     all_pass = True
     for cert in certificates:
         path = os.path.join(args.out, f"certificate-{cert.result}.json")
@@ -165,10 +167,13 @@ def cmd_dump_basis(args) -> int:
     p, precision = _modulus(args), _precision(args)
     field = PrimeField(p)
     n = args.n
+    if not 2 <= n <= MAX_RANK:
+        raise RankError("rank n must be at least 2" if n < 2 else
+                        f"rank {n} out of supported range 1..{MAX_RANK}")
     if args.l is not None and args.kind != "kl":
         raise SchemaError(f"--l {args.l}: basis {args.kind} reads no degree; "
                           f"only basis kl does")
-    kwargs = {}
+    kwargs, derived = {}, {}
     if args.kind == "spin":
         if args.signature:
             raise SignatureError("basis spin reads no signature; its sign is --eps")
@@ -176,7 +181,8 @@ def cmd_dump_basis(args) -> int:
         label = f"spin{kwargs['eps']:+d}"
     elif args.kind == "refined":
         r, s = _dump_signature(args, n)
-        kwargs.update(eps=signature_eps(s), r=r, s=s)
+        kwargs.update(r=r, s=s)
+        derived["eps"] = signature_eps(s)  # recorded; spanning_set derives it
         label = f"refined-{r}-{s}"
     else:  # kl, the last of the parser's choices
         r, s = _dump_signature(args, n)
@@ -194,7 +200,7 @@ def cmd_dump_basis(args) -> int:
         "n": n,
         "p": p,
         "precision": precision,
-        "parameters": {k: v for k, v in kwargs.items()},
+        "parameters": {**kwargs, **derived},
         "columns": basis.to_json()["columns"],
         "residueBasis": residue.to_json(),
         "annihilatorSummary": {
@@ -231,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("result_id", choices=RESULT_IDS)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--signature", default=None, metavar="R,S")
-    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     # check-point takes p from its point file; without abbreviations a

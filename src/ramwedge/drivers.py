@@ -11,21 +11,20 @@ from dataclasses import dataclass, field as dc_field
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     block_reflection, full_report, mat_add, mat_mul,
-                    mat_transpose, refined_annihilators, signature_eps,
-                    wedge_vector)
+                    mat_transpose, refined_annihilators, wedge_vector)
 from .errors import RankError, SignatureError
 from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
                        frame_in_e, operator_pi_action, wedge_scale,
                        worst_terms)
 from .fields import PrimeField
-from .indexsets import (IndexSet, all_index_sets, bounded_type_masks, i_vee,
-                        sigma_sign_bruteforce, sigma_sign_closed, type_masks,
+from .indexsets import (IndexSet, bounded_type_masks, i_vee, index_masks,
+                        shuffle_sign, sigma_sign_bruteforce, type_masks,
                         type_n11_sets)
 from .lattices import (annihilator_evaluations, annihilators,
                        echelon_lattice_basis, intersect_with_standard_lattice,
                        lattice_contains, membership_over_R, paired_generator,
                        reduce_mod_pi, residue_rank, residue_spans_equal,
-                       spanning_set)
+                       signature_eps, spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
 
@@ -88,10 +87,10 @@ def verify_sign_lemma(n_max: int) -> Certificate:
     mismatches = []
     for n in range(2, n_max + 1):
         total = 0
-        for s in all_index_sets(n):
+        for m in index_masks(n):
             total += 1
-            if sigma_sign_closed(s) != sigma_sign_bruteforce(s):
-                mismatches.append({"n": n, "set": s.to_json()})
+            if shuffle_sign(n, m) != sigma_sign_bruteforce(n, m):
+                mismatches.append({"n": n, "set": IndexSet(n, m).to_json()})
         counts[str(n)] = total
     verdict = "pass" if not mismatches else "fail"
     return Certificate("sign-lemma", {"n_max": n_max}, verdict,
@@ -104,12 +103,12 @@ def verify_sign_lemma(n_max: int) -> Certificate:
 
 def _pset(n: int, i: int, j: int) -> int:
     """The mask of {i} together with {n+1..2n} minus {n+j}."""
-    return IndexSet.of(n, [i] + [n + t for t in range(1, n + 1) if t != j]).mask
+    return 1 << i - 1 | (_full_set(n) ^ 1 << n + j - 1)
 
 
 def _full_set(n: int) -> int:
     """The mask of {n+1..2n}."""
-    return IndexSet.of(n, range(n + 1, 2 * n + 1)).mask
+    return ((1 << n) - 1) << n
 
 
 def _sign_elem(field, k: int):
@@ -212,8 +211,7 @@ def canonical_pairs(n: int):
 
 def pair_element(field, n: int, i: int, j: int) -> WedgeVector:
     """g_S - sgn(sigma_S)*g_{S-perp} in e-basis for the pair (i, j)."""
-    base = frozenset(range(1, n + 1))
-    s = IndexSet.of(n, (base - {j}) | {n + i})
+    s = (((1 << n) - 1) ^ 1 << j - 1) | 1 << n + i - 1  # type_n11_sets' (i, j)
     return paired_generator(frame_in_e("g_split", n, field), s, -1)
 
 
@@ -310,7 +308,7 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
     coded families."""
     _require_rank("refined-basis", n)
     field = PrimeField(p)
-    gens = spanning_set("refined", n, field, eps=-1, r=n - 1, s=1)
+    gens = spanning_set("refined", n, field, r=n - 1, s=1)
     computed = intersect_with_standard_lattice(gens, precision)
     scaled = scaled_pair_generators(field, n)
     scaled_echelon = echelon_lattice_basis(scaled, precision)
@@ -487,7 +485,7 @@ def verify_operator_identities(n: int, r: int, s: int,
     pi = PiLaurent.monomial(field, 1)
     failures = []
     eig_checked = 0
-    type_sets = [IndexSet(n, m) for m in type_masks(n, r, s)]
+    type_sets = type_masks(n, r, s)
     for t_val in (PiLaurent.zero(field), PiLaurent.one(field), pi):
         shift = -t_val
         op = operator_pi_action(field, n, shift)
@@ -501,19 +499,18 @@ def verify_operator_identities(n: int, r: int, s: int,
             eig_checked += 1
             if lhs != wedge_scale(w, scalar, ring):
                 failures.append({"kind": "eigenvalue", "T": t_val.to_json(),
-                                 "set": t.to_json()})
+                                 "set": IndexSet(n, t).to_json()})
     ann_checked = 0
     if r != s:
         for degree, shift, label in ((s + 1, pi, "pi_action+pi"),
                                      (r + 1, -pi, "pi_action-pi")):
             op = operator_pi_action(field, n, shift)
-            for m in bounded_type_masks(n, degree, r, s):
-                t = IndexSet(n, m)
+            for t in bounded_type_masks(n, degree, r, s):
                 image = apply_wedge_power_operator(op, degree, basis_wedge(gfr, t), ring)
                 ann_checked += 1
                 if not image.is_zero:
                     failures.append({"kind": "annihilation", "operator": label,
-                                     "set": t.to_json()})
+                                     "set": IndexSet(n, t).to_json()})
     verdict = "pass" if not failures else "fail"
     return Certificate("operator-identities", {"n": n, "r": r, "s": s, "p": p},
                        verdict,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import FrameShapeError
-from .indexsets import IndexSet, lex_key
+from .indexsets import IndexSet, lex_ranks
 from .scalars import INF, LaurentOps, PiLaurent
 
 E_BASIS = "e_basis"
@@ -363,9 +363,11 @@ class WedgeVector:
 
 
 def terms_to_json(n: int, terms: dict, coefficient_json) -> list:
-    """Sparse {mask: coefficient} terms as JSON records, in lex_key order."""
+    """Sparse {mask: coefficient} terms of one degree as JSON records, in
+    lex order."""
+    rank = lex_ranks(n, next(iter(terms), 0).bit_count())
     return [{"indexSet": IndexSet(n, t).to_json(), "coefficient": coefficient_json(c)}
-            for t, c in sorted(terms.items(), key=lambda kv: lex_key(kv[0]))]
+            for t, c in sorted(terms.items(), key=lambda kv: rank[kv[0]])]
 
 
 def _insert_sign(mask: int, pos: int) -> int:
@@ -448,9 +450,9 @@ def _crossings(n: int, mask: int) -> int:
     return count
 
 
-def basis_wedge(frame: Frame, s: IndexSet) -> WedgeVector:
-    """Wedge of the frame vectors indexed by s, in increasing order; e_S
-    coordinates when the frame comes from frame_in_e.
+def basis_wedge(frame: Frame, mask: int) -> WedgeVector:
+    """Wedge of the frame vectors indexed by the mask of S, in increasing
+    order; e_S coordinates when the frame comes from frame_in_e.
 
     Closed form on the slot/monomial shape (module docstring), read from
     frame.slot_shape.  Grouping the columns by slot costs the sign of that
@@ -466,7 +468,6 @@ def basis_wedge(frame: Frame, s: IndexSet) -> WedgeVector:
     cols = []
     once = twice = 0  # slots holding at least one, and two, columns so far
     parity = 0        # inversions of the slot sequence of the columns
-    mask = s.mask
     while mask:
         bit = mask & -mask
         mask ^= bit

@@ -43,10 +43,6 @@ class PrimeField:
             raise ValueError("characteristic 2 is not supported")
 
     @property
-    def char(self) -> int:
-        return self.p
-
-    @property
     def zero(self) -> int:
         return 0
 
@@ -92,10 +88,6 @@ class PrimeField:
 @dataclass(frozen=True)
 class Rationals:
     """The rational numbers; elements are Fraction instances."""
-
-    @property
-    def char(self) -> int:
-        return 0
 
     @property
     def zero(self) -> Fraction:

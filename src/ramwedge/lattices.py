@@ -22,8 +22,8 @@ from math import comb
 from .errors import PrecisionExhaustedError
 from .exterior import (WedgeVector, _add_multiple, basis_wedge, frame_in_e,
                        terms_to_json)
-from .indexsets import (IndexSet, bounded_type_masks, index_masks, lex_key,
-                        lex_ranks, sigma_sign_closed, star_mask, type_masks)
+from .indexsets import (IndexSet, bounded_type_masks, index_masks, lex_ranks,
+                        perp_mask, shuffle_sign, star_mask, type_masks)
 from .scalars import LaurentOps, PiLaurent, truncated_inverse
 
 GUARD_BAND = 4
@@ -33,17 +33,23 @@ GUARD_BAND = 4
 # Spanning sets
 
 
-def paired_generator(frame, s: IndexSet, eps: int) -> WedgeVector:
-    """w_S + eps * sgn(sigma_S) * w_{S-perp}, with w_T the basis_wedge of
-    the frame at T; a self-perp S is folded once."""
-    field = frame.field
-    sp = s.perp()
-    w = basis_wedge(frame, s)
+def signature_eps(s: int) -> int:
+    """The half-spin sign that goes with a signature (r, s): -1 for odd s,
+    +1 for even s."""
+    return -1 if s % 2 else 1
+
+
+def paired_generator(frame, mask: int, eps: int) -> WedgeVector:
+    """w_S + eps * sgn(sigma_S) * w_{S-perp} for the mask of S, with w_T
+    the basis_wedge of the frame at T; a self-perp S is folded once."""
+    n, field = frame.n, frame.field
+    perp = perp_mask(n, mask)
+    w = basis_wedge(frame, mask)
     terms = dict(w.terms)
-    q = PiLaurent.const(field, field.of_int(eps * sigma_sign_closed(s)))
+    q = PiLaurent.const(field, field.of_int(eps * shuffle_sign(n, mask)))
     _add_multiple(LaurentOps(field), terms, q,
-                  (w if sp == s else basis_wedge(frame, sp)).terms)
-    return WedgeVector(frame.n, terms)
+                  (w if perp == mask else basis_wedge(frame, perp)).terms)
+    return WedgeVector(n, terms)
 
 
 def _paired_generators(frame, masks: list, eps: int):
@@ -62,7 +68,7 @@ def _paired_generators(frame, masks: list, eps: int):
             continue
         if full ^ star not in wanted:
             raise ValueError("perp partner escapes the requested family")
-        g = paired_generator(frame, IndexSet(n, m), eps)
+        g = paired_generator(frame, m, eps)
         if g.terms:
             gens.append(g)
     return gens
@@ -74,41 +80,47 @@ def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
 
       spin:    the eps-eigenspace of the half-spin involution
                (generators f_S + eps*sgn(sigma_S)*f_{S-perp});
-      refined: its intersection with the signature-(r, s) summand
+      refined: its intersection with the signature-(r, s) summand, whose
+               sign is eps = signature_eps(s)
                (generators g_S + eps*sgn(sigma_S)*g_{S-perp}, S of type (r, s));
       kl:      the degree-l sum of eigenspace wedges with at most r factors
                from the -pi eigenspace and at most s from the +pi one
                (generators g_S, |S| = l, componentwise type bounded by (r, s)).
 
-    The sets are enumerated as masks in lex order, not filtered.
+    A parameter the kind does not read raises ValueError.  The sets are
+    enumerated as masks in lex order, not filtered.
     """
+    reads = {"spin": ("eps",), "refined": ("r", "s"), "kl": ("l", "r", "s")}.get(kind)
+    if reads is None:
+        raise ValueError(f"unknown spanning kind {kind!r}")
+    for name, value in (("eps", eps), ("r", r), ("s", s), ("l", l)):
+        if value is not None and name not in reads:
+            raise ValueError(f"{kind} reads no {name}, got {name}={value}")
     if kind == "spin":
         if eps not in (1, -1):
             raise ValueError("spin requires eps in {+1, -1}")
         return _paired_generators(frame_in_e("f_split", n, field),
                                   index_masks(n), eps)
+    if r is None or s is None or r + s != n:
+        raise ValueError(f"{kind} requires a signature r + s = n")
     if kind == "refined":
-        if eps not in (1, -1) or r is None or s is None or r + s != n:
-            raise ValueError("refined requires eps and a signature r + s = n")
         return _paired_generators(frame_in_e("g_split", n, field),
-                                  type_masks(n, r, s), eps)
-    if kind == "kl":
-        if l is None or not 1 <= l <= n or r is None or s is None or r + s != n:
-            raise ValueError("kl requires 1 <= l <= n and a signature r + s = n")
-        gfr = frame_in_e("g_split", n, field)
-        return [basis_wedge(gfr, IndexSet(n, m))
-                for m in bounded_type_masks(n, l, r, s)]
-    raise ValueError(f"unknown spanning kind {kind!r}")
+                                  type_masks(n, r, s), signature_eps(s))
+    if l is None or not 1 <= l <= n:
+        raise ValueError("kl requires 1 <= l <= n")
+    gfr = frame_in_e("g_split", n, field)
+    return [basis_wedge(gfr, m) for m in bounded_type_masks(n, l, r, s)]
 
 
 # ---------------------------------------------------------------------------
 # pi-adic column echelon over the valuation ring
 
 
-def pi_adic_column_echelon(columns: list, precision: int):
+def pi_adic_column_echelon(columns: list, precision: int, lex_rank: dict):
     """Unimodular column reduction with global minimum-valuation pivots.
 
-    columns: sparse {mask: PiLaurent} maps (consumed).
+    columns: sparse {mask: PiLaurent} maps (consumed), all of the degree
+    whose lex_ranks table is lex_rank.
     Returns [(pivot_set, pivot_valuation, column)] in processing order; each
     pivot row is eliminated from every later column.  Ties break to the
     lexicographically least index set, then the earliest column.  Raises
@@ -124,7 +136,7 @@ def pi_adic_column_echelon(columns: list, precision: int):
             continue
         live[cid] = col
         for t, c in col.items():
-            heapq.heappush(heap, (c.ord(), lex_key(t), cid, t))
+            heapq.heappush(heap, (c.ord(), lex_rank[t], cid, t))
             incidence.setdefault(t, set()).add(cid)
     processed = []
     while live:
@@ -155,7 +167,7 @@ def pi_adic_column_echelon(columns: list, precision: int):
                     c = col2.get(t2)
                     if c is not None:
                         incidence[t2].add(cid2)
-                        heapq.heappush(heap, (c.ord(), lex_key(t2), cid2, t2))
+                        heapq.heappush(heap, (c.ord(), lex_rank[t2], cid2, t2))
             # the pivot row cancels exactly at working precision
             col2.pop(t, None)
             if not col2:
@@ -213,7 +225,7 @@ def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasi
         cols.append(dict(g.terms))
     if not cols:
         raise ValueError("all generators are zero")
-    processed = pi_adic_column_echelon(cols, precision)
+    processed = pi_adic_column_echelon(cols, precision, lex_ranks(n, degree))
     pivots = tuple((t, val) for t, val, _ in processed)
     columns = tuple(WedgeVector(n, col) for _, _, col in processed)
     return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
@@ -400,7 +412,8 @@ def annihilators(rb: ResidueBasis) -> AnnihilatorSet:
         for t, c in row.items():
             if t not in reduced:
                 functionals.setdefault(t, {t: f.one})[p] = f.neg(c)
-    support = sorted({t for row in reduced.values() for t in row}, key=lex_key)
+    support = sorted({t for row in reduced.values() for t in row},
+                     key=lex_ranks(rb.n, rb.degree).__getitem__)
     return AnnihilatorSet(rb.n, rb.degree, f, tuple(support),
                           tuple(functionals[t] for t in support if t not in reduced),
                           len(reduced))

@@ -455,3 +455,24 @@ def test_invocation_records_defaults_where_flags_are_omitted(tmp_path, argv,
     cert = read_json(tmp_path / f"certificate-{argv[1]}.json")
     assert cert["invocation"] == invocation
     assert cert["params"].get("p", 5 if "--p" in argv else 13) == invocation["p"]
+
+
+def test_verify_refuses_seed(tmp_path, capsys):
+    # no driver of verify is seeded, so there is no --seed to record
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "sign-lemma", "--n", "3", "--seed", "7", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,message", [
+    ("0", "rank n must be at least 2"), ("1", "rank n must be at least 2"),
+    ("22", "rank 22 out of supported range"), ("30", "rank 30 out of supported range"),
+])
+def test_basis_rank_errors_name_the_flag(tmp_path, capsys, n, message):
+    out = tmp_path / "results"
+    assert main(["basis", "spin", "--n", n, "--out", str(out)]) == 2
+    assert f"error: --n {n}: {message}" in capsys.readouterr().err
+    assert not out.exists()

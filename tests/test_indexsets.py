@@ -1,14 +1,14 @@
-"""Index-set dualities, shuffle signs, weights, and types."""
+"""Index-set masks: dualities, shuffle signs, weights, types, and the lex
+order, against member-tuple definitions written out here."""
 
 from itertools import combinations
 
 import pytest
 
-from ramwedge.indexsets import (IndexSet, all_index_sets, bounded_type_masks,
-                                i_star, i_vee, index_masks, lex_key, lex_ranks,
-                                perp_mask, shuffle_sign, sigma_sign_bruteforce,
-                                sigma_sign_closed, star_mask, type_masks,
-                                type_n11_sets)
+from ramwedge.indexsets import (IndexSet, bounded_type_masks, i_vee,
+                                index_masks, lex_ranks, perp_mask,
+                                shuffle_sign, sigma_sign_bruteforce, star_mask,
+                                type_masks, type_n11_sets)
 
 
 def _inline_parity(seq):
@@ -23,61 +23,81 @@ def _inline_shuffle_sign(n, members):
     return _inline_parity(list(members) + comp)
 
 
+def mask(n, members):
+    return IndexSet.of(n, members).mask
+
+
+def members(n, m):
+    return IndexSet(n, m).members
+
+
+def type_pair(n, m):
+    """(r, s) with r = #(S in {1..n}), s = #(S in {n+1..2n})."""
+    return (m & ((1 << n) - 1)).bit_count(), (m >> n).bit_count()
+
+
+def weight(n, m):
+    """Per-slot counts #(S in {i, n+i}) for i = 1..n."""
+    return tuple((m >> i - 1 & 1) + (m >> n + i - 1 & 1) for i in range(1, n + 1))
+
+
 def test_star_and_perp_examples():
-    s = IndexSet.of(3, (1, 2, 3))
-    assert s.star().members == (4, 5, 6)
-    assert s.perp().members == (1, 2, 3)
-    s = IndexSet.of(3, (1, 2, 4))
-    assert s.star().members == (3, 5, 6)
-    assert s.perp().members == (1, 2, 4)
-    s = IndexSet.of(3, (4, 5, 6))
-    assert s.perp().members == (4, 5, 6)
+    m = mask(3, (1, 2, 3))
+    assert members(3, star_mask(3, m)) == (4, 5, 6)
+    assert members(3, perp_mask(3, m)) == (1, 2, 3)
+    m = mask(3, (1, 2, 4))
+    assert members(3, star_mask(3, m)) == (3, 5, 6)
+    assert members(3, perp_mask(3, m)) == (1, 2, 4)
+    m = mask(3, (4, 5, 6))
+    assert members(3, perp_mask(3, m)) == (4, 5, 6)
 
 
 def test_sign_examples():
-    assert sigma_sign_bruteforce(IndexSet.of(3, (1, 2, 3))) == 1
-    assert sigma_sign_closed(IndexSet.of(3, (1, 2, 3))) == 1
+    assert sigma_sign_bruteforce(3, mask(3, (1, 2, 3))) == 1
+    assert shuffle_sign(3, mask(3, (1, 2, 3))) == 1
     # parity of (1 4)(2 5)(3 6), three transpositions
     assert _inline_shuffle_sign(3, (4, 5, 6)) == -1
-    assert sigma_sign_bruteforce(IndexSet.of(3, (4, 5, 6))) == -1
-    assert sigma_sign_closed(IndexSet.of(3, (4, 5, 6))) == -1
+    assert sigma_sign_bruteforce(3, mask(3, (4, 5, 6))) == -1
+    assert shuffle_sign(3, mask(3, (4, 5, 6))) == -1
     # parity of the transposition (3 4)
     assert _inline_shuffle_sign(3, (1, 2, 4)) == -1
-    assert sigma_sign_closed(IndexSet.of(3, (1, 2, 4))) == -1
+    assert shuffle_sign(3, mask(3, (1, 2, 4))) == -1
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_closed_sign_equals_brute_force_exhaustively(n):
-    for s in all_index_sets(n):
-        want = _inline_shuffle_sign(n, s.members)
-        assert sigma_sign_bruteforce(s) == want
-        assert sigma_sign_closed(s) == want
+    for m in index_masks(n):
+        want = _inline_shuffle_sign(n, members(n, m))
+        assert sigma_sign_bruteforce(n, m) == want
+        assert shuffle_sign(n, m) == want
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_sign_closed_form_on_type_n11(n):
-    for i, j, s in type_n11_sets(n):
+    for i, j, m in type_n11_sets(n):
         want = 1 if (i + j + 1) % 2 == 0 else -1
-        assert sigma_sign_closed(s) == want
+        assert shuffle_sign(n, m) == want
 
 
 def test_weight_examples():
-    assert IndexSet.of(3, (1, 2, 3)).weight() == (1, 1, 1)
+    assert weight(3, mask(3, (1, 2, 3))) == (1, 1, 1)
     # direct count: slot 1 holds {1, 4} and both lie in the set
-    assert IndexSet.of(3, (1, 2, 4)).weight() == (2, 1, 0)
-    assert IndexSet.of(3, (2, 3, 4)).weight() == (1, 1, 1)
+    assert weight(3, mask(3, (1, 2, 4))) == (2, 1, 0)
+    assert weight(3, mask(3, (2, 3, 4))) == (1, 1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_weight_entries_sum_to_cardinality(n):
-    for s in all_index_sets(n):
-        assert sum(s.weight()) == n
+    for m in index_masks(n):
+        assert sum(weight(n, m)) == n
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_type_n11_weights(n):
-    for i, j, s in type_n11_sets(n):
-        w = s.weight()
+    for i, j, m in type_n11_sets(n):
+        assert type_pair(n, m) == (n - 1, 1)
+        assert set(members(n, m)) == (set(range(1, n + 1)) - {j}) | {n + i}
+        w = weight(n, m)
         if i == j:
             assert w == (1,) * n
         else:
@@ -86,19 +106,22 @@ def test_type_n11_weights(n):
 
 
 def test_type_examples():
-    assert IndexSet.of(3, (1, 2, 3)).type_pair() == (3, 0)
-    assert IndexSet.of(3, (1, 2, 4)).type_pair() == (2, 1)
-    assert IndexSet.of(3, (4, 5, 6)).type_pair() == (0, 3)
+    assert type_pair(3, mask(3, (1, 2, 3))) == (3, 0)
+    assert type_pair(3, mask(3, (1, 2, 4))) == (2, 1)
+    assert type_pair(3, mask(3, (4, 5, 6))) == (0, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dualities_and_weight_identity(n):
-    for s in all_index_sets(n):
-        assert s.star().star() == s
-        assert s.perp().perp() == s
-        assert s.type_pair() == s.perp().type_pair()
-        w_perp = s.perp().weight()
-        total = tuple(a + b for a, b in zip(w_perp, reversed(s.weight())))
+    # star and perp are involutions on masks of every cardinality
+    for card in range(2 * n + 1):
+        for m in index_masks(n, card):
+            assert star_mask(n, star_mask(n, m)) == m
+            assert perp_mask(n, perp_mask(n, m)) == m
+    for m in index_masks(n):
+        perp = perp_mask(n, m)
+        assert type_pair(n, m) == type_pair(n, perp)
+        total = tuple(a + b for a, b in zip(weight(n, perp), reversed(weight(n, m))))
         assert total == (2,) * n
 
 
@@ -106,19 +129,19 @@ def test_dualities_and_weight_identity(n):
 def test_weight_injectivity_on_type_n11(n):
     trivial = []
     by_weight = {}
-    for _, _, s in type_n11_sets(n):
-        w = s.weight()
+    for _, _, m in type_n11_sets(n):
+        w = weight(n, m)
         if w == (1,) * n:
-            trivial.append(s)
+            trivial.append(m)
         else:
-            by_weight.setdefault(w, set()).add(s)
+            by_weight.setdefault(w, set()).add(m)
     assert len(set(trivial)) == n
     assert all(len(group) == 1 for group in by_weight.values())
 
 
 def test_element_helpers():
     assert i_vee(3, 1) == 3
-    assert i_star(3, 1) == 6
+    assert members(3, star_mask(3, mask(3, (1,)))) == (6,)
 
 
 def test_validation():
@@ -129,22 +152,28 @@ def test_validation():
     with pytest.raises(ValueError):
         IndexSet.of(25, (1,))
     with pytest.raises(ValueError):
-        sigma_sign_closed(IndexSet.of(3, (1, 2)))
+        shuffle_sign(3, mask(3, (1, 2)))
+    with pytest.raises(ValueError):
+        sigma_sign_bruteforce(3, mask(3, (1, 2)))
+    with pytest.raises(ValueError):
+        sigma_sign_bruteforce(3, mask(3, (1, 2)) | 1 << 6)
 
 
 def test_lexicographic_enumeration_order():
-    sets = list(all_index_sets(2))
-    assert [s.members for s in sets[:3]] == [(1, 2), (1, 3), (1, 4)]
-    assert len(sets) == 6
+    masks = index_masks(2)
+    assert [members(2, m) for m in masks[:3]] == [(1, 2), (1, 3), (1, 4)]
+    assert len(masks) == 6
 
 
-def test_lex_key_orders_masks_as_member_tuples():
-    # all_index_sets enumerates in member-tuple order; within one
-    # cardinality lex_key must give the same order, for every n <= 7
+def test_lex_ranks_order_masks_as_member_tuples():
+    # within one cardinality the rank table sorts masks exactly as their
+    # increasing member tuples, for every n <= 7
     for n in range(1, 8):
         for card in range(2 * n + 1):
-            masks = [s.mask for s in all_index_sets(n, card)]
-            assert sorted(masks, key=lex_key) == masks
+            masks = index_masks(n, card)
+            rank = lex_ranks(n, card)
+            assert sorted(reversed(masks), key=rank.__getitem__) == masks
+            assert sorted(masks, key=lambda m: members(n, m)) == masks
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +181,7 @@ def test_lex_key_orders_masks_as_member_tuples():
 
 
 def member_masks(n, card):
-    return [IndexSet.of(n, c).mask for c in combinations(range(1, 2 * n + 1), card)]
+    return [mask(n, c) for c in combinations(range(1, 2 * n + 1), card)]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -163,11 +192,11 @@ def test_mask_enumerations_are_the_filters_they_replace(n):
     assert index_masks(n) == member_masks(n, n)
     for r in range(n + 1):
         s = n - r
-        assert type_masks(n, r, s) == [t.mask for t in all_index_sets(n)
-                                       if t.type_pair() == (r, s)]
+        assert type_masks(n, r, s) == [t for t in member_masks(n, n)
+                                       if type_pair(n, t) == (r, s)]
         for card in range(1, n + 1):
-            want = [t.mask for t in all_index_sets(n, card)
-                    if t.type_pair()[0] <= r and t.type_pair()[1] <= s]
+            want = [t for t in member_masks(n, card)
+                    if type_pair(n, t)[0] <= r and type_pair(n, t)[1] <= s]
             assert bounded_type_masks(n, card, r, s) == want
 
 
@@ -175,18 +204,17 @@ def test_mask_enumerations_are_the_filters_they_replace(n):
 def test_mask_dualities_match_member_definitions(n):
     for card in range(2 * n + 1):
         for m in index_masks(n, card):
-            members = IndexSet(n, m).members
-            star = IndexSet.of(n, [i_star(n, i) for i in members])
-            perp = IndexSet.of(n, [i for i in range(1, 2 * n + 1)
-                                   if i not in star.members])
-            assert star_mask(n, m) == star.mask
-            assert perp_mask(n, m) == perp.mask
+            star = mask(n, [2 * n + 1 - i for i in members(n, m)])
+            perp = mask(n, [i for i in range(1, 2 * n + 1)
+                            if i not in members(n, star)])
+            assert star_mask(n, m) == star
+            assert perp_mask(n, m) == perp
             if card == n:
-                assert shuffle_sign(n, m) == sigma_sign_bruteforce(IndexSet(n, m))
+                assert shuffle_sign(n, m) == sigma_sign_bruteforce(n, m)
 
 
 def test_mask_enumeration_checks_the_rank():
     with pytest.raises(ValueError):
         index_masks(0)
     with pytest.raises(ValueError):
-        list(all_index_sets(22))
+        index_masks(22)

@@ -11,14 +11,14 @@ from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns_masks, wedge_scale)
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import (IndexSet, all_index_sets, lex_key,
-                                sigma_sign_closed)
+from ramwedge.indexsets import (IndexSet, index_masks, lex_ranks, perp_mask,
+                                shuffle_sign, sigma_sign_bruteforce, type_masks)
 from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations,
                                echelon_lattice_basis, gauss_jordan,
                                intersect_with_standard_lattice,
                                lattice_contains, membership_over_R,
                                reduce_mod_pi, residue_rank, residue_spans_equal,
-                               spanning_set)
+                               signature_eps, spanning_set)
 from ramwedge.rings import DualNumbers, FieldRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
@@ -38,13 +38,11 @@ def e_vec(n, sets_coeffs):
 
 def test_refined_generator_count_matches_pair_count():
     for n in (3, 5):
-        gens = spanning_set("refined", n, F, eps=-1, r=n - 1, s=1)
+        gens = spanning_set("refined", n, F, r=n - 1, s=1)
         pairs = 0
-        for s in all_index_sets(n):
-            if s.type_pair() != (n - 1, 1):
-                continue
-            i_s = min(t for t in s.members if t > n)
-            i_p = min(t for t in s.perp().members if t > n)
+        for s in type_masks(n, n - 1, 1):
+            i_s = min(t for t in IndexSet(n, s).members if t > n)
+            i_p = min(t for t in IndexSet(n, perp_mask(n, s)).members if t > n)
             if i_s <= i_p:
                 pairs += 1
         assert len(gens) == pairs == n * (n + 1) // 2
@@ -56,14 +54,14 @@ def test_spin_self_perp_generators_collapse_to_doubles():
     ffr = frame_in_e("f_split", n, F)
     for eps in (1, -1):
         gens = spanning_set("spin", n, F, eps=eps)
-        for s in all_index_sets(n):
-            if s.perp() != s:
+        for s in index_masks(n):
+            if perp_mask(n, s) != s:
                 continue
             f_s = basis_wedge(ffr, s)
             double = wedge_scale(f_s, L({0: 2}), ring)
             present = double in gens
             # the combination survives exactly when eps matches the shuffle sign
-            assert present == (sigma_sign_closed(s) == eps)
+            assert present == (shuffle_sign(n, s) == eps)
 
 
 def test_spin_generator_counts():
@@ -78,15 +76,14 @@ def test_spin_generator_counts():
 def test_kl_top_degree_is_signature_summand():
     n, r, s = 3, 2, 1
     gens = spanning_set("kl", n, F, l=n, r=r, s=s)
-    type_sets = [t for t in all_index_sets(n) if t.type_pair() == (r, s)]
-    assert len(gens) == len(type_sets)
+    assert len(gens) == len(type_masks(n, r, s))
 
 
 def test_spanning_parameter_validation():
     with pytest.raises(ValueError):
         spanning_set("spin", 3, F, eps=0)
     with pytest.raises(ValueError):
-        spanning_set("refined", 3, F, eps=1, r=2, s=2)
+        spanning_set("refined", 3, F, r=2, s=2)
     with pytest.raises(ValueError):
         spanning_set("kl", 3, F, l=4, r=2, s=1)
     with pytest.raises(ValueError):
@@ -143,7 +140,7 @@ def test_echelon_entry_points_reject_bad_generators(build):
 
 
 def test_intersection_saturates_the_echelon():
-    gens = spanning_set("refined", 3, F, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", 3, F, r=2, s=1)
     echelon = echelon_lattice_basis(gens, PRECISION)
     basis = intersect_with_standard_lattice(gens, PRECISION)
     assert basis.pivots == echelon.pivots
@@ -160,7 +157,7 @@ def lattices_equal(a, b):
 
 def test_intersection_idempotence():
     n = 3
-    gens = spanning_set("refined", n, F, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", n, F, r=2, s=1)
     basis = intersect_with_standard_lattice(gens, PRECISION)
     again = intersect_with_standard_lattice(list(basis.columns), PRECISION)
     assert lattices_equal(basis, again)
@@ -168,7 +165,7 @@ def test_intersection_idempotence():
 
 def test_lattice_contains_rejects_fractional_coordinates():
     n = 3
-    gens = spanning_set("refined", n, F, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", n, F, r=2, s=1)
     basis = intersect_with_standard_lattice(gens, PRECISION)
     inside = basis.columns[0]
     ring = LaurentOps(F)
@@ -179,7 +176,7 @@ def test_lattice_contains_rejects_fractional_coordinates():
 
 def test_residue_reduction_drops_pi():
     n = 3
-    gens = spanning_set("refined", n, F, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", n, F, r=2, s=1)
     rb = reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION))
     assert len(rb) == 6
     for vec, pivot in zip(rb.vectors, rb.pivots):
@@ -250,7 +247,7 @@ def test_spin_residue_over_dual_numbers():
 
 def test_annihilator_evaluations_labels():
     n = 3
-    gens = spanning_set("refined", n, F, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", n, F, r=2, s=1)
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
     ring = FieldRing(F)
     labels = [label for label, _ in
@@ -262,7 +259,7 @@ def test_annihilator_evaluations_labels():
 def test_pipeline_over_rationals_cross_check():
     from ramwedge.fields import Rationals
     q = Rationals()
-    gens = spanning_set("refined", 3, q, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", 3, q, r=2, s=1)
     basis = intersect_with_standard_lattice(gens, PRECISION)
     rb = reduce_mod_pi(basis)
     assert basis.rank == len(rb) == 6
@@ -274,14 +271,14 @@ def test_pipeline_over_rationals_cross_check():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_residue_rank_independent_of_prime(p):
     field = PrimeField(p)
-    gens = spanning_set("refined", 3, field, eps=-1, r=2, s=1)
+    gens = spanning_set("refined", 3, field, r=2, s=1)
     rb = reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION))
     assert len(rb) == 6
 
 
 def test_residue_rank_and_span_equality():
-    a = IndexSet.of(1, (1,))
-    b = IndexSet.of(1, (2,))
+    a = IndexSet.of(1, (1,)).mask
+    b = IndexSet.of(1, (2,)).mask
     v1 = {a: F.one}
     v2 = {a: F.of_int(2)}
     v3 = {b: F.one}
@@ -399,7 +396,7 @@ def span_parameters(kind, n):
     if kind.startswith("spin"):
         return "spin", {"eps": int(kind[4:])}
     if kind == "refined":
-        return "refined", {"eps": -1, "r": n - 1, "s": 1}
+        return "refined", {"r": n - 1, "s": 1}
     return "kl", {"l": n - 1, "r": n - 1, "s": 1}
 
 
@@ -473,8 +470,8 @@ def annihilator_digest(ann):
     field = ann.field
     obj = {"support": [IndexSet(ann.n, t).to_json() for t in ann.support],
            "functionals": [[[IndexSet(ann.n, t).to_json(), field.element_to_json(c)]
-                            for t, c in sorted(phi.items(),
-                                               key=lambda kv: lex_key(kv[0]))]
+                            for t, c in sorted(phi.items(), key=lambda kv:
+                                               lex_ranks(ann.n, ann.degree)[kv[0]])]
                            for phi in ann.functionals],
            "span_rank": ann.span_rank}
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
@@ -547,34 +544,45 @@ def test_engine_structures_hold_only_int_keys():
 
 
 def filtered_spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
-    """spanning_set as it was built before the closed form: IndexSet
-    filters over all C(2n, card) sets, perp() and lex_key for the pair
-    representatives, and the generic fold for every frame wedge."""
+    """spanning_set as it was built before the closed form: filters over
+    all C(2n, card) member tuples, S-perp from its definition with the
+    lesser tuple as the pair representative, the brute-force shuffle sign,
+    and the generic fold for every frame wedge."""
     ring = LaurentOps(field)
 
-    def fold(frame, t):
-        return wedge_columns_masks([frame.vector(p) for p in t.members], ring)
+    def tuples(card, bound):
+        return [t for t in combinations(range(1, 2 * n + 1), card)
+                if sum(i <= n for i in t) <= bound[0]
+                and sum(i > n for i in t) <= bound[1]]
 
-    def paired(frame, sets):
+    def perp(t):
+        star = {2 * n + 1 - i for i in t}
+        return tuple(i for i in range(1, 2 * n + 1) if i not in star)
+
+    def fold(frame, t):
+        return wedge_columns_masks([frame.vector(p) for p in t], ring)
+
+    def paired(frame, sets, eps):
         gens = []
         for t in sets:
-            tp = t.perp()
-            if lex_key(tp.mask) < lex_key(t.mask):
+            if perp(t) < t:
                 continue
             terms = fold(frame, t)
-            q = PiLaurent.const(field, field.of_int(eps * sigma_sign_closed(t)))
-            _add_multiple(ring, terms, q, fold(frame, tp))
+            sign = sigma_sign_bruteforce(n, IndexSet.of(n, t).mask)
+            q = PiLaurent.const(field, field.of_int(eps * sign))
+            _add_multiple(ring, terms, q, fold(frame, perp(t)))
             if terms:
                 gens.append(terms)
         return gens
 
     if kind == "spin":
-        return paired(frame_in_e("f_split", n, field), all_index_sets(n))
+        return paired(frame_in_e("f_split", n, field), tuples(n, (n, n)), eps)
     gfr = frame_in_e("g_split", n, field)
     if kind == "refined":
-        return paired(gfr, [t for t in all_index_sets(n) if t.type_pair() == (r, s)])
-    return [fold(gfr, t) for t in all_index_sets(n, l)
-            if t.type_pair()[0] <= r and t.type_pair()[1] <= s]
+        # an exact type (r, s): bounded by (r, s) at cardinality r + s = n;
+        # the sign is the one s fixes unless one is given
+        return paired(gfr, tuples(n, (r, s)), (-1) ** s if eps is None else eps)
+    return [fold(gfr, t) for t in tuples(l, (r, s))]
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), F, Rationals()],
@@ -583,7 +591,7 @@ def filtered_spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
 def test_spanning_sets_are_the_filtered_folds(n, field):
     cases = [("spin", {"eps": eps}) for eps in (1, -1)]
     for r in range(n + 1):
-        cases += [("refined", {"eps": eps, "r": r, "s": n - r}) for eps in (1, -1)]
+        cases += [("refined", {"r": r, "s": n - r})]
         cases += [("kl", {"l": l, "r": r, "s": n - r}) for l in range(1, n + 1)]
     for kind, kwargs in cases:
         got = [list(g.terms.items()) for g in spanning_set(kind, n, field, **kwargs)]
@@ -600,14 +608,97 @@ def test_spin_generators_are_the_filtered_folds_at_rank_7(eps):
 
 
 def test_off_support_witnesses_come_in_lex_order():
-    # the rank table sorts off-support coordinates as lex_key does
+    # the rank table sorts the support and the off-support coordinates as
+    # their member tuples
     n = 3
-    gens = spanning_set("refined", n, F, eps=-1, r=2, s=1)
+
+    def members(t):
+        return IndexSet(n, t).members
+
+    gens = spanning_set("refined", n, F, r=2, s=1)
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
     assert ann.support_set == frozenset(ann.support)
-    assert list(ann.support) == sorted(ann.support, key=lex_key)
-    dense = {t.mask: F.one for t in reversed(list(all_index_sets(n)))}
+    assert list(ann.support) == sorted(ann.support, key=members)
+    dense = {t: F.one for t in reversed(index_masks(n))}
     labels = [label for label, _ in annihilator_evaluations(ann, dense, FieldRing(F))
               if label.startswith("coordinate")]
-    off = sorted((t for t in dense if t not in ann.support_set), key=lex_key)
-    assert labels == [f"coordinate{IndexSet(n, t).members}" for t in off]
+    off = sorted((t for t in dense if t not in ann.support_set), key=members)
+    assert labels == [f"coordinate{members(t)}" for t in off]
+
+
+# ---------------------------------------------------------------------------
+# Generator digests, recorded before the spanning sets took masks: SHA-256
+# over every generator's (mask, exponent, coefficient) terms, in dict order,
+# in list order, over every parameter of the kind at that rank
+
+
+def digest_cases(kind, n):
+    if kind == "spin":
+        return [{"eps": 1}, {"eps": -1}]
+    if kind == "refined":
+        return [{"r": n - s, "s": s} for s in range(n + 1)]
+    return [{"l": l, "r": n - s, "s": s} for l in range(1, n + 1) for s in range(n + 1)]
+
+
+GENERATOR_DIGESTS = {
+    ("F13", "spin", 3): "f10d7ec71a80e3e7330b379c53da22c0dcf502d74cd18658ba643af9778e5876",
+    ("F13", "spin", 5): "66c4f689c4ce2b8b279a25ba32d25318afee653e234ce5f050b7fa26c3bed9d6",
+    ("F13", "spin", 7): "d4144d39d00226c26ece84aa3037f2983a0051e4c69cd31510f627c32f957dcd",
+    ("F13", "refined", 3): "189ce63ef9e270fb40a7c6bfd0cbc99dd260295c629085f5e38098bddd97276d",
+    ("F13", "refined", 5): "d3733bb475d98dc21c3d9b8c3ffc3bb27237ff38bd1092874376790e411f9a71",
+    ("F13", "kl", 3): "690e0c9bf6ff5bce31cdfe4afad37e62a3390e8d2803df4125274bae6d198f8b",
+    ("F13", "kl", 5): "52a61090cb77130b3e4051176a9384fcfac2851d5c6cd1916dd6f8394c31d50c",
+    ("Q", "spin", 3): "ee98041e4c74ec4167db38212785c6eef31e5bbad8dd4d04132a6cdf34f011e9",
+    ("Q", "spin", 5): "479ab1259b15d4fad010a422228d4476ad8a7bf3fb0ab914cdf3693f635d4808",
+    ("Q", "spin", 7): "60d84b0416a203b9226db53cd26926b4586de18701d1cb1b6d4e2b6b464a6f9b",
+    ("Q", "refined", 3): "3c6b345c1eb7b5590543833688affc09958991c51415786d1ebf193d4f3d40d0",
+    ("Q", "refined", 5): "a37cdfacb3e3cbd707ed02eb6016382d76a83fd4fbb16aa3dccf2bd8557e2fa6",
+    ("Q", "kl", 3): "a6efacef800cf6290559f78f5c701772074cef25ba892e48720e085e9837c8b4",
+    ("Q", "kl", 5): "702f8bcdec94c9125da0f5210999b7463f20f36f1a6a3fb30b43e9ec1a783064",
+}
+
+
+@pytest.mark.parametrize("field_name,kind,n", list(GENERATOR_DIGESTS))
+def test_generator_digests(field_name, kind, n):
+    field = F if field_name == "F13" else Rationals()
+    h = hashlib.sha256()
+    for kwargs in digest_cases(kind, n):
+        h.update(repr(sorted(kwargs.items())).encode())
+        for g in spanning_set(kind, n, field, **kwargs):
+            h.update(b"|")
+            for mask, c in g.terms.items():
+                for e, x in c.coeffs.items():
+                    h.update(f"{mask},{e},{x};".encode())
+    assert h.hexdigest() == GENERATOR_DIGESTS[field_name, kind, n]
+
+
+# ---------------------------------------------------------------------------
+# Each kind reads only its own parameters; refined takes its sign from s
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("spin", {"eps": 1, "r": 2, "s": 1}),
+    ("spin", {"eps": 1, "l": 2}),
+    ("refined", {"eps": -1, "r": 2, "s": 1}),
+    ("refined", {"eps": 1, "r": 2, "s": 1}),
+    ("refined", {"r": 2, "s": 1, "l": 3}),
+    ("kl", {"eps": 1, "l": 2, "r": 2, "s": 1}),
+])
+def test_spanning_set_refuses_unread_parameters(kind, kwargs):
+    reads = {"spin": ("eps",), "refined": ("r", "s"), "kl": ("l", "r", "s")}[kind]
+    unread = [k for k in kwargs if k not in reads]
+    with pytest.raises(ValueError, match=f"{kind} reads no {unread[0]}"):
+        spanning_set(kind, 3, F, **kwargs)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_refined_sign_is_derived_from_s(n):
+    # the refined generators are the pairs of type (r, s) with the sign
+    # signature_eps(s), and differ from the pairs with the other sign
+    for s in range(n + 1):
+        got = [list(g.terms.items())
+               for g in spanning_set("refined", n, F, r=n - s, s=s)]
+        for eps in (1, -1):
+            want = [list(g.items()) for g in
+                    filtered_spanning_set("refined", n, F, eps=eps, r=n - s, s=s)]
+            assert (got == want) == (eps == signature_eps(s)), (s, eps)
