@@ -14,9 +14,10 @@ from .exterior import (Frame, WedgeVector, apply_wedge_power_operator,
 from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, index_masks, shuffle_sign,
                         sigma_sign_bruteforce)
-from .lattices import (AnnihilatorSet, DVRTriangularBasis, ResidueBasis,
-                       annihilators, intersect_with_standard_lattice,
-                       membership_over_R, reduce_mod_pi, spanning_set)
+from .lattices import (AnnihilatorSet, DVRTriangularBasis, HalfSpinLattice,
+                       ResidueBasis, annihilators,
+                       intersect_with_standard_lattice, membership_over_R,
+                       reduce_mod_pi, spanning_set)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import PiLaurent, truncated_inverse
 
@@ -25,9 +26,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnihilatorSet", "ChartPoint", "ConditionReport",
     "DVRTriangularBasis", "DualNumbers", "FieldMismatchError", "FieldRing",
-    "Frame", "IndexSet", "IndeterminateValuationError", "PiLaurent",
-    "PolyRing", "PrecisionExhaustedError", "PrimeField", "Rationals",
-    "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
+    "Frame", "HalfSpinLattice", "IndexSet", "IndeterminateValuationError",
+    "PiLaurent", "PolyRing", "PrecisionExhaustedError", "PrimeField",
+    "Rationals", "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
     "annihilators", "apply_wedge_power_operator", "basis_wedge",
     "build_frame", "check_kl", "check_kottwitz", "check_naive_relations",
     "check_refined", "check_spin", "check_trace", "check_wedge", "f_frame",

@@ -26,8 +26,9 @@ from itertools import combinations
 from .errors import SchemaError
 from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
-from .lattices import (annihilators, intersect_with_standard_lattice,
-                       membership_over_R, reduce_mod_pi, spanning_set)
+from .lattices import (HalfSpinLattice, annihilators,
+                       intersect_with_standard_lattice, membership_over_R,
+                       reduce_mod_pi, spanning_set)
 from .rings import ring_from_json, ring_to_json
 
 DEFAULT_P = 13
@@ -304,10 +305,11 @@ def check_trace(pt: ChartPoint) -> Verdict:
 
 @lru_cache(maxsize=None)
 def spin_annihilators(n: int, field_key: tuple, eps: int,
-                      precision: int = DEFAULT_PRECISION):
-    field = field_from_key(field_key)
-    gens = spanning_set("spin", n, field, eps=eps)
-    return annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, precision)))
+                      precision: int = DEFAULT_PRECISION) -> HalfSpinLattice:
+    """The eps half-spin lattice, whose weight blocks are built as points
+    touch them (covering) or all at once (whole(), annihilators)."""
+    return HalfSpinLattice(frame_in_e("f_split", n, field_from_key(field_key)),
+                           eps, precision)
 
 
 @lru_cache(maxsize=None)
@@ -336,9 +338,9 @@ def check_spin(pt: ChartPoint, eps: int, precision: int = DEFAULT_PRECISION,
                *, wedge: WedgeVector = None) -> Verdict:
     """The column wedge lies in the mod-pi image of the eps half-spin
     lattice.  `wedge` is wedge_vector(pt) when the caller has it already."""
-    ann = spin_annihilators(pt.n, pt.ring.field.key(), eps, precision)
+    spin = spin_annihilators(pt.n, pt.ring.field.key(), eps, precision)
     w = wedge_vector(pt) if wedge is None else wedge
-    return _membership_verdict(membership_over_R(w, ann, pt.ring))
+    return _membership_verdict(membership_over_R(w, spin.covering(w.terms), pt.ring))
 
 
 def check_refined(pt: ChartPoint, precision: int = DEFAULT_PRECISION,

@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
-                    full_report)
+                    full_report, spin_annihilators)
 from .drivers import bundle_ranks, run_driver
 from .errors import (PrecisionExhaustedError, RankError, SchemaError,
                      SignatureError)
@@ -169,7 +169,7 @@ def cmd_dump_basis(args) -> int:
     n = args.n
     if not 2 <= n <= MAX_RANK:
         raise RankError("rank n must be at least 2" if n < 2 else
-                        f"rank {n} out of supported range 1..{MAX_RANK}")
+                        f"rank {n} out of supported range 2..{MAX_RANK}")
     if args.l is not None and args.kind != "kl":
         raise SchemaError(f"--l {args.l}: basis {args.kind} reads no degree; "
                           f"only basis kl does")
@@ -191,10 +191,14 @@ def cmd_dump_basis(args) -> int:
             raise SchemaError(f"--l {l}: basis kl needs 1 <= l <= n = {n}")
         kwargs.update(l=l, r=r, s=s)
         label = f"kl-{l}-{r}-{s}"
-    generators = spanning_set(args.kind, n, field, **kwargs)
-    basis = intersect_with_standard_lattice(generators, precision)
-    residue = reduce_mod_pi(basis)
-    ann = annihilators(residue)
+    if args.kind == "spin":
+        basis, residue, ann = spin_annihilators(n, field.key(), kwargs["eps"],
+                                                precision).whole()
+    else:
+        basis = intersect_with_standard_lattice(
+            spanning_set(args.kind, n, field, **kwargs), precision)
+        residue = reduce_mod_pi(basis)
+        ann = annihilators(residue)
     out_obj = {
         "kind": args.kind,
         "n": n,

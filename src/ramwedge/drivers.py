@@ -11,7 +11,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     block_reflection, full_report, mat_add, mat_mul,
-                    mat_transpose, refined_annihilators, wedge_vector)
+                    mat_transpose, refined_annihilators, spin_annihilators,
+                    wedge_vector)
 from .errors import RankError, SignatureError
 from .exterior import (WedgeVector, apply_wedge_power_operator, basis_wedge,
                        frame_in_e, operator_pi_action, wedge_scale,
@@ -20,8 +21,8 @@ from .fields import PrimeField
 from .indexsets import (IndexSet, bounded_type_masks, i_vee, index_masks,
                         shuffle_sign, sigma_sign_bruteforce, type_masks,
                         type_n11_sets)
-from .lattices import (annihilator_evaluations, annihilators,
-                       echelon_lattice_basis, intersect_with_standard_lattice,
+from .lattices import (annihilator_evaluations, echelon_lattice_basis,
+                       intersect_with_standard_lattice,
                        lattice_contains, membership_over_R, paired_generator,
                        reduce_mod_pi, residue_rank, residue_spans_equal,
                        signature_eps, spanning_set)
@@ -345,10 +346,7 @@ def verify_spin_structure(n: int, p: int = DEFAULT_P,
     evidence = {}
     ok = True
     for eps in (1, -1):
-        gens = spanning_set("spin", n, field, eps=eps)
-        basis = intersect_with_standard_lattice(gens, precision)
-        rb = reduce_mod_pi(basis)
-        ann = annihilators(rb)
+        basis, rb, ann = spin_annihilators(n, field.key(), eps, precision).whole()
         hits = sum(1 for vec in rb.vectors if detector in vec)
         members = {}
         for t in listed:

@@ -2,7 +2,9 @@
 the half-spin, signature-refined, and lower-degree eigenspace subspaces;
 intersection with the standard lattice by pi-adic column reduction;
 reduction mod pi; one Gauss-Jordan elimination over k for ranks and
-annihilators; and annihilator-based membership over coefficient rings.
+annihilators; annihilator-based membership over coefficient rings; and the
+half-spin lattice as a direct sum of weight blocks, each reduced the first
+time it is touched.
 
 All wedge coordinates here are in the e-basis of the standard lattice,
 where lattice membership means every coefficient has valuation >= 0.  The
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from math import comb
 
 from .errors import PrecisionExhaustedError
@@ -24,7 +27,7 @@ from .exterior import (WedgeVector, _add_multiple, basis_wedge, frame_in_e,
                        terms_to_json)
 from .indexsets import (IndexSet, bounded_type_masks, index_masks, lex_ranks,
                         perp_mask, shuffle_sign, star_mask, type_masks)
-from .scalars import LaurentOps, PiLaurent, truncated_inverse
+from .scalars import LaurentOps, truncated_inverse
 
 GUARD_BAND = 4
 
@@ -42,13 +45,21 @@ def signature_eps(s: int) -> int:
 def paired_generator(frame, mask: int, eps: int) -> WedgeVector:
     """w_S + eps * sgn(sigma_S) * w_{S-perp} for the mask of S, with w_T
     the basis_wedge of the frame at T; a self-perp S is folded once."""
-    n, field = frame.n, frame.field
+    n = frame.n
     perp = perp_mask(n, mask)
     w = basis_wedge(frame, mask)
     terms = dict(w.terms)
-    q = PiLaurent.const(field, field.of_int(eps * shuffle_sign(n, mask)))
-    _add_multiple(LaurentOps(field), terms, q,
-                  (w if perp == mask else basis_wedge(frame, perp)).terms)
+    flip = eps * shuffle_sign(n, mask) < 0
+    # the sparse add of _add_multiple, with the constant +-1 as a sign
+    for t, c in (w if perp == mask else basis_wedge(frame, perp)).terms.items():
+        if flip:
+            c = -c
+        cur = terms.get(t)
+        new = c if cur is None else cur + c
+        if new.is_zero:
+            terms.pop(t, None)
+        else:
+            terms[t] = new
     return WedgeVector(n, terms)
 
 
@@ -153,13 +164,15 @@ def pi_adic_column_echelon(columns: list, precision: int, lex_rank: dict):
         pivot_col = live.pop(cid)
         processed.append((t, val, pivot_col))
         ops = LaurentOps(pivot.field)
-        inv = truncated_inverse(pivot, precision)
+        inv = None  # computed once a live column holds the pivot row
         rest = [t2 for t2 in pivot_col if t2 != t]
         for cid2 in sorted(incidence.pop(t, ())):
             # incidence also lists columns that have since lost t or left
             col2 = live.get(cid2)
             if col2 is None or t not in col2:
                 continue
+            if inv is None:
+                inv = truncated_inverse(pivot, precision)
             q = -(col2[t] * inv)
             if not q.is_zero:
                 _add_multiple(ops, col2, q, pivot_col)
@@ -432,7 +445,8 @@ class MembershipResult:
 def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     """All functional evaluations against a coefficient vector over R:
     off-support coordinates present in the vector, then the tracked kernel
-    functionals.  Yields (label, value) pairs."""
+    functionals.  Yields (label, value) pairs.  ann is an AnnihilatorSet or
+    what HalfSpinLattice.covering returns for these terms."""
     support = ann.support_set
     for t in sorted((t for t in terms if t not in support),
                     key=ann.lex_rank.__getitem__):
@@ -455,3 +469,151 @@ def membership_over_R(w, ann: AnnihilatorSet, ring) -> MembershipResult:
         if not ring.is_zero(value):
             return MembershipResult(False, label, value)
     return MembershipResult(True)
+
+
+# ---------------------------------------------------------------------------
+# The half-spin lattice, one weight block at a time
+
+
+def _slot_weight(n: int, mask: int) -> tuple:
+    """The slot weight of S, |S ∩ {i, n+i}| for each slot i, as the pair
+    (slots S meets twice, slots S meets once) of masks over the slots."""
+    low, high = mask & ((1 << n) - 1), mask >> n
+    return low & high, low ^ high
+
+
+def _weight_masks(n: int, twos: int, ones: int) -> list:
+    """The masks of one slot weight: both members of each slot in twos, one
+    of the two members of each slot in ones."""
+    out = [twos | twos << n]
+    while ones:
+        bit = ones & -ones
+        ones ^= bit
+        out = [m | b for m in out for b in (bit, bit << n)]
+    return out
+
+
+class HalfSpinLattice:
+    """The eps half-spin lattice of a frame (the f-frame in e-coordinates),
+    spanned by the paired generators w_S + eps * sgn(sigma_S) * w_{S-perp},
+    built one weight block at a time.
+
+    A block is the set of index sets whose slot weight is w or 2 - reverse(w),
+    the weight of S-perp.  Every frame vector lies in one slot, so a wedge
+    of frame vectors keeps the slot weight of its index set, and the paired
+    generator of S lies in the block of S; a generator that does not raises
+    ValueError.  The lattice is then the direct sum of its blocks, and each
+    block is reduced (pi-adic echelon, residue basis, annihilators) on its
+    own.  Only the annihilators of a block are kept, from the first time a
+    mask of it is asked for.
+
+    covering(terms) builds the blocks a coefficient vector touches and
+    serves as its annihilator set: support_set is the union of the built
+    blocks' supports, and an untouched block holds zero coordinates, which
+    lie in every span.  whole() merges every block into the lattice that
+    the global pipeline, intersect_with_standard_lattice of
+    spanning_set("spin"), builds, column for column.
+    """
+
+    functionals = ()  # as an annihilator set; see covering
+
+    def __init__(self, frame, eps: int, precision: int):
+        if eps not in (1, -1):
+            raise ValueError("spin requires eps in {+1, -1}")
+        self.frame, self.eps, self.precision = frame, eps, precision
+        self.n = frame.n
+        self.lex_rank = lex_ranks(self.n, self.n)
+        self.support_set = set()
+        self._block_of = {}  # mask -> annihilators of its block, once built
+        self._masks = comb(2 * self.n, self.n)
+        self._functional_blocks = False
+
+    def _block_masks(self, mask: int) -> list:
+        """The masks of the block holding the mask, in lex order."""
+        n = self.n
+        weights = {_slot_weight(n, mask), _slot_weight(n, perp_mask(n, mask))}
+        return sorted((m for w in weights for m in _weight_masks(n, *w)),
+                      key=self.lex_rank.__getitem__)
+
+    def _reduce(self, masks: list) -> tuple:
+        """The block of these masks reduced: its lattice basis and the
+        annihilators of its residue span, recorded for block()."""
+        n, inside = self.n, set(masks)
+        gens = _paired_generators(self.frame, masks, self.eps)
+        for g in gens:
+            if not inside.issuperset(g.terms):
+                raise ValueError(f"a paired generator crosses the weight block "
+                                 f"of {IndexSet(n, masks[0]).members}")
+        basis = (intersect_with_standard_lattice(gens, self.precision) if gens else
+                 DVRTriangularBasis(n, n, self.frame.field, self.precision, (), ()))
+        ann = annihilators(reduce_mod_pi(basis))
+        if masks[0] not in self._block_of:
+            self._block_of.update(dict.fromkeys(masks, ann))
+            self.support_set.update(ann.support)
+            self._functional_blocks |= bool(ann.functionals)
+        return basis, ann
+
+    def block(self, mask: int) -> AnnihilatorSet:
+        """The annihilators of the block holding the mask, built on first
+        touch."""
+        found = self._block_of.get(mask)
+        if found is None:
+            found = self._reduce(self._block_masks(mask))[1]
+        return found
+
+    def covering(self, terms):
+        """An annihilator set deciding membership of a coefficient vector
+        with these terms ({mask: coefficient}): self once the blocks they
+        touch are built, or the merged set when one of those blocks has
+        kernel functionals, so that functional[i] keeps its global
+        numbering (at odd n no block has any)."""
+        block_of = self._block_of
+        if len(block_of) < self._masks and not terms.keys() <= block_of.keys():
+            for t in terms:
+                if t not in block_of:
+                    self.block(t)
+        if self._functional_blocks and any(block_of[t].functionals for t in terms):
+            return self.annihilators
+        return self
+
+    @cached_property
+    def annihilators(self) -> AnnihilatorSet:
+        """The annihilators of every block, merged into those of the whole
+        residue span: the supports and the functionals in lex order, each
+        functional keyed by its first entry, the non-pivot support
+        coordinate it belongs to (as annihilators orders them)."""
+        for m in index_masks(self.n):
+            self.block(m)
+        blocks = {id(ann): ann for ann in self._block_of.values()}.values()
+        rank = self.lex_rank
+        functionals = sorted((phi for ann in blocks for phi in ann.functionals),
+                             key=lambda phi: rank[next(iter(phi))])
+        return AnnihilatorSet(self.n, self.n, self.frame.field,
+                              tuple(sorted(self.support_set, key=rank.__getitem__)),
+                              tuple(functionals),
+                              sum(ann.span_rank for ann in blocks))
+
+    @property
+    def span_rank(self) -> int:
+        return self.annihilators.span_rank
+
+    def whole(self) -> tuple:
+        """Every block reduced again and merged, not kept: the lattice
+        basis, residue basis and annihilators that the global pipeline
+        builds.  The block echelons are interleaved by (pivot valuation,
+        lex rank of the pivot), the order in which the global echelon takes
+        their pivots, since no column holds entries of two blocks."""
+        n, rank = self.n, self.lex_rank
+        blocks, seen = [], set()
+        for m in index_masks(n):
+            if m not in seen:
+                masks = self._block_masks(m)
+                seen.update(masks)
+                blocks.append(self._reduce(masks)[0])
+        merged = list(heapq.merge(
+            *(zip(b.pivots, b.columns) for b in blocks),
+            key=lambda pivot_column: (pivot_column[0][1], rank[pivot_column[0][0]])))
+        basis = DVRTriangularBasis(n, n, self.frame.field, self.precision,
+                                   tuple(p for p, _ in merged),
+                                   tuple(c for _, c in merged))
+        return basis, reduce_mod_pi(basis), self.annihilators

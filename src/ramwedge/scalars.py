@@ -160,6 +160,10 @@ def truncated_inverse(a, precision: int) -> PiLaurent:
     f = a.field
     v = a.ord()
     lead_inv = f.inv(a.coeffs[v])
+    if len(a.coeffs) == 1:
+        # c * pi^v: the series below stops at its first term, 1 / c at the
+        # relative precision min(precision, a.precision - v)
+        return PiLaurent.make(f, {-v: lead_inv}, min(precision, a.precision - v) - v)
     # The unit part carries the relative precision of the geometric series
     # 1/(1 + t): the request, or less if a itself is truncated.
     unit = a.shift(-v).scale(lead_inv).truncate(precision)

@@ -21,3 +21,22 @@ def det(ring, m, rows, cols):
             term = ring.neg(term)
         acc = ring.add(acc, term)
     return acc
+
+
+def series_inverse(a, precision: int):
+    """Truncated inverse of a nonzero PiLaurent by the geometric series
+    1 / (1 + t) = 1 - t + t^2 - ..., for monomials too: the reference for
+    scalars.truncated_inverse, which skips the series at a monomial."""
+    from ramwedge.scalars import PiLaurent
+
+    f = a.field
+    v = a.ord()
+    lead_inv = f.inv(a.coeffs[v])
+    unit = a.shift(-v).scale(lead_inv).truncate(precision)
+    t = unit - PiLaurent.one(f)
+    acc = PiLaurent.make(f, {0: f.one}, unit.precision)
+    term = acc
+    while not term.is_zero:
+        term = -(term * t)
+        acc = acc + term
+    return acc.scale(lead_inv).shift(-v)

@@ -7,6 +7,7 @@ import pytest
 
 from ramwedge.cli import main
 from ramwedge.drivers import Certificate
+from ramwedge.indexsets import MAX_RANK
 
 
 def read_json(path):
@@ -474,5 +475,9 @@ def test_verify_refuses_seed(tmp_path, capsys):
 def test_basis_rank_errors_name_the_flag(tmp_path, capsys, n, message):
     out = tmp_path / "results"
     assert main(["basis", "spin", "--n", n, "--out", str(out)]) == 2
-    assert f"error: --n {n}: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: --n {n}: {message}" in err
+    if "range" in message:
+        # the range basis accepts, not the wider one index_masks enumerates
+        assert f"{message} 2..{MAX_RANK}\n" in err
     assert not out.exists()

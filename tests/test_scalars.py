@@ -9,6 +9,8 @@ from ramwedge.errors import FieldMismatchError, IndeterminateValuationError
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.scalars import INF, PiLaurent, truncated_inverse
 
+from oracles import series_inverse
+
 F13 = PrimeField(13)
 
 
@@ -167,3 +169,21 @@ def test_json_round_trip():
     q = Rationals()
     b = PiLaurent.make(q, {1: q.of_int(-2), 0: q.of_int(1) / 3})
     assert b.to_json() == [[0, "1/3"], [1, "-2/1"]]
+
+
+@pytest.mark.parametrize("field", [F13, Rationals()], ids=["F13", "Q"])
+def test_truncated_inverse_matches_the_series(field):
+    # the exact-monomial shortcut returns what the geometric series returns,
+    # precision included, and non-monomials still take the series
+    rng = random.Random(str(field))
+    for precision in range(1, 31):
+        for _ in range(12):
+            terms = 1 if rng.random() < 0.5 else rng.randrange(2, 4)
+            coeffs = {rng.randrange(-5, 6): field.of_int(rng.randrange(1, 13))
+                      for _ in range(terms)}
+            a = PiLaurent.make(field, coeffs)
+            if rng.random() < 0.3:
+                a = a.truncate(max(a.coeffs) + rng.randrange(1, 6))
+            want = series_inverse(a, precision)
+            got = truncated_inverse(a, precision)
+            assert (got.coeffs, got.precision) == (want.coeffs, want.precision), (a, precision)
