@@ -26,6 +26,7 @@ from itertools import combinations
 from .errors import SchemaError
 from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
+from .indexsets import MAX_RANK
 from .lattices import (HalfSpinLattice, annihilators,
                        intersect_with_standard_lattice, membership_over_R,
                        reduce_mod_pi, spanning_set)
@@ -429,6 +430,8 @@ def chart_point_from_json(obj) -> ChartPoint:
     n = obj["n"]
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise SchemaError("field 'n' must be an odd integer >= 3")
+    if n > MAX_RANK:
+        raise SchemaError(f"field 'n': rank {n} above the supported {MAX_RANK}")
     p = obj.get("p", DEFAULT_P)
     if p == "rationals":
         field = Rationals()

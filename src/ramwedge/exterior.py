@@ -370,27 +370,22 @@ def terms_to_json(n: int, terms: dict, coefficient_json) -> list:
             for t, c in sorted(terms.items(), key=lambda kv: rank[kv[0]])]
 
 
-def _insert_sign(mask: int, pos: int) -> int:
-    """Parity sign for moving a new factor at position pos past the factors
-    of mask that sit above it."""
-    return -1 if (mask >> pos).bit_count() % 2 else 1
-
-
 def wedge_columns_masks(columns, ring) -> dict:
     """Fold columns (sparse {position: coeff} maps) into a sparse wedge,
     keyed by bitmask.  Bilinear and alternating in the columns; the value at
-    a set is the minor on those rows in increasing order."""
+    a set is the minor on those rows in increasing order.  A new factor at
+    position pos moves past the factors of mask above it, so it enters
+    negated when (mask >> pos) has odd weight; each entry is negated once
+    per column, not once per term."""
     acc = {0: ring.one}
     for col in columns:
+        entries = [(1 << (pos - 1), pos, x, ring.neg(x)) for pos, x in col.items()]
         nxt = {}
         for mask, c in acc.items():
-            for pos, x in col.items():
-                bit = 1 << (pos - 1)
+            for bit, pos, x, neg_x in entries:
                 if mask & bit:
                     continue
-                term = ring.mul(c, x)
-                if _insert_sign(mask, pos) < 0:
-                    term = ring.neg(term)
+                term = ring.mul(c, neg_x if (mask >> pos).bit_count() & 1 else x)
                 key = mask | bit
                 if key in nxt:
                     merged = ring.add(nxt[key], term)

@@ -5,15 +5,31 @@ Every ring exposes the same small protocol (zero, one, add, sub, mul, neg,
 is_zero, from_base, and JSON conversion of elements) so the wedge machinery
 and the membership checks stay generic.  Elements are plain values: a field element, an (a, b) pair
 with b multiplying the square-zero generator, or a sparse
-{exponent-tuple: coefficient} map.
+{monomial key: coefficient} map.
+
+A polynomial's monomial key packs its exponent vector into one int, a
+fixed-width field per variable with variable 0 in the most significant
+field, so the key of a product is the sum of the keys and int order is
+exponent-tuple order.  The top bit of each field is a guard: PolyRing.mul
+raises instead of letting a field carry into its neighbour, and JSON input
+refuses exponents above EXPONENT_CAP, so a product of at most MAX_RANK input
+entries (each entry a chart computation forms is one) stays below the
+guard.  Keys are packed and unpacked only in this module: var, one, const,
+is_homogeneous_linear, linear_row and the JSON conversions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SchemaError
 from .fields import is_json_int
+from .indexsets import MAX_RANK
+
+FIELD_BITS = 16  # bits per variable in a monomial key, the top one a guard
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # the largest below the guard
+EXPONENT_CAP = MAX_EXPONENT // MAX_RANK  # the largest in JSON input
 
 
 @dataclass(frozen=True)
@@ -113,7 +129,8 @@ class DualNumbers:
 @dataclass(frozen=True)
 class PolyRing:
     """Multivariate polynomials over the base field with named variables.
-    Elements are sparse {exponent tuple: coefficient} maps."""
+    Elements are sparse {monomial key: coefficient} maps; a key is the
+    packed exponent vector of the module docstring."""
 
     field: object
     names: tuple
@@ -124,23 +141,43 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def _shifts(self) -> tuple:
+        """The bit offset of each variable's field, variable 0 in the top one."""
+        return tuple(FIELD_BITS * (self.nvars - 1 - i) for i in range(self.nvars))
+
+    @cached_property
+    def _var_index(self) -> dict:
+        """{key of variable i: i}."""
+        return {1 << shift: i for i, shift in enumerate(self._shifts)}
+
+    @cached_property
+    def _guard(self) -> int:
+        """The guard bits of every field."""
+        return sum(1 << (shift + FIELD_BITS - 1) for shift in self._shifts)
+
+    def _pack(self, exps) -> int:
+        return sum(e << shift for e, shift in zip(exps, self._shifts))
+
+    def _unpack(self, m: int) -> list:
+        low = (1 << FIELD_BITS) - 1
+        return [(m >> shift) & low for shift in self._shifts]
+
     @property
     def zero(self):
         return {}
 
     @property
     def one(self):
-        return {(0,) * self.nvars: self.field.one}
+        return {0: self.field.one}
 
     def var(self, i: int):
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return {tuple(exps): self.field.one}
+        return {1 << self._shifts[i]: self.field.one}
 
     def const(self, c):
         if self.field.is_zero(c):
             return {}
-        return {(0,) * self.nvars: c}
+        return {0: c}
 
     def add(self, a, b):
         f = self.field
@@ -157,16 +194,28 @@ class PolyRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        # a product of nonzero field elements is nonzero, so a fresh key
+        # takes it untested; the field ops are looked up on each call, not
+        # cached on the ring, so one patched later still sees every product
         f = self.field
+        fmul, fadd, fzero = f.mul, f.add, f.is_zero
+        guard = self._guard
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(m, None)
+                m = m1 + m2
+                if m & guard:
+                    raise OverflowError(f"a product over {self.names} has an "
+                                        f"exponent above {MAX_EXPONENT}")
+                c = fmul(c1, c2)
+                if m in out:
+                    s = fadd(out[m], c)
+                    if fzero(s):
+                        del out[m]
+                    else:
+                        out[m] = s
                 else:
-                    out[m] = s
+                    out[m] = c
         return out
 
     def neg(self, a):
@@ -179,17 +228,17 @@ class PolyRing:
         return self.const(c)
 
     def is_homogeneous_linear(self, a) -> bool:
-        return bool(a) and all(sum(m) == 1 for m in a)
+        return bool(a) and all(m in self._var_index for m in a)
 
     def linear_row(self, a) -> list:
         """Coefficient vector of a homogeneous linear polynomial."""
         row = [self.field.zero] * self.nvars
         for m, c in a.items():
-            row[m.index(1)] = c
+            row[self._var_index[m]] = c
         return row
 
     def element_to_json(self, a):
-        return [{"coeff": self.field.element_to_json(c), "exponents": list(m)}
+        return [{"coeff": self.field.element_to_json(c), "exponents": self._unpack(m)}
                 for m, c in sorted(a.items())]
 
     def element_from_json(self, obj):
@@ -205,13 +254,15 @@ class PolyRing:
                     and all(is_json_int(e) and e >= 0 for e in exps)):
                 raise SchemaError(
                     f"exponents must be a list of non-negative integers, got {exps!r}")
-            exps = tuple(exps)
             if len(exps) != self.nvars:
                 raise SchemaError(
                     f"term has {len(exps)} exponents for {self.nvars} variables")
+            if any(e > EXPONENT_CAP for e in exps):
+                raise SchemaError(f"exponents {exps!r} exceed the cap {EXPONENT_CAP}")
             c = f.element_from_json(term["coeff"])
             if not f.is_zero(c):
-                out[exps] = f.add(out.get(exps, f.zero), c)
+                m = self._pack(exps)
+                out[m] = f.add(out.get(m, f.zero), c)
         return {m: c for m, c in out.items() if not f.is_zero(c)}
 
 

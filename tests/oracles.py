@@ -1,4 +1,5 @@
-"""Brute-force oracles shared by the tests; the package does not use them."""
+"""Brute-force oracles and reference arithmetic shared by the tests; the
+package does not use them."""
 
 
 def det(ring, m, rows, cols):
@@ -40,3 +41,67 @@ def series_inverse(a, precision: int):
         term = -(term * t)
         acc = acc + term
     return acc.scale(lead_inv).shift(-v)
+
+
+class TuplePolyRing:
+    """Polynomials keyed by exponent tuples, the arithmetic PolyRing had
+    before its monomials were packed into ints: the reference for the
+    packed keys (test_rings.py).  Elements are {exponent tuple: coefficient}
+    maps over the same field."""
+
+    def __init__(self, field, nvars: int):
+        self.field = field
+        self.nvars = nvars
+
+    def add(self, a, b):
+        f = self.field
+        out = dict(a)
+        for m, c in b.items():
+            s = f.add(out.get(m, f.zero), c)
+            if f.is_zero(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+        return out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        f = self.field
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
+                if f.is_zero(s):
+                    out.pop(m, None)
+                else:
+                    out[m] = s
+        return out
+
+    def neg(self, a):
+        return {m: self.field.neg(c) for m, c in a.items()}
+
+    def is_homogeneous_linear(self, a) -> bool:
+        return bool(a) and all(sum(m) == 1 for m in a)
+
+    def linear_row(self, a) -> list:
+        row = [self.field.zero] * self.nvars
+        for m, c in a.items():
+            row[m.index(1)] = c
+        return row
+
+    def element_to_json(self, a):
+        return [{"coeff": self.field.element_to_json(c), "exponents": list(m)}
+                for m, c in sorted(a.items())]
+
+    def element_from_json(self, obj):
+        f = self.field
+        out = {}
+        for term in obj:
+            m = tuple(term["exponents"])
+            c = f.element_from_json(term["coeff"])
+            if not f.is_zero(c):
+                out[m] = f.add(out.get(m, f.zero), c)
+        return {m: c for m, c in out.items() if not f.is_zero(c)}

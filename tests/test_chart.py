@@ -219,6 +219,9 @@ def test_chart_point_json_round_trip():
 def test_chart_point_schema_errors():
     with pytest.raises(SchemaError, match="'n'"):
         chart_point_from_json({"ring": {"kind": "field"}, "X": []})
+    # above MAX_RANK a product of n capped entries could reach a guard bit
+    with pytest.raises(SchemaError, match="'n': rank 23 above"):
+        chart_point_from_json({"n": 23, "ring": {"kind": "field"}, "X": []})
     with pytest.raises(SchemaError, match="'X'"):
         chart_point_from_json({"n": 3, "ring": {"kind": "field"}, "X": [[0]]})
     with pytest.raises(SchemaError, match=r"X\[0\]\[1\]"):

@@ -8,6 +8,7 @@ import pytest
 from ramwedge.cli import main
 from ramwedge.drivers import Certificate
 from ramwedge.indexsets import MAX_RANK
+from ramwedge.rings import EXPONENT_CAP
 
 
 def read_json(path):
@@ -51,8 +52,7 @@ def test_verify_all_small(tmp_path):
 @pytest.mark.parametrize("n,notes", [
     ("3", ["counterexample: run at n = 5, not --n 3"]),
     ("5", []),
-    ("7", ["sign-lemma: run at n = 6, not --n 7",
-           "x1-zero: run at n = 5, not --n 7"]),
+    ("7", ["sign-lemma: run at n = 6, not --n 7"]),
 ])
 def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
                                                          capsys, n, notes):
@@ -70,7 +70,7 @@ def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
     (["worst-terms", "--n", "100"], "odd n with 3 <= n <= 9, got 100"),
     (["sign-lemma", "--n", "0"], "n with 2 <= n <= 6, got 0"),
     (["spin-structure", "--n", "-3"], "odd n with 3 <= n <= 7, got -3"),
-    (["x1-zero", "--n", "7"], "odd n with 3 <= n <= 5, got 7"),
+    (["x1-zero", "--n", "11"], "odd n with 3 <= n <= 9, got 11"),
     (["operator-identities", "--n", "4", "--signature", "3,1"],
      "odd n with 3 <= n <= 7, got 4"),
     (["all", "--n", "4"], "odd n with 3 <= n <= 9, got 4"),
@@ -287,6 +287,23 @@ def test_poly_exponents_must_be_non_negative_integers(tmp_path, capsys, exponent
     out = tmp_path / "results"
     assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
     assert "X[1][2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_poly_exponents_above_the_cap_are_refused(tmp_path, capsys):
+    point = {"n": 3, "p": 13, "signature": [2, 1],
+             "ring": {"kind": "poly", "variables": ["a", "b"]},
+             "X": [[[] for _ in range(3)] for _ in range(3)]}
+    point["X"][0][1] = [{"coeff": 1, "exponents": [EXPONENT_CAP, 0]}]
+    src = tmp_path / "cap.json"
+    src.write_text(json.dumps(point))
+    assert main(["check-point", "--input", str(src), "--out", str(tmp_path / "ok")]) == 0
+    point["X"][2][0] = [{"coeff": 1, "exponents": [0, EXPONENT_CAP + 1]}]
+    src.write_text(json.dumps(point))
+    out = tmp_path / "results"
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "X[2][0]" in err and f"cap {EXPONENT_CAP}" in err
     assert not out.exists()
 
 

@@ -112,14 +112,17 @@ def test_x1_zero_driver_small():
     assert cert.evidence["rank_membership_alone"] < 4
     assert cert.evidence["rank_symmetry_alone"] < 4
     with pytest.raises(ValueError):
-        verify_x1_zero(7)
+        verify_x1_zero(11)
 
 
 # Evidence recorded with the dense eliminator the driver used before it
-# shared lattices.residue_rank: variables, combined rank, linear equations,
-# nonlinear equations, rank of membership alone, rank of symmetry alone.
+# shared lattices.residue_rank (n = 3, 5), and with tuple-keyed polynomials
+# (n = 7): variables, combined rank, linear equations, nonlinear equations,
+# rank of membership alone, rank of symmetry alone.  CI pins n = 9,
+# (64, 64, 28, 12805, 28, 36), on the command line.
 @pytest.mark.parametrize("n,evidence", [(3, (4, 4, 1, 1, 1, 3)),
-                                        (5, (16, 16, 6, 53, 6, 10))])
+                                        (5, (16, 16, 6, 53, 6, 10)),
+                                        (7, (36, 36, 15, 887, 15, 21))])
 def test_x1_zero_evidence_pinned(n, evidence):
     cert = verify_x1_zero(n)
     assert cert.passed
@@ -164,13 +167,13 @@ def test_bundle_ranks_cap_each_driver_at_its_range():
            "counterexample", "x1-zero", "operator-identities"]
     assert bundle_ranks(3) == list(zip(ids, [3, 3, 3, 3, 5, 3, 3]))
     assert bundle_ranks(5) == list(zip(ids, [5, 5, 5, 5, 5, 5, 5]))
-    assert bundle_ranks(9) == list(zip(ids, [6, 9, 7, 7, 9, 5, 7]))
+    assert bundle_ranks(9) == list(zip(ids, [6, 9, 7, 7, 9, 9, 7]))
 
 
 @pytest.mark.parametrize("result_id,n", [
     ("sign-lemma", 0), ("sign-lemma", 7), ("worst-terms", 100),
     ("worst-terms", 4), ("refined-basis", 9), ("spin-structure", -3),
-    ("counterexample", 3), ("x1-zero", 7), ("operator-identities", 4),
+    ("counterexample", 3), ("x1-zero", 11), ("operator-identities", 4),
     ("all", 4), ("all", 1)])
 def test_run_driver_rejects_ranks_out_of_range(result_id, n):
     with pytest.raises(RankError):

@@ -1,10 +1,17 @@
-"""Coefficient rings: dual numbers, polynomials, JSON encodings."""
+"""Coefficient rings: dual numbers, polynomials, JSON encodings, and the
+packed monomial keys against tuple-keyed reference arithmetic."""
+
+import json
+import random
 
 import pytest
 
+from oracles import TuplePolyRing
 from ramwedge.errors import SchemaError
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.rings import DualNumbers, FieldRing, PolyRing, ring_from_json
+from ramwedge.indexsets import MAX_RANK
+from ramwedge.rings import (EXPONENT_CAP, DualNumbers, FieldRing, PolyRing,
+                            ring_from_json)
 
 F = PrimeField(13)
 
@@ -75,3 +82,65 @@ def test_malformed_elements_rejected():
         r.element_from_json([{"coeff": 1, "exponents": [1, 2]}])
     with pytest.raises(SchemaError):
         r.element_from_json([{"coefficient": 1}])
+
+
+def _random_terms(rng, field, nvars):
+    """JSON terms of a random polynomial: three times in ten homogeneous
+    linear, else up to five terms with exponents up to the input cap (most
+    of them zero).  Coefficients are ints over F_13, ints or fractions over Q."""
+    linear = rng.random() < 0.3
+    terms = []
+    for _ in range(rng.randrange(1, 6)):
+        if linear:
+            exps = [0] * nvars
+            exps[rng.randrange(nvars)] = 1
+        else:
+            exps = [rng.choice((0, 0, 1, 2, EXPONENT_CAP, rng.randrange(EXPONENT_CAP + 1)))
+                    for _ in range(nvars)]
+        coeff = rng.randrange(-20, 21)
+        if isinstance(field, Rationals) and rng.random() < 0.5:
+            coeff = f"{coeff}/{rng.randrange(1, 8)}"
+        terms.append({"coeff": coeff, "exponents": exps})
+    return terms
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 64])
+@pytest.mark.parametrize("field", [F, Rationals()], ids=["F13", "Q"])
+def test_packed_keys_agree_with_tuple_keyed_arithmetic(field, nvars):
+    rng = random.Random(f"packed:{field.key()}:{nvars}")
+    ring = PolyRing(field, tuple(f"x{i}" for i in range(nvars)))
+    oracle = TuplePolyRing(field, nvars)
+
+    def unpacked(a):
+        return [(tuple(ring._unpack(m)), c) for m, c in a.items()]
+
+    def same(got, want):
+        assert unpacked(got) == list(want.items())
+        assert (json.dumps(ring.element_to_json(got))
+                == json.dumps(oracle.element_to_json(want)))
+
+    for _ in range(60):
+        pair = [_random_terms(rng, field, nvars) for _ in range(2)]
+        a, b = (ring.element_from_json(t) for t in pair)
+        oa, ob = (oracle.element_from_json(t) for t in pair)
+        same(a, oa)
+        same(b, ob)
+        for op in ("add", "sub", "mul"):
+            same(getattr(ring, op)(a, b), getattr(oracle, op)(oa, ob))
+        same(ring.neg(a), oracle.neg(oa))
+        assert ring.is_homogeneous_linear(a) == oracle.is_homogeneous_linear(oa)
+        if oracle.is_homogeneous_linear(oa):
+            assert ring.linear_row(a) == oracle.linear_row(oa)
+
+
+def test_product_past_the_field_raises_instead_of_wrapping():
+    r = PolyRing(F, ("a", "b", "c"))
+    b_cap = r.element_from_json([{"coeff": 1, "exponents": [0, EXPONENT_CAP, 0]}])
+    power = r.one
+    for _ in range(MAX_RANK):  # a chart computation's longest product
+        power = r.mul(power, b_cap)
+    assert r.element_to_json(power) == [
+        {"coeff": 1, "exponents": [0, MAX_RANK * EXPONENT_CAP, 0]}]
+    with pytest.raises(OverflowError):
+        r.mul(power, b_cap)
+
