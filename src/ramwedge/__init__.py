@@ -14,19 +14,19 @@ from .exterior import (Frame, WedgeVector, apply_wedge_power_operator,
 from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, index_masks, shuffle_sign,
                         sigma_sign_bruteforce)
-from .lattices import (AnnihilatorSet, DVRTriangularBasis, HalfSpinLattice,
+from .lattices import (AnnihilatorSet, BlockLattice, DVRTriangularBasis,
                        ResidueBasis, annihilators,
                        intersect_with_standard_lattice, membership_over_R,
-                       reduce_mod_pi, spanning_set)
+                       reduce_mod_pi)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import PiLaurent, truncated_inverse
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnihilatorSet", "ChartPoint", "ConditionReport",
+    "AnnihilatorSet", "BlockLattice", "ChartPoint", "ConditionReport",
     "DVRTriangularBasis", "DualNumbers", "FieldMismatchError", "FieldRing",
-    "Frame", "HalfSpinLattice", "IndexSet", "IndeterminateValuationError",
+    "Frame", "IndexSet", "IndeterminateValuationError",
     "PiLaurent", "PolyRing", "PrecisionExhaustedError", "PrimeField",
     "Rationals", "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
     "annihilators", "apply_wedge_power_operator", "basis_wedge",
@@ -35,6 +35,6 @@ __all__ = [
     "form_eval", "frame_in_e", "full_report", "g_frame", "index_masks",
     "intersect_with_standard_lattice", "lambda_frame", "membership_over_R",
     "reduce_mod_pi", "shuffle_sign", "sigma_sign_bruteforce",
-    "spanning_set", "standard_e_frame", "truncated_inverse",
+    "standard_e_frame", "truncated_inverse",
     "wedge_columns", "wedge_vector", "worst_terms",
 ]

@@ -26,10 +26,8 @@ from itertools import combinations
 from .errors import SchemaError
 from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
-from .indexsets import MAX_RANK
-from .lattices import (HalfSpinLattice, annihilators,
-                       intersect_with_standard_lattice, membership_over_R,
-                       reduce_mod_pi, spanning_set)
+from .indexsets import MAX_RANK, bounded_type_masks, lex_ranks, type_masks
+from .lattices import BlockLattice, membership_over_R, signature_eps
 from .rings import ring_from_json, ring_to_json
 
 DEFAULT_P = 13
@@ -306,30 +304,33 @@ def check_trace(pt: ChartPoint) -> Verdict:
 
 @lru_cache(maxsize=None)
 def spin_annihilators(n: int, field_key: tuple, eps: int,
-                      precision: int = DEFAULT_PRECISION) -> HalfSpinLattice:
-    """The eps half-spin lattice, whose weight blocks are built as points
-    touch them (covering) or all at once (whole(), annihilators)."""
-    return HalfSpinLattice(frame_in_e("f_split", n, field_from_key(field_key)),
-                           eps, precision)
+                      precision: int = DEFAULT_PRECISION) -> BlockLattice:
+    """The eps half-spin lattice: pairs over every index set of size n, read
+    as the keys of their rank table rather than enumerated for each sign."""
+    return BlockLattice(frame_in_e("f_split", n, field_from_key(field_key)), n,
+                        lex_ranks(n, n).keys(), eps, precision)
 
 
 @lru_cache(maxsize=None)
 def refined_annihilators(n: int, field_key: tuple, r: int, s: int,
-                         precision: int = DEFAULT_PRECISION):
-    field = field_from_key(field_key)
-    gens = spanning_set("refined", n, field, r=r, s=s)
-    return annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, precision)))
+                         precision: int = DEFAULT_PRECISION) -> BlockLattice:
+    """The half-spin lattice refined by the signature (r, s): pairs over the
+    index sets of type (r, s), with the sign that s fixes."""
+    return BlockLattice(frame_in_e("g_split", n, field_from_key(field_key)), n,
+                        type_masks(n, r, s), signature_eps(s), precision)
 
 
 @lru_cache(maxsize=None)
 def kl_annihilators(n: int, field_key: tuple, l: int, r: int, s: int,
-                    precision: int = DEFAULT_PRECISION):
-    field = field_from_key(field_key)
-    gens = spanning_set("kl", n, field, l=l, r=r, s=s)
-    return annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, precision)))
+                    precision: int = DEFAULT_PRECISION) -> BlockLattice:
+    """The degree-l lattice bounded by the signature (r, s): the unpaired
+    wedges over the index sets of size l and type at most (r, s)."""
+    return BlockLattice(frame_in_e("g_split", n, field_from_key(field_key)), l,
+                        bounded_type_masks(n, l, r, s), None, precision)
 
 
-def _membership_verdict(result) -> Verdict:
+def _membership_verdict(lattice: BlockLattice, w: WedgeVector, ring) -> Verdict:
+    result = membership_over_R(w, lattice.covering(w.terms), ring)
     if result.ok:
         return Verdict(PASS)
     return Verdict(FAIL, result.witness)
@@ -341,7 +342,7 @@ def check_spin(pt: ChartPoint, eps: int, precision: int = DEFAULT_PRECISION,
     lattice.  `wedge` is wedge_vector(pt) when the caller has it already."""
     spin = spin_annihilators(pt.n, pt.ring.field.key(), eps, precision)
     w = wedge_vector(pt) if wedge is None else wedge
-    return _membership_verdict(membership_over_R(w, spin.covering(w.terms), pt.ring))
+    return _membership_verdict(spin, w, pt.ring)
 
 
 def check_refined(pt: ChartPoint, precision: int = DEFAULT_PRECISION,
@@ -350,9 +351,9 @@ def check_refined(pt: ChartPoint, precision: int = DEFAULT_PRECISION,
     refined by the point's signature.  `wedge` is wedge_vector(pt) when the
     caller has it already."""
     r, s = pt.signature
-    ann = refined_annihilators(pt.n, pt.ring.field.key(), r, s, precision)
+    refined = refined_annihilators(pt.n, pt.ring.field.key(), r, s, precision)
     w = wedge_vector(pt) if wedge is None else wedge
-    return _membership_verdict(membership_over_R(w, ann, pt.ring))
+    return _membership_verdict(refined, w, pt.ring)
 
 
 def check_kl(pt: ChartPoint, l: int, precision: int = DEFAULT_PRECISION,
@@ -366,14 +367,14 @@ def check_kl(pt: ChartPoint, l: int, precision: int = DEFAULT_PRECISION,
         raise ValueError(f"wedge degree {l} outside 1..{pt.n}")
     if wedge is not None and l != pt.n:
         raise ValueError(f"a given wedge is the top wedge, of degree {pt.n}, not {l}")
-    ann = kl_annihilators(pt.n, pt.ring.field.key(), l, r, s, precision)
+    kl = kl_annihilators(pt.n, pt.ring.field.key(), l, r, s, precision)
     wedges = (partial_wedge_vectors(pt, l) if wedge is None
               else [(tuple(range(pt.n)), wedge)])
     for combo, w in wedges:
-        result = membership_over_R(w, ann, pt.ring)
-        if not result.ok:
+        verdict = _membership_verdict(kl, w, pt.ring)
+        if verdict.failed:
             cols = tuple(j + 1 for j in combo)
-            return Verdict(FAIL, f"columns {cols}: {result.witness}")
+            return Verdict(FAIL, f"columns {cols}: {verdict.witness}")
     return Verdict(PASS)
 
 

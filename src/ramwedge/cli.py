@@ -16,15 +16,14 @@ import sys
 import tempfile
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
-                    full_report, spin_annihilators)
+                    full_report, kl_annihilators, refined_annihilators,
+                    spin_annihilators)
 from .drivers import bundle_ranks, run_driver
 from .errors import (PrecisionExhaustedError, RankError, SchemaError,
                      SignatureError)
 from .fields import PrimeField
 from .indexsets import MAX_RANK
-from .lattices import (GUARD_BAND, annihilators,
-                       intersect_with_standard_lattice, reduce_mod_pi,
-                       signature_eps, spanning_set)
+from .lattices import GUARD_BAND, signature_eps
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -179,11 +178,13 @@ def cmd_dump_basis(args) -> int:
             raise SignatureError("basis spin reads no signature; its sign is --eps")
         kwargs["eps"] = _parse_eps(args.eps) if args.eps else 1
         label = f"spin{kwargs['eps']:+d}"
+        lattice = spin_annihilators(n, field.key(), kwargs["eps"], precision)
     elif args.kind == "refined":
         r, s = _dump_signature(args, n)
         kwargs.update(r=r, s=s)
-        derived["eps"] = signature_eps(s)  # recorded; spanning_set derives it
+        derived["eps"] = signature_eps(s)  # recorded; the signature fixes it
         label = f"refined-{r}-{s}"
+        lattice = refined_annihilators(n, field.key(), r, s, precision)
     else:  # kl, the last of the parser's choices
         r, s = _dump_signature(args, n)
         l = args.l if args.l is not None else n
@@ -191,14 +192,8 @@ def cmd_dump_basis(args) -> int:
             raise SchemaError(f"--l {l}: basis kl needs 1 <= l <= n = {n}")
         kwargs.update(l=l, r=r, s=s)
         label = f"kl-{l}-{r}-{s}"
-    if args.kind == "spin":
-        basis, residue, ann = spin_annihilators(n, field.key(), kwargs["eps"],
-                                                precision).whole()
-    else:
-        basis = intersect_with_standard_lattice(
-            spanning_set(args.kind, n, field, **kwargs), precision)
-        residue = reduce_mod_pi(basis)
-        ann = annihilators(residue)
+        lattice = kl_annihilators(n, field.key(), l, r, s, precision)
+    basis, residue, ann = lattice.whole()
     out_obj = {
         "kind": args.kind,
         "n": n,

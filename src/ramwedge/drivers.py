@@ -22,10 +22,8 @@ from .indexsets import (IndexSet, bounded_type_masks, i_vee, index_masks,
                         shuffle_sign, sigma_sign_bruteforce, type_masks,
                         type_n11_sets)
 from .lattices import (annihilator_evaluations, echelon_lattice_basis,
-                       intersect_with_standard_lattice,
                        lattice_contains, membership_over_R, paired_generator,
-                       reduce_mod_pi, residue_rank, residue_spans_equal,
-                       signature_eps, spanning_set)
+                       residue_rank, residue_spans_equal, signature_eps)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
 
@@ -309,20 +307,19 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
     coded families."""
     _require_rank("refined-basis", n)
     field = PrimeField(p)
-    gens = spanning_set("refined", n, field, r=n - 1, s=1)
-    computed = intersect_with_standard_lattice(gens, precision)
+    refined = refined_annihilators(n, field.key(), n - 1, 1, precision)
+    computed, rb, _ = refined.whole()
     scaled = scaled_pair_generators(field, n)
     scaled_echelon = echelon_lattice_basis(scaled, precision)
     fwd = all(lattice_contains(scaled_echelon, col) for col in computed.columns)
     bwd = all(lattice_contains(computed, w) for w in scaled)
-    rb = reduce_mod_pi(computed)
     cor = corollary_residue_vectors(field, n)
     spans = residue_spans_equal(field, list(rb.vectors), cor)
     dims = (len(rb) == len(cor) == residue_rank(field, cor))
     verdict = "pass" if (fwd and bwd and spans and dims) else "fail"
     return Certificate("refined-basis", {"n": n, "p": p, "precision": precision},
                        verdict,
-                       {"generators": len(gens), "lattice_rank": computed.rank,
+                       {"generators": refined.generators, "lattice_rank": computed.rank,
                         "computed_in_scaled": fwd, "scaled_in_computed": bwd,
                         "residue_dimension": len(rb), "listed_elements": len(cor),
                         "residue_spans_equal": spans})
@@ -427,7 +424,7 @@ def verify_x1_zero(n: int, p: int = DEFAULT_P,
     pt = ChartPoint.from_blocks(n, ring, x1, [ring.zero] * d)
 
     v = wedge_vector(pt)
-    ann = refined_annihilators(n, field.key(), n - 1, 1, precision)
+    ann = refined_annihilators(n, field.key(), n - 1, 1, precision).annihilators
     linear_rows = []
     nonlinear = 0
     for _, value in annihilator_evaluations(ann, v.terms, ring):

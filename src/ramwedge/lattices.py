@@ -1,10 +1,10 @@
-"""Lattices over the valuation ring inside wedge powers: spanning sets for
-the half-spin, signature-refined, and lower-degree eigenspace subspaces;
-intersection with the standard lattice by pi-adic column reduction;
-reduction mod pi; one Gauss-Jordan elimination over k for ranks and
-annihilators; annihilator-based membership over coefficient rings; and the
-half-spin lattice as a direct sum of weight blocks, each reduced the first
-time it is touched.
+"""Lattices over the valuation ring inside wedge powers: the paired and
+unpaired frame-wedge generators; intersection with the standard lattice by
+pi-adic column reduction; reduction mod pi; one Gauss-Jordan elimination
+over k for ranks and annihilators; annihilator-based membership over
+coefficient rings; and BlockLattice, the one lattice the checkers and dumps
+read, built one weight block at a time for each of its three families
+(half-spin, signature-refined, and degree-l type-bounded).
 
 All wedge coordinates here are in the e-basis of the standard lattice,
 where lattice membership means every coefficient has valuation >= 0.  The
@@ -23,17 +23,15 @@ from functools import cached_property
 from math import comb
 
 from .errors import PrecisionExhaustedError
-from .exterior import (WedgeVector, _add_multiple, basis_wedge, frame_in_e,
-                       terms_to_json)
-from .indexsets import (IndexSet, bounded_type_masks, index_masks, lex_ranks,
-                        perp_mask, shuffle_sign, star_mask, type_masks)
+from .exterior import WedgeVector, _add_multiple, basis_wedge, terms_to_json
+from .indexsets import IndexSet, lex_ranks, perp_mask, shuffle_sign, star_mask
 from .scalars import LaurentOps, truncated_inverse
 
 GUARD_BAND = 4
 
 
 # ---------------------------------------------------------------------------
-# Spanning sets
+# Generators
 
 
 def signature_eps(s: int) -> int:
@@ -83,44 +81,6 @@ def _paired_generators(frame, masks: list, eps: int):
         if g.terms:
             gens.append(g)
     return gens
-
-
-def spanning_set(kind: str, n: int, field, eps: int = None, r: int = None,
-                 s: int = None, l: int = None) -> list:
-    """F-spanning set, in e-basis coordinates, of one of:
-
-      spin:    the eps-eigenspace of the half-spin involution
-               (generators f_S + eps*sgn(sigma_S)*f_{S-perp});
-      refined: its intersection with the signature-(r, s) summand, whose
-               sign is eps = signature_eps(s)
-               (generators g_S + eps*sgn(sigma_S)*g_{S-perp}, S of type (r, s));
-      kl:      the degree-l sum of eigenspace wedges with at most r factors
-               from the -pi eigenspace and at most s from the +pi one
-               (generators g_S, |S| = l, componentwise type bounded by (r, s)).
-
-    A parameter the kind does not read raises ValueError.  The sets are
-    enumerated as masks in lex order, not filtered.
-    """
-    reads = {"spin": ("eps",), "refined": ("r", "s"), "kl": ("l", "r", "s")}.get(kind)
-    if reads is None:
-        raise ValueError(f"unknown spanning kind {kind!r}")
-    for name, value in (("eps", eps), ("r", r), ("s", s), ("l", l)):
-        if value is not None and name not in reads:
-            raise ValueError(f"{kind} reads no {name}, got {name}={value}")
-    if kind == "spin":
-        if eps not in (1, -1):
-            raise ValueError("spin requires eps in {+1, -1}")
-        return _paired_generators(frame_in_e("f_split", n, field),
-                                  index_masks(n), eps)
-    if r is None or s is None or r + s != n:
-        raise ValueError(f"{kind} requires a signature r + s = n")
-    if kind == "refined":
-        return _paired_generators(frame_in_e("g_split", n, field),
-                                  type_masks(n, r, s), signature_eps(s))
-    if l is None or not 1 <= l <= n:
-        raise ValueError("kl requires 1 <= l <= n")
-    gfr = frame_in_e("g_split", n, field)
-    return [basis_wedge(gfr, m) for m in bounded_type_masks(n, l, r, s)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +432,7 @@ def membership_over_R(w, ann: AnnihilatorSet, ring) -> MembershipResult:
 
 
 # ---------------------------------------------------------------------------
-# The half-spin lattice, one weight block at a time
+# One lattice, one weight block at a time
 
 
 def _slot_weight(n: int, mask: int) -> tuple:
@@ -493,64 +453,77 @@ def _weight_masks(n: int, twos: int, ones: int) -> list:
     return out
 
 
-class HalfSpinLattice:
-    """The eps half-spin lattice of a frame (the f-frame in e-coordinates),
-    spanned by the paired generators w_S + eps * sgn(sigma_S) * w_{S-perp},
-    built one weight block at a time.
+class BlockLattice:
+    """The lattice of one generator family, built one weight block at a
+    time.  The family is its masks of one wedge degree and its pairing
+    sign eps: spin pairs f_S + eps * sgn(sigma_S) * f_{S-perp} over every
+    mask of size n; refined pairs the g-frame wedges the same way over the
+    type-(r, s) masks with eps = signature_eps(s); kl takes the unpaired
+    g_S over the type-bounded masks of size l (eps None).
 
-    A block is the set of index sets whose slot weight is w or 2 - reverse(w),
-    the weight of S-perp.  Every frame vector lies in one slot, so a wedge
-    of frame vectors keeps the slot weight of its index set, and the paired
-    generator of S lies in the block of S; a generator that does not raises
-    ValueError.  The lattice is then the direct sum of its blocks, and each
-    block is reduced (pi-adic echelon, residue basis, annihilators) on its
-    own.  Only the annihilators of a block are kept, from the first time a
-    mask of it is asked for.
+    A block is the index sets of slot weight w, with those of 2 - reverse(w),
+    the weight of S-perp, when the family is paired; its generators are
+    those of the family masks in it, so a block without one is empty and
+    its coordinates are off the support.  Every frame vector lies in one
+    slot, so each generator lies in the block of its set (one that does not
+    raises ValueError), the lattice is the direct sum of its blocks, and a
+    block is reduced on its own the first time a mask of it is asked for;
+    only its annihilators are kept, and `generators` counts its generators.
 
     covering(terms) builds the blocks a coefficient vector touches and
     serves as its annihilator set: support_set is the union of the built
     blocks' supports, and an untouched block holds zero coordinates, which
-    lie in every span.  whole() merges every block into the lattice that
-    the global pipeline, intersect_with_standard_lattice of
-    spanning_set("spin"), builds, column for column.
+    lie in every span.  whole() merges the family's blocks into the lattice
+    that the global pipeline, intersect_with_standard_lattice of every
+    generator of the family, builds, column for column.
     """
 
     functionals = ()  # as an annihilator set; see covering
 
-    def __init__(self, frame, eps: int, precision: int):
-        if eps not in (1, -1):
-            raise ValueError("spin requires eps in {+1, -1}")
-        self.frame, self.eps, self.precision = frame, eps, precision
-        self.n = frame.n
-        self.lex_rank = lex_ranks(self.n, self.n)
+    def __init__(self, frame, degree: int, masks, eps, precision: int):
+        if eps not in (1, -1, None):
+            raise ValueError("the pairing sign eps is +1, -1 or None (unpaired)")
+        self.frame, self.degree, self.eps = frame, degree, eps
+        self.n, self.precision = frame.n, precision
+        self.lex_rank = lex_ranks(self.n, degree)
+        self.masks = masks
+        # a family of every mask of the degree (spin) needs no lookup
+        self._family = None if len(masks) == len(self.lex_rank) else frozenset(masks)
+        self.generators = 0
         self.support_set = set()
         self._block_of = {}  # mask -> annihilators of its block, once built
-        self._masks = comb(2 * self.n, self.n)
         self._functional_blocks = False
 
     def _block_masks(self, mask: int) -> list:
-        """The masks of the block holding the mask, in lex order."""
+        """The masks of the block holding the mask."""
         n = self.n
-        weights = {_slot_weight(n, mask), _slot_weight(n, perp_mask(n, mask))}
-        return sorted((m for w in weights for m in _weight_masks(n, *w)),
-                      key=self.lex_rank.__getitem__)
+        weights = {_slot_weight(n, mask)}
+        if self.eps is not None:
+            weights.add(_slot_weight(n, perp_mask(n, mask)))
+        return [m for w in weights for m in _weight_masks(n, *w)]
 
     def _reduce(self, masks: list) -> tuple:
         """The block of these masks reduced: its lattice basis and the
         annihilators of its residue span, recorded for block()."""
-        n, inside = self.n, set(masks)
-        gens = _paired_generators(self.frame, masks, self.eps)
+        n, frame, rank = self.n, self.frame, self.lex_rank
+        family = sorted((m for m in masks if self._family is None or m in self._family),
+                        key=rank.__getitem__)
+        gens = ([basis_wedge(frame, m) for m in family] if self.eps is None
+                else _paired_generators(frame, family, self.eps))
+        inside = set(masks)
         for g in gens:
             if not inside.issuperset(g.terms):
-                raise ValueError(f"a paired generator crosses the weight block "
-                                 f"of {IndexSet(n, masks[0]).members}")
+                least = min(masks, key=rank.__getitem__)
+                raise ValueError(f"a generator crosses the weight block "
+                                 f"of {IndexSet(n, least).members}")
         basis = (intersect_with_standard_lattice(gens, self.precision) if gens else
-                 DVRTriangularBasis(n, n, self.frame.field, self.precision, (), ()))
+                 DVRTriangularBasis(n, self.degree, frame.field, self.precision, (), ()))
         ann = annihilators(reduce_mod_pi(basis))
         if masks[0] not in self._block_of:
             self._block_of.update(dict.fromkeys(masks, ann))
             self.support_set.update(ann.support)
             self._functional_blocks |= bool(ann.functionals)
+            self.generators += len(gens)
         return basis, ann
 
     def block(self, mask: int) -> AnnihilatorSet:
@@ -566,9 +539,12 @@ class HalfSpinLattice:
         with these terms ({mask: coefficient}): self once the blocks they
         touch are built, or the merged set when one of those blocks has
         kernel functionals, so that functional[i] keeps its global
-        numbering (at odd n no block has any)."""
+        numbering.  Once merged, that set decides every vector."""
+        merged = vars(self).get("annihilators")
+        if merged is not None:
+            return merged
         block_of = self._block_of
-        if len(block_of) < self._masks and not terms.keys() <= block_of.keys():
+        if len(block_of) < len(self.lex_rank) and not terms.keys() <= block_of.keys():
             for t in terms:
                 if t not in block_of:
                     self.block(t)
@@ -582,13 +558,14 @@ class HalfSpinLattice:
         residue span: the supports and the functionals in lex order, each
         functional keyed by its first entry, the non-pivot support
         coordinate it belongs to (as annihilators orders them)."""
-        for m in index_masks(self.n):
-            self.block(m)
+        for m in self.masks:
+            if m not in self._block_of:
+                self.block(m)
         blocks = {id(ann): ann for ann in self._block_of.values()}.values()
         rank = self.lex_rank
         functionals = sorted((phi for ann in blocks for phi in ann.functionals),
                              key=lambda phi: rank[next(iter(phi))])
-        return AnnihilatorSet(self.n, self.n, self.frame.field,
+        return AnnihilatorSet(self.n, self.degree, self.frame.field,
                               tuple(sorted(self.support_set, key=rank.__getitem__)),
                               tuple(functionals),
                               sum(ann.span_rank for ann in blocks))
@@ -598,14 +575,14 @@ class HalfSpinLattice:
         return self.annihilators.span_rank
 
     def whole(self) -> tuple:
-        """Every block reduced again and merged, not kept: the lattice
-        basis, residue basis and annihilators that the global pipeline
-        builds.  The block echelons are interleaved by (pivot valuation,
-        lex rank of the pivot), the order in which the global echelon takes
-        their pivots, since no column holds entries of two blocks."""
-        n, rank = self.n, self.lex_rank
-        blocks, seen = [], set()
-        for m in index_masks(n):
+        """The family's blocks reduced again and merged, not kept: the
+        lattice basis, residue basis and annihilators that the global
+        pipeline builds.  The block echelons are interleaved by (pivot
+        valuation, lex rank of the pivot), the order in which the global
+        echelon takes their pivots, since no column holds entries of two
+        blocks."""
+        rank, blocks, seen = self.lex_rank, [], set()
+        for m in self.masks:
             if m not in seen:
                 masks = self._block_masks(m)
                 seen.update(masks)
@@ -613,7 +590,7 @@ class HalfSpinLattice:
         merged = list(heapq.merge(
             *(zip(b.pivots, b.columns) for b in blocks),
             key=lambda pivot_column: (pivot_column[0][1], rank[pivot_column[0][0]])))
-        basis = DVRTriangularBasis(n, n, self.frame.field, self.precision,
-                                   tuple(p for p, _ in merged),
+        basis = DVRTriangularBasis(self.n, self.degree, self.frame.field,
+                                   self.precision, tuple(p for p, _ in merged),
                                    tuple(c for _, c in merged))
         return basis, reduce_mod_pi(basis), self.annihilators

@@ -1,6 +1,21 @@
 """Brute-force oracles and reference arithmetic shared by the tests; the
 package does not use them."""
 
+from ramwedge.exterior import basis_wedge, frame_in_e
+from ramwedge.indexsets import bounded_type_masks, index_masks, type_masks
+from ramwedge.lattices import _paired_generators, signature_eps
+
+
+def spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
+    """Every generator of a family (see lattices.BlockLattice) built whole:
+    the global pipeline's input, the block lattice's oracle."""
+    if kind == "spin":
+        return _paired_generators(frame_in_e("f_split", n, field), index_masks(n), eps)
+    gfr = frame_in_e("g_split", n, field)
+    if kind == "refined":
+        return _paired_generators(gfr, type_masks(n, r, s), signature_eps(s))
+    return [basis_wedge(gfr, m) for m in bounded_type_masks(n, l, r, s)]
+
 
 def det(ring, m, rows, cols):
     """Determinant of the submatrix of m on the given rows and columns, by

@@ -313,7 +313,8 @@ def _refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("run_driver", "spanning_set", "full_report"):
+    for name in ("run_driver", "spin_annihilators", "refined_annihilators",
+                 "kl_annihilators", "full_report"):
         monkeypatch.setattr(cli_mod, name, refuse)
 
 

@@ -87,6 +87,19 @@ GOLDEN = {
         "basis-kl-3-4-1-n5.json":
             "85528e8f24184ad97a62059f7fb4c780c199bb0aa8db6dd7b3c9f4bd7fb3ee9b",
     },
+    # n = 7, where weight blocks first hold several generators each
+    ("basis", "spin", "--n", "7"): {
+        "basis-spin+1-n7.json":
+            "cb2d2c583d7eb4d4f29d0248487e8b911ac0a1951158b5fb68035bffc2a3833e",
+    },
+    ("basis", "refined", "--n", "7"): {
+        "basis-refined-6-1-n7.json":
+            "9a5ac19af60af0debff5efb92e01a578530b44774bd6395b77d5406a7992e343",
+    },
+    ("basis", "kl", "--n", "7", "--l", "5"): {
+        "basis-kl-5-6-1-n7.json":
+            "b19f9ffb5a535f5d5786ee2f47c0fdcae081eefde87f2c7b0969c60c54b426e7",
+    },
     ("check-point", "field-f13"): {
         "report.json": "fa26a3b60eea9ca7a1abb7f6451d79708718749acf5eeee9a39acffa5a3e881f",
     },

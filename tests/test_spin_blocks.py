@@ -1,22 +1,27 @@
-"""The half-spin lattice built one weight block at a time, against the
-global pipeline (intersect_with_standard_lattice of spanning_set("spin"))
-as its oracle."""
+"""The block lattice of each family (half-spin, signature-refined and
+degree-l type-bounded), built one weight block at a time, against the
+global pipeline (intersect_with_standard_lattice of the oracle
+spanning_set) as its oracle."""
 
 import pytest
 
-from ramwedge.chart import check_spin, spin_annihilators, wedge_vector
+from ramwedge.chart import (FAIL, Verdict, check_kl, check_refined, check_spin,
+                            kl_annihilators, refined_annihilators,
+                            spin_annihilators, wedge_vector)
 from ramwedge.drivers import counterexample_point, sample_chart_points
 from ramwedge.exterior import Frame, frame_in_e
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import IndexSet, index_masks, lex_ranks
-from ramwedge.lattices import (HalfSpinLattice, annihilators,
+from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks,
+                                lex_ranks, type_masks)
+from ramwedge.lattices import (BlockLattice, annihilators,
                                intersect_with_standard_lattice,
                                membership_over_R, pi_adic_column_echelon,
-                               reduce_mod_pi, spanning_set)
+                               reduce_mod_pi, signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import PiLaurent
 from ramwedge import lattices
 
+from oracles import spanning_set
 from test_lattices import annihilator_digest
 
 PRECISION = 24
@@ -24,8 +29,21 @@ FIELDS = {"F3": PrimeField(3), "F5": PrimeField(5), "F13": PrimeField(13),
           "Q": Rationals()}
 
 
+def family_lattice(kind, n, field, eps=None, r=None, s=None, l=None, frame=None):
+    """The block lattice of a family, with the parameters of spanning_set;
+    frame replaces the family's own frame."""
+    if kind == "spin":
+        frame_kind, degree, masks = "f_split", n, index_masks(n)
+    elif kind == "refined":
+        frame_kind, degree, masks, eps = "g_split", n, type_masks(n, r, s), signature_eps(s)
+    else:
+        frame_kind, degree, masks = "g_split", l, bounded_type_masks(n, l, r, s)
+    return BlockLattice(frame or frame_in_e(frame_kind, n, field), degree, masks, eps,
+                        PRECISION)
+
+
 def block_lattice(n, field, eps):
-    return HalfSpinLattice(frame_in_e("f_split", n, field), eps, PRECISION)
+    return family_lattice("spin", n, field, eps=eps)
 
 
 def global_lattice(n, field, eps):
@@ -45,13 +63,32 @@ def same_block(n, a, b):
     return wb in (wa, tuple(2 - x for x in reversed(wa)))
 
 
-@pytest.mark.parametrize("eps", [1, -1])
-@pytest.mark.parametrize("field_name", list(FIELDS))
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
-def test_merged_blocks_are_the_global_lattice(n, field_name, eps):
+def merged_cases():
+    """Spin at n <= 7 in every field, with the ids it has always had;
+    refined at every signature and kl at l in {1, n - 2, n} in signature
+    (n - 1, 1), at n <= 7 over F_3, F_13 and Q."""
+    cases = [pytest.param(n, name, "spin", {"eps": eps}, id=f"{n}-{name}-{eps}")
+             for n in range(2, 8) for name in FIELDS for eps in (1, -1)]
+    for n in range(2, 8):
+        for name in ("F3", "F13", "Q"):
+            cases += [pytest.param(n, name, "refined", {"r": n - s, "s": s},
+                                   id=f"{n}-{name}-refined-{n - s}-{s}")
+                      for s in range(n + 1)]
+            cases += [pytest.param(n, name, "kl", {"l": l, "r": n - 1, "s": 1},
+                                   id=f"{n}-{name}-kl-{l}-{n - 1}-1")
+                      for l in sorted({1, n - 2, n} - {0})]
+    return cases
+
+
+@pytest.mark.parametrize("n,field_name,kind,params", merged_cases())
+def test_merged_blocks_are_the_global_lattice(n, field_name, kind, params):
     field = FIELDS[field_name]
-    basis, residue, ann = global_lattice(n, field, eps)
-    merged_basis, merged_residue, merged_ann = block_lattice(n, field, eps).whole()
+    gens = spanning_set(kind, n, field, **params)
+    basis = intersect_with_standard_lattice(gens, PRECISION)
+    residue = reduce_mod_pi(basis)
+    ann = annihilators(residue)
+    lattice = family_lattice(kind, n, field, **params)
+    merged_basis, merged_residue, merged_ann = lattice.whole()
     assert merged_basis.pivots == basis.pivots
     assert [list(c.terms.items()) for c in merged_basis.columns] == \
         [list(c.terms.items()) for c in basis.columns]
@@ -59,21 +96,32 @@ def test_merged_blocks_are_the_global_lattice(n, field_name, eps):
     assert merged_residue.vectors == residue.vectors
     assert annihilator_digest(merged_ann) == annihilator_digest(ann)
     assert merged_ann == ann
-    # built lazily, block by block, the merged annihilators are the same
-    assert block_lattice(n, field, eps).annihilators == ann
+    # each block's generators are counted once, however often it is reduced
+    assert lattice.generators == len(gens)
+    # built lazily, block by block, the merged annihilators are the same (the
+    # other families meet the lazy path in the witness numbering test)
+    if kind == "spin":
+        assert family_lattice(kind, n, field, **params).annihilators == ann
 
 
 def test_a_generator_that_crosses_blocks_raises():
     # frame vectors 1 and 2 swapped: each still lies in one slot, but not in
-    # the slot of its position, so wedges leave the weight of their set
+    # the slot of its position, so wedges leave the weight of their set; the
+    # f-frame for spin, the g-frame for refined and for kl at l = 3 and 2
     f = FIELDS["F13"]
-    vectors = list(frame_in_e("f_split", 3, f).vectors)
-    vectors[0], vectors[1] = vectors[1], vectors[0]
-    swapped = HalfSpinLattice(Frame("f_split", 3, f, tuple(vectors)), 1, PRECISION)
-    with pytest.raises(ValueError, match="crosses the weight block of"):
-        swapped.block(IndexSet.of(3, (1, 3, 6)).mask)
-    with pytest.raises(ValueError, match="crosses"):
-        swapped.whole()
+    for kind, params, members in (("spin", {"eps": 1}, (1, 3, 6)),
+                                  ("refined", {"r": 2, "s": 1}, (1, 3, 6)),
+                                  ("kl", {"l": 3, "r": 2, "s": 1}, (1, 3, 6)),
+                                  ("kl", {"l": 2, "r": 2, "s": 1}, (1, 6))):
+        frame = frame_in_e("f_split" if kind == "spin" else "g_split", 3, f)
+        vectors = list(frame.vectors)
+        vectors[0], vectors[1] = vectors[1], vectors[0]
+        swapped = Frame(frame.kind, 3, f, tuple(vectors))
+        with pytest.raises(ValueError, match="crosses the weight block of"):
+            family_lattice(kind, 3, f, frame=swapped, **params).block(
+                IndexSet.of(3, members).mask)
+        with pytest.raises(ValueError, match="crosses"):
+            family_lattice(kind, 3, f, frame=swapped, **params).whole()
 
 
 @pytest.mark.parametrize("eps", [1, -1])
@@ -125,6 +173,16 @@ def test_a_point_builds_only_the_blocks_it_touches():
     assert all(weight(n, t) == (1,) * n for t in w.terms)
     assert membership_over_R(w, lattice.covering(w.terms), pt.ring).ok
     assert len(lattice.support_set) == 64
+    # kn is unpaired, so its block is the one slot weight: the n sets of
+    # type (n - 1, 1) in it give its generators; the block holds kn's one
+    # kernel functional, so covering merges them all
+    kn = family_lattice("kl", n, pt.ring.field, l=n, r=n - 1, s=1)
+    ann = kn.block(next(iter(w.terms)))
+    assert kn.generators == n
+    assert all(weight(n, t) == (1,) * n for t in ann.support)
+    assert len(ann.functionals) == 1
+    assert kn.covering(w.terms) is kn.annihilators
+    assert membership_over_R(w, kn.annihilators, pt.ring).ok
 
 
 @pytest.mark.parametrize("n,count", [(5, 10), (7, 5)])
@@ -143,10 +201,36 @@ def test_both_signs_give_one_verdict_on_sampled_points(n, count):
 
 
 def test_spin_annihilators_is_one_cached_lattice():
-    field = FIELDS["F13"]
-    a = spin_annihilators(5, field.key(), 1, PRECISION)
-    assert a is spin_annihilators(5, field.key(), 1, PRECISION)
-    assert isinstance(a, HalfSpinLattice)
+    key = FIELDS["F13"].key()
+    for build, args in ((spin_annihilators, (5, key, 1)),
+                        (refined_annihilators, (5, key, 4, 1)),
+                        (kl_annihilators, (5, key, 3, 4, 1))):
+        a = build(*args, PRECISION)
+        assert a is build(*args, PRECISION)
+        assert isinstance(a, BlockLattice)
+
+
+@pytest.mark.parametrize("history", ["fresh", "whole", "sampled"])
+@pytest.mark.parametrize("n,index", [(5, 2), (7, 5), (9, 9)])
+def test_witness_numbering_does_not_depend_on_build_order(n, index, history):
+    # the counterexample fails refined at one kernel functional and passes
+    # kn, whether its lattices are new, built whole, or have first covered
+    # other points' wedges (blocks built in another order)
+    refined_annihilators.cache_clear()
+    kl_annihilators.cache_clear()
+    pt = counterexample_point(n)
+    key = pt.ring.field.key()
+    if history == "whole":
+        refined_annihilators(n, key, n - 1, 1).whole()
+        kl_annihilators(n, key, n, n - 1, 1).whole()
+    elif history == "sampled":
+        for other in sample_chart_points(n, pt.ring, 4, seed=1):
+            w = wedge_vector(other)
+            check_refined(other, wedge=w)
+            check_kl(other, n, wedge=w)
+    w = wedge_vector(pt)
+    assert check_refined(pt, wedge=w) == Verdict(FAIL, f"functional[{index}]")
+    assert check_kl(pt, n, wedge=w).passed
 
 
 def test_echelon_inverts_a_pivot_only_when_a_column_holds_its_row(monkeypatch):
