@@ -7,10 +7,9 @@ from .chart import (ChartPoint, ConditionReport, Verdict, check_kl,
                     wedge_vector)
 from .errors import (FieldMismatchError, IndeterminateValuationError,
                      PrecisionExhaustedError, SchemaError)
-from .exterior import (Frame, WedgeVector, apply_wedge_power_operator,
-                       basis_wedge, build_frame, f_frame, form_eval,
-                       frame_in_e, g_frame, lambda_frame, standard_e_frame,
-                       wedge_columns, worst_terms)
+from .exterior import (Frame, WedgeVector, basis_wedge, build_frame,
+                       f_frame, form_eval, frame_in_e, g_frame, lambda_frame,
+                       standard_e_frame, wedge_columns, worst_terms)
 from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, index_masks, shuffle_sign,
                         sigma_sign_bruteforce)
@@ -29,7 +28,7 @@ __all__ = [
     "Frame", "IndexSet", "IndeterminateValuationError",
     "PiLaurent", "PolyRing", "PrecisionExhaustedError", "PrimeField",
     "Rationals", "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
-    "annihilators", "apply_wedge_power_operator", "basis_wedge",
+    "annihilators", "basis_wedge",
     "build_frame", "check_kl", "check_kottwitz", "check_naive_relations",
     "check_refined", "check_spin", "check_trace", "check_wedge", "f_frame",
     "form_eval", "frame_in_e", "full_report", "g_frame", "index_masks",

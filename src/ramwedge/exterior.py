@@ -23,7 +23,9 @@ positions i and n+i), and each of its coordinates is an exact monomial
 c*pi^e.  basis_wedge relies on it: a frame wedge is a signed product of
 per-slot factors, computed on (exponent, coefficient) pairs, and a frame
 that breaks the shape raises FrameShapeError.  The generic fold
-wedge_columns_masks is kept for chart columns and operator images.
+wedge_columns_masks serves chart columns and operator images: the image of
+a frame wedge under the wedge power of an operator is the fold of the
+images of its frame vectors (apply_operator), one column per vector.
 """
 
 from __future__ import annotations
@@ -515,7 +517,7 @@ def worst_terms(w: WedgeVector):
 
 
 # ---------------------------------------------------------------------------
-# Operators on V and their wedge powers
+# Operators on V
 
 
 def operator_pi_action(field, n: int, shift: PiLaurent) -> tuple:
@@ -538,16 +540,3 @@ def apply_operator(op_cols: tuple, v: dict, field) -> dict:
     for pos, c in v.items():
         _add_multiple(ops, out, c, op_cols[pos - 1])
     return out
-
-
-def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
-                               ring) -> WedgeVector:
-    """Induced action of the degree-th wedge power of an operator on V; on a
-    decomposable vector it is the wedge of the images."""
-    if w.terms and w.degree() != degree:
-        raise ValueError(f"vector has degree {w.degree()}, expected {degree}")
-    out = {}
-    for s, c in w.terms.items():
-        images = [op_cols[p] for p in range(2 * w.n) if s >> p & 1]
-        _add_multiple(ring, out, c, wedge_columns(w.n, images, ring).terms)
-    return WedgeVector(w.n, out)

@@ -109,7 +109,7 @@ class PiLaurent:
 
 
 def _check_fields(a, b):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise FieldMismatchError(f"mixed base fields {a.field} and {b.field}")
 
 

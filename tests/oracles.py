@@ -1,7 +1,8 @@
 """Brute-force oracles and reference arithmetic shared by the tests; the
 package does not use them."""
 
-from ramwedge.exterior import basis_wedge, frame_in_e
+from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
+                               frame_in_e, wedge_columns)
 from ramwedge.indexsets import bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import _paired_generators, signature_eps
 
@@ -15,6 +16,21 @@ def spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
     if kind == "refined":
         return _paired_generators(gfr, type_masks(n, r, s), signature_eps(s))
     return [basis_wedge(gfr, m) for m in bounded_type_masks(n, l, r, s)]
+
+
+def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
+                               ring) -> WedgeVector:
+    """Induced action of the degree-th wedge power of an operator on V, term
+    by term: each e_S goes to the wedge of the operator's columns at S.  The
+    reference for verify operator-identities, which folds the images of the
+    frame vectors of a decomposable wedge instead."""
+    if w.terms and w.degree() != degree:
+        raise ValueError(f"vector has degree {w.degree()}, expected {degree}")
+    out = {}
+    for s, c in w.terms.items():
+        images = [op_cols[p] for p in range(2 * w.n) if s >> p & 1]
+        _add_multiple(ring, out, c, wedge_columns(w.n, images, ring).terms)
+    return WedgeVector(w.n, out)
 
 
 def det(ring, m, rows, cols):

@@ -53,6 +53,11 @@ def test_verify_all_small(tmp_path):
     ("3", ["counterexample: run at n = 5, not --n 3"]),
     ("5", []),
     ("7", ["sign-lemma: run at n = 6, not --n 7"]),
+    ("11", ["sign-lemma: run at n = 6, not --n 11",
+            "worst-terms: run at n = 9, not --n 11",
+            "refined-basis: run at n = 7, not --n 11",
+            "spin-structure: run at n = 7, not --n 11",
+            "x1-zero: run at n = 9, not --n 11"]),
 ])
 def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
                                                          capsys, n, notes):
@@ -72,7 +77,8 @@ def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
     (["spin-structure", "--n", "-3"], "odd n with 3 <= n <= 7, got -3"),
     (["x1-zero", "--n", "11"], "odd n with 3 <= n <= 9, got 11"),
     (["operator-identities", "--n", "4", "--signature", "3,1"],
-     "odd n with 3 <= n <= 7, got 4"),
+     "odd n with 3 <= n <= 11, got 4"),
+    (["operator-identities", "--n", "13"], "odd n with 3 <= n <= 11, got 13"),
     (["all", "--n", "4"], "odd n with 3 <= n <= 9, got 4"),
 ])
 def test_rank_out_of_range_is_usage_error(tmp_path, capsys, argv, bounds):
@@ -219,8 +225,8 @@ def test_basis_eps_agreeing_with_signature_is_accepted(tmp_path):
 
 def test_verify_all_checks_signature_at_each_driver_rank(tmp_path, monkeypatch,
                                                         capsys):
-    # operator-identities runs at 7 under --n 9, so 8,1 is refused before
-    # any driver runs
+    # operator-identities runs at 11 under --n 13, so 12,1 is refused
+    # before any driver runs
     import ramwedge.drivers as drivers
 
     def ran(*args, **kwargs):
@@ -232,10 +238,10 @@ def test_verify_all_checks_signature_at_each_driver_rank(tmp_path, monkeypatch,
                  "verify_operator_identities"):
         monkeypatch.setattr(drivers, name, ran)
     out = tmp_path / "results"
-    assert main(["verify", "all", "--n", "9", "--signature", "8,1",
+    assert main(["verify", "all", "--n", "13", "--signature", "12,1",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "--signature 8,1" in err and "n = 7" in err
+    assert "--signature 12,1" in err and "n = 11" in err
     assert not out.exists()
 
 

@@ -140,6 +140,14 @@ def test_operator_identities_driver():
         verify_operator_identities(3, 1, 1)
 
 
+@pytest.mark.parametrize("n,evidence", [(5, (75, 60)), (7, (147, 119))])
+def test_operator_identities_evidence_pinned(n, evidence):
+    cert = verify_operator_identities(n, n - 1, 1)
+    assert cert.passed and cert.evidence["failures"] == []
+    assert (cert.evidence["eigenvalue_checks"],
+            cert.evidence["annihilation_checks"]) == evidence
+
+
 def test_implications_driver_seeded():
     cert = verify_implications(3, samples=40, seed=7)
     assert cert.passed
@@ -167,13 +175,15 @@ def test_bundle_ranks_cap_each_driver_at_its_range():
            "counterexample", "x1-zero", "operator-identities"]
     assert bundle_ranks(3) == list(zip(ids, [3, 3, 3, 3, 5, 3, 3]))
     assert bundle_ranks(5) == list(zip(ids, [5, 5, 5, 5, 5, 5, 5]))
-    assert bundle_ranks(9) == list(zip(ids, [6, 9, 7, 7, 9, 9, 7]))
+    assert bundle_ranks(9) == list(zip(ids, [6, 9, 7, 7, 9, 9, 9]))
+    assert bundle_ranks(13) == list(zip(ids, [6, 9, 7, 7, 13, 9, 11]))
 
 
 @pytest.mark.parametrize("result_id,n", [
     ("sign-lemma", 0), ("sign-lemma", 7), ("worst-terms", 100),
     ("worst-terms", 4), ("refined-basis", 9), ("spin-structure", -3),
     ("counterexample", 3), ("x1-zero", 11), ("operator-identities", 4),
+    ("operator-identities", 13),
     ("all", 4), ("all", 1)])
 def test_run_driver_rejects_ranks_out_of_range(result_id, n):
     with pytest.raises(RankError):

@@ -7,17 +7,18 @@ import pytest
 
 from ramwedge.errors import FrameShapeError
 from ramwedge.exterior import (E_BASIS, Frame, WedgeVector, _add_multiple,
-                               apply_operator, apply_wedge_power_operator,
-                               basis_wedge, build_frame, f_frame, form_eval,
-                               frame_in_e, g_frame, lambda_frame,
-                               operator_pi_action, standard_e_frame,
-                               wedge_columns, wedge_columns_masks, wedge_scale,
-                               worst_terms)
+                               apply_operator, basis_wedge, build_frame,
+                               f_frame, form_eval, frame_in_e, g_frame,
+                               lambda_frame, operator_pi_action,
+                               standard_e_frame, wedge_columns,
+                               wedge_columns_masks, wedge_scale, worst_terms)
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, i_vee, index_masks, perp_mask,
                                 shuffle_sign)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import INF, LaurentOps, PiLaurent
+
+from oracles import apply_wedge_power_operator
 
 F = PrimeField(13)
 Q = Rationals()
@@ -359,6 +360,25 @@ def test_shifted_pi_action_scales_the_g_frame(n):
             want = {p: x * lam for p, x in g.vector(pos).items()}
             want = {p: x for p, x in want.items() if not x.is_zero}
             assert apply_operator(op, g.vector(pos), F) == want
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), F], ids=["F3", "F13"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_image_fold_is_the_per_term_action(n, field):
+    # on a g-frame wedge, the fold of the images of its frame vectors (what
+    # verify operator-identities computes) is the term-by-term action
+    ring = LaurentOps(field)
+    gfr = frame_in_e("g_split", n, field)
+    pi = PiLaurent.monomial(field, 1)
+    for shift in (PiLaurent.zero(field), PiLaurent.one(field), pi, -pi):
+        op = operator_pi_action(field, n, shift)
+        images = [apply_operator(op, v, field) for v in gfr.vectors]
+        for degree in range(1, n + 1):
+            for t in index_masks(n, degree):
+                fold = wedge_columns(n, [images[q] for q in range(2 * n)
+                                         if t >> q & 1], ring)
+                w = basis_wedge(gfr, t)
+                assert apply_wedge_power_operator(op, degree, w, ring) == fold
 
 
 def test_operator_degree_mismatch_rejected():

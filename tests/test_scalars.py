@@ -49,6 +49,21 @@ def test_field_mismatch_rejected():
         a + b
 
 
+def test_mixed_fields_raise_and_equal_fields_mix():
+    # the identity test comes first; an equal field of another instance
+    # still passes, and a different field raises in both sum and product
+    a = L(F13, {1: 2})
+    twin = L(PrimeField(13), {0: 3})
+    assert a + twin == L(F13, {0: 3, 1: 2})
+    assert a * twin == L(F13, {1: 6})
+    other = L(PrimeField(5), {0: 1})
+    for op in (lambda x, y: x + y, lambda x, y: x * y):
+        with pytest.raises(FieldMismatchError):
+            op(a, other)
+        with pytest.raises(FieldMismatchError):
+            op(L(Rationals(), {0: 1}), a)
+
+
 def test_ord_examples():
     assert L(F13, {-2: 3, 1: 1}).ord() == -2
     assert PiLaurent.zero(F13).ord() == math.inf
