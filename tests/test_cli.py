@@ -78,8 +78,8 @@ def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
     (["x1-zero", "--n", "11"], "odd n with 3 <= n <= 9, got 11"),
     (["operator-identities", "--n", "4", "--signature", "3,1"],
      "odd n with 3 <= n <= 11, got 4"),
-    (["operator-identities", "--n", "13"], "odd n with 3 <= n <= 11, got 13"),
     (["all", "--n", "4"], "odd n with 3 <= n <= 9, got 4"),
+    (["operator-identities", "--n", "13"], "odd n with 3 <= n <= 11, got 13"),
 ])
 def test_rank_out_of_range_is_usage_error(tmp_path, capsys, argv, bounds):
     # no driver silently runs at another rank than --n asks for
