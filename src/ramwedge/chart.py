@@ -26,7 +26,7 @@ from itertools import combinations
 from .errors import SchemaError
 from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
-from .indexsets import MAX_RANK, bounded_type_masks, lex_ranks, type_masks
+from .indexsets import MAX_RANK, bounded_type_masks, type_masks
 from .lattices import BlockLattice, membership_over_R, signature_eps
 from .rings import ring_from_json, ring_to_json
 
@@ -305,10 +305,9 @@ def check_trace(pt: ChartPoint) -> Verdict:
 @lru_cache(maxsize=None)
 def spin_annihilators(n: int, field_key: tuple, eps: int,
                       precision: int = DEFAULT_PRECISION) -> BlockLattice:
-    """The eps half-spin lattice: pairs over every index set of size n, read
-    as the keys of their rank table rather than enumerated for each sign."""
+    """The eps half-spin lattice: pairs over every index set of size n."""
     return BlockLattice(frame_in_e("f_split", n, field_from_key(field_key)), n,
-                        lex_ranks(n, n).keys(), eps, precision)
+                        None, eps, precision)
 
 
 @lru_cache(maxsize=None)

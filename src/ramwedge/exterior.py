@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import FrameShapeError
-from .indexsets import IndexSet, lex_ranks
+from .indexsets import IndexSet, lex_key
 from .scalars import INF, LaurentOps, PiLaurent
 
 E_BASIS = "e_basis"
@@ -367,9 +367,8 @@ class WedgeVector:
 def terms_to_json(n: int, terms: dict, coefficient_json) -> list:
     """Sparse {mask: coefficient} terms of one degree as JSON records, in
     lex order."""
-    rank = lex_ranks(n, next(iter(terms), 0).bit_count())
-    return [{"indexSet": IndexSet(n, t).to_json(), "coefficient": coefficient_json(c)}
-            for t, c in sorted(terms.items(), key=lambda kv: rank[kv[0]])]
+    return [{"indexSet": IndexSet(n, t).to_json(), "coefficient": coefficient_json(terms[t])}
+            for t in sorted(terms, key=lex_key)]
 
 
 def wedge_columns_masks(columns, ring) -> dict:
@@ -378,7 +377,9 @@ def wedge_columns_masks(columns, ring) -> dict:
     a set is the minor on those rows in increasing order.  A new factor at
     position pos moves past the factors of mask above it, so it enters
     negated when (mask >> pos) has odd weight; each entry is negated once
-    per column, not once per term."""
+    per column, not once per term.  An empty column makes the wedge zero."""
+    if not all(columns):
+        return {}
     acc = {0: ring.one}
     for col in columns:
         entries = [(1 << (pos - 1), pos, x, ring.neg(x)) for pos, x in col.items()]

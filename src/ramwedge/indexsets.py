@@ -8,14 +8,13 @@ Conventions, for a fixed rank n:
   S_perp = {1..2n} minus S*         (perp_mask)
   type (r, s): r = #(S in {1..n}), s = #(S in {n+1..2n})
 
-The mask is the one index-set value below the CLI and JSON, and lex_ranks
+The mask is the one index-set value below the CLI and JSON, and lex_key
 the one order on it.  IndexSet only parses a member list and prints one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 MAX_RANK = 21  # enumeration guard: C(42, 21) is the largest exhaustive mode
@@ -102,11 +101,11 @@ def index_masks(n: int, card: int = None) -> list:
                                          n if card is None else card)]
 
 
-@lru_cache(maxsize=None)
-def lex_ranks(n: int, card: int) -> dict:
-    """{mask: position} over index_masks(n, card): the lex order on masks
-    of one cardinality, read by dict lookup."""
-    return {m: k for k, m in enumerate(index_masks(n, card))}
+def lex_key(mask: int) -> int:
+    """The sort key of lex order (of the increasing member tuples) on masks
+    of one cardinality: -star_mask(MAX_RANK, mask), inlined, since the bit
+    reversal at the fixed width 2 * MAX_RANK keeps the order at every rank."""
+    return -int(bin(mask | 1 << 2 * MAX_RANK)[:2:-1], 2)
 
 
 def type_masks(n: int, r: int, s: int) -> list:
@@ -122,7 +121,7 @@ def bounded_type_masks(n: int, card: int, r: int, s: int) -> list:
     in lexicographic order."""
     masks = [m for j in range(max(0, card - s), min(card, r) + 1)
              for m in type_masks(n, j, card - j)]
-    return sorted(masks, key=lex_ranks(n, card).__getitem__)
+    return sorted(masks, key=lex_key)
 
 
 def type_n11_sets(n: int):

@@ -18,13 +18,13 @@ the standard lattice.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb
 
 from .errors import PrecisionExhaustedError
 from .exterior import WedgeVector, _add_multiple, basis_wedge, terms_to_json
-from .indexsets import IndexSet, lex_ranks, perp_mask, shuffle_sign, star_mask
+from .indexsets import IndexSet, index_masks, lex_key, perp_mask, shuffle_sign
 from .scalars import LaurentOps, truncated_inverse
 
 GUARD_BAND = 4
@@ -64,18 +64,15 @@ def paired_generator(frame, mask: int, eps: int) -> WedgeVector:
 def _paired_generators(frame, masks: list, eps: int):
     """The nonzero paired generators for S running over the given masks (in
     lex order), one representative per {S, S-perp} pair: the
-    lexicographically least.  Among masks of one cardinality lex order is
-    the descending order of the bit reversal at width 2n, which is star;
-    the star of S-perp is the complement of S."""
+    lexicographically least."""
     n = frame.n
-    full = (1 << 2 * n) - 1
     wanted = set(masks)
     gens = []
     for m in masks:
-        star = star_mask(n, m)
-        if full ^ m > star:
+        perp = perp_mask(n, m)
+        if (d := m ^ perp) & -d & perp:  # S-perp comes first (see lex_key)
             continue
-        if full ^ star not in wanted:
+        if perp not in wanted:
             raise ValueError("perp partner escapes the requested family")
         g = paired_generator(frame, m, eps)
         if g.terms:
@@ -87,11 +84,10 @@ def _paired_generators(frame, masks: list, eps: int):
 # pi-adic column echelon over the valuation ring
 
 
-def pi_adic_column_echelon(columns: list, precision: int, lex_rank: dict):
+def pi_adic_column_echelon(columns: list, precision: int):
     """Unimodular column reduction with global minimum-valuation pivots.
 
-    columns: sparse {mask: PiLaurent} maps (consumed), all of the degree
-    whose lex_ranks table is lex_rank.
+    columns: sparse {mask: PiLaurent} maps (consumed), all of one degree.
     Returns [(pivot_set, pivot_valuation, column)] in processing order; each
     pivot row is eliminated from every later column.  Ties break to the
     lexicographically least index set, then the earliest column.  Raises
@@ -101,13 +97,15 @@ def pi_adic_column_echelon(columns: list, precision: int, lex_rank: dict):
     live = {}
     heap = []
     incidence = {}
+    # elimination adds no masks, so the lex keys of the input's masks serve
+    lex = {t: lex_key(t) for t in set().union(*columns)}
     for cid, col in enumerate(columns):
         col = {t: c for t, c in col.items() if not c.is_zero}
         if not col:
             continue
         live[cid] = col
         for t, c in col.items():
-            heapq.heappush(heap, (c.ord(), lex_rank[t], cid, t))
+            heapq.heappush(heap, (c.ord(), lex[t], cid, t))
             incidence.setdefault(t, set()).add(cid)
     processed = []
     while live:
@@ -140,7 +138,7 @@ def pi_adic_column_echelon(columns: list, precision: int, lex_rank: dict):
                     c = col2.get(t2)
                     if c is not None:
                         incidence[t2].add(cid2)
-                        heapq.heappush(heap, (c.ord(), lex_rank[t2], cid2, t2))
+                        heapq.heappush(heap, (c.ord(), lex[t2], cid2, t2))
             # the pivot row cancels exactly at working precision
             col2.pop(t, None)
             if not col2:
@@ -198,7 +196,7 @@ def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasi
         cols.append(dict(g.terms))
     if not cols:
         raise ValueError("all generators are zero")
-    processed = pi_adic_column_echelon(cols, precision, lex_ranks(n, degree))
+    processed = pi_adic_column_echelon(cols, precision)
     pivots = tuple((t, val) for t, val, _ in processed)
     columns = tuple(WedgeVector(n, col) for _, _, col in processed)
     return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
@@ -349,14 +347,10 @@ class AnnihilatorSet:
     support: tuple
     functionals: tuple
     span_rank: int
-    # read by every evaluation, so built here with the set rather than per
-    # call: the support as a set, and the lex position of each mask
-    support_set: frozenset = dc_field(init=False, repr=False, compare=False)
-    lex_rank: dict = dc_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "support_set", frozenset(self.support))
-        object.__setattr__(self, "lex_rank", lex_ranks(self.n, self.degree))
+    @cached_property
+    def support_set(self) -> frozenset:
+        return frozenset(self.support)
 
     @property
     def coordinate_dim(self) -> int:
@@ -385,8 +379,7 @@ def annihilators(rb: ResidueBasis) -> AnnihilatorSet:
         for t, c in row.items():
             if t not in reduced:
                 functionals.setdefault(t, {t: f.one})[p] = f.neg(c)
-    support = sorted({t for row in reduced.values() for t in row},
-                     key=lex_ranks(rb.n, rb.degree).__getitem__)
+    support = sorted({t for row in reduced.values() for t in row}, key=lex_key)
     return AnnihilatorSet(rb.n, rb.degree, f, tuple(support),
                           tuple(functionals[t] for t in support if t not in reduced),
                           len(reduced))
@@ -404,13 +397,16 @@ class MembershipResult:
 
 def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     """All functional evaluations against a coefficient vector over R:
-    off-support coordinates present in the vector, then the tracked kernel
-    functionals.  Yields (label, value) pairs.  ann is an AnnihilatorSet or
-    what HalfSpinLattice.covering returns for these terms."""
+    off-support coordinates present in the vector, in lex order, then the
+    tracked kernel functionals.  Yields (label, value) pairs.  ann is an
+    AnnihilatorSet or what BlockLattice.covering returns for these terms."""
     support = ann.support_set
-    for t in sorted((t for t in terms if t not in support),
-                    key=ann.lex_rank.__getitem__):
+    for t in sorted((t for t in terms if t not in support), key=lex_key):
         yield (f"coordinate{IndexSet(ann.n, t).members}", terms[t])
+    yield from _functional_evaluations(ann, terms, ring)
+
+
+def _functional_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     for idx, phi in enumerate(ann.functionals):
         total = ring.zero
         for t, coef in phi.items():
@@ -423,9 +419,19 @@ def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
 
 def membership_over_R(w, ann: AnnihilatorSet, ring) -> MembershipResult:
     """Whether an e-basis coefficient vector over R lies in R tensor the
-    residue span; on failure reports one nonzero evaluation."""
+    residue span; on failure reports the first nonzero evaluation in the
+    order of annihilator_evaluations, taking the lex-least off-support
+    coordinate in one pass (t precedes u iff t holds the lowest bit of t ^ u)."""
     terms = w.terms if isinstance(w, WedgeVector) else w
-    for label, value in annihilator_evaluations(ann, terms, ring):
+    support, least = ann.support_set, None
+    for t, c in terms.items():
+        if (t not in support and (least is None or (d := t ^ least) & -d & t)
+                and not ring.is_zero(c)):
+            least = t
+    if least is not None:
+        return MembershipResult(False, f"coordinate{IndexSet(ann.n, least).members}",
+                                terms[least])
+    for label, value in _functional_evaluations(ann, terms, ring):
         if not ring.is_zero(value):
             return MembershipResult(False, label, value)
     return MembershipResult(True)
@@ -457,9 +463,10 @@ class BlockLattice:
     """The lattice of one generator family, built one weight block at a
     time.  The family is its masks of one wedge degree and its pairing
     sign eps: spin pairs f_S + eps * sgn(sigma_S) * f_{S-perp} over every
-    mask of size n; refined pairs the g-frame wedges the same way over the
-    type-(r, s) masks with eps = signature_eps(s); kl takes the unpaired
-    g_S over the type-bounded masks of size l (eps None).
+    mask of size n (masks None: listed only to merge every block); refined
+    pairs the g-frame wedges the same way over the type-(r, s) masks with
+    eps = signature_eps(s); kl takes the unpaired g_S over the type-bounded
+    masks of size l (eps None).
 
     A block is the index sets of slot weight w, with those of 2 - reverse(w),
     the weight of S-perp, when the family is paired; its generators are
@@ -485,10 +492,8 @@ class BlockLattice:
             raise ValueError("the pairing sign eps is +1, -1 or None (unpaired)")
         self.frame, self.degree, self.eps = frame, degree, eps
         self.n, self.precision = frame.n, precision
-        self.lex_rank = lex_ranks(self.n, degree)
         self.masks = masks
-        # a family of every mask of the degree (spin) needs no lookup
-        self._family = None if len(masks) == len(self.lex_rank) else frozenset(masks)
+        self._family = None if masks is None else frozenset(masks)
         self.generators = 0
         self.support_set = set()
         self._block_of = {}  # mask -> annihilators of its block, once built
@@ -505,17 +510,16 @@ class BlockLattice:
     def _reduce(self, masks: list) -> tuple:
         """The block of these masks reduced: its lattice basis and the
         annihilators of its residue span, recorded for block()."""
-        n, frame, rank = self.n, self.frame, self.lex_rank
+        n, frame = self.n, self.frame
         family = sorted((m for m in masks if self._family is None or m in self._family),
-                        key=rank.__getitem__)
+                        key=lex_key)
         gens = ([basis_wedge(frame, m) for m in family] if self.eps is None
                 else _paired_generators(frame, family, self.eps))
         inside = set(masks)
         for g in gens:
             if not inside.issuperset(g.terms):
-                least = min(masks, key=rank.__getitem__)
-                raise ValueError(f"a generator crosses the weight block "
-                                 f"of {IndexSet(n, least).members}")
+                raise ValueError(f"a generator crosses the weight block of "
+                                 f"{IndexSet(n, min(masks, key=lex_key)).members}")
         basis = (intersect_with_standard_lattice(gens, self.precision) if gens else
                  DVRTriangularBasis(n, self.degree, frame.field, self.precision, (), ()))
         ann = annihilators(reduce_mod_pi(basis))
@@ -525,6 +529,9 @@ class BlockLattice:
             self._functional_blocks |= bool(ann.functionals)
             self.generators += len(gens)
         return basis, ann
+
+    def _family_masks(self) -> list:
+        return index_masks(self.n, self.degree) if self.masks is None else self.masks
 
     def block(self, mask: int) -> AnnihilatorSet:
         """The annihilators of the block holding the mask, built on first
@@ -544,10 +551,9 @@ class BlockLattice:
         if merged is not None:
             return merged
         block_of = self._block_of
-        if len(block_of) < len(self.lex_rank) and not terms.keys() <= block_of.keys():
+        if not terms.keys() <= block_of.keys():
             for t in terms:
-                if t not in block_of:
-                    self.block(t)
+                self.block(t)
         if self._functional_blocks and any(block_of[t].functionals for t in terms):
             return self.annihilators
         return self
@@ -558,15 +564,13 @@ class BlockLattice:
         residue span: the supports and the functionals in lex order, each
         functional keyed by its first entry, the non-pivot support
         coordinate it belongs to (as annihilators orders them)."""
-        for m in self.masks:
-            if m not in self._block_of:
-                self.block(m)
+        for m in self._family_masks():
+            self.block(m)
         blocks = {id(ann): ann for ann in self._block_of.values()}.values()
-        rank = self.lex_rank
         functionals = sorted((phi for ann in blocks for phi in ann.functionals),
-                             key=lambda phi: rank[next(iter(phi))])
+                             key=lambda phi: lex_key(next(iter(phi))))
         return AnnihilatorSet(self.n, self.degree, self.frame.field,
-                              tuple(sorted(self.support_set, key=rank.__getitem__)),
+                              tuple(sorted(self.support_set, key=lex_key)),
                               tuple(functionals),
                               sum(ann.span_rank for ann in blocks))
 
@@ -578,18 +582,18 @@ class BlockLattice:
         """The family's blocks reduced again and merged, not kept: the
         lattice basis, residue basis and annihilators that the global
         pipeline builds.  The block echelons are interleaved by (pivot
-        valuation, lex rank of the pivot), the order in which the global
+        valuation, lex order of the pivot), the order in which the global
         echelon takes their pivots, since no column holds entries of two
         blocks."""
-        rank, blocks, seen = self.lex_rank, [], set()
-        for m in self.masks:
+        blocks, seen = [], set()
+        for m in self._family_masks():
             if m not in seen:
                 masks = self._block_masks(m)
                 seen.update(masks)
                 blocks.append(self._reduce(masks)[0])
         merged = list(heapq.merge(
             *(zip(b.pivots, b.columns) for b in blocks),
-            key=lambda pivot_column: (pivot_column[0][1], rank[pivot_column[0][0]])))
+            key=lambda pivot_column: (pivot_column[0][1], lex_key(pivot_column[0][0]))))
         basis = DVRTriangularBasis(self.n, self.degree, self.frame.field,
                                    self.precision, tuple(p for p, _ in merged),
                                    tuple(c for _, c in merged))

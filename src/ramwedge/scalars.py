@@ -69,9 +69,6 @@ class PiLaurent:
                 f"zero to precision {self.precision}; valuation indeterminate")
         return min(self.coeffs)
 
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
-
     def scale(self, c) -> "PiLaurent":
         f = self.field
         return PiLaurent.make(f, {e: f.mul(v, c) for e, v in self.coeffs.items()},
@@ -105,7 +102,7 @@ class PiLaurent:
         return _neg(self)
 
     def to_json(self):
-        return [[e, self.field.element_to_json(c)] for e, c in self.items_sorted()]
+        return [[e, self.field.element_to_json(c)] for e, c in sorted(self.coeffs.items())]
 
 
 def _check_fields(a, b):

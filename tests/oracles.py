@@ -3,7 +3,7 @@ package does not use them."""
 
 from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns)
-from ramwedge.indexsets import bounded_type_masks, index_masks, type_masks
+from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import _paired_generators, signature_eps
 
 
@@ -31,6 +31,26 @@ def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
         images = [op_cols[p] for p in range(2 * w.n) if s >> p & 1]
         _add_multiple(ring, out, c, wedge_columns(w.n, images, ring).terms)
     return WedgeVector(w.n, out)
+
+
+def first_nonzero_evaluation(ann, terms: dict, ring) -> tuple:
+    """(ok, witness, value) of a coefficient vector over R against an
+    annihilator set, by sorting: its off-support coordinates in the order
+    of their member tuples, then the tracked functionals in order, and the
+    first nonzero evaluation fails.  The reference for membership_over_R,
+    which finds the coordinate in one pass."""
+    support = set(ann.support)
+    evaluations = [(f"coordinate{IndexSet(ann.n, t).members}", terms[t])
+                   for t in sorted(terms, key=lambda t: IndexSet(ann.n, t).members)
+                   if t not in support]
+    for idx, phi in enumerate(ann.functionals):
+        total = ring.zero
+        for t, coef in phi.items():
+            if t in terms:
+                total = ring.add(total, ring.mul(ring.from_base(coef), terms[t]))
+        evaluations.append((f"functional[{idx}]", total))
+    return next(((False, label, value) for label, value in evaluations
+                 if not ring.is_zero(value)), (True, None, None))
 
 
 def det(ring, m, rows, cols):

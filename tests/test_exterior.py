@@ -117,6 +117,24 @@ def test_wedge_alternates_in_columns():
     assert dup.is_zero
 
 
+def test_a_fold_with_an_empty_column_multiplies_nothing(monkeypatch):
+    # a zero column makes the wedge zero, wherever it stands among the columns
+    calls = []
+    original = FieldRing.mul
+    monkeypatch.setattr(FieldRing, "mul",
+                        lambda self, a, b: calls.append(a) or original(self, a, b))
+    ring = FieldRing(F)
+    full = {p: F.of_int(p) for p in range(1, 7)}
+    for at in range(4):
+        cols = [full] * 3
+        cols.insert(at, {})
+        assert wedge_columns_masks(cols, ring) == {}
+        assert wedge_columns(3, cols, ring).is_zero
+    assert calls == []
+    # the counter sees the products of a fold without one
+    assert wedge_columns_masks([full, {1: F.one}], ring) and calls
+
+
 def test_wedge_column_validation():
     ring = LaurentOps(F)
     with pytest.raises(ValueError):

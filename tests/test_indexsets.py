@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from ramwedge.indexsets import (IndexSet, bounded_type_masks, i_vee,
-                                index_masks, lex_ranks, perp_mask,
+                                index_masks, lex_key, perp_mask,
                                 shuffle_sign, sigma_sign_bruteforce, star_mask,
                                 type_masks, type_n11_sets)
 
@@ -165,15 +165,15 @@ def test_lexicographic_enumeration_order():
     assert len(masks) == 6
 
 
-def test_lex_ranks_order_masks_as_member_tuples():
-    # within one cardinality the rank table sorts masks exactly as their
-    # increasing member tuples, for every n <= 7
-    for n in range(1, 8):
-        for card in range(2 * n + 1):
-            masks = index_masks(n, card)
-            rank = lex_ranks(n, card)
-            assert sorted(reversed(masks), key=rank.__getitem__) == masks
-            assert sorted(masks, key=lambda m: members(n, m)) == masks
+def test_lex_key_orders_masks_as_member_tuples():
+    # within one cardinality the key sorts masks exactly as their increasing
+    # member tuples, for every n <= 7, and at the top of its fixed width
+    cases = [(n, card) for n in range(1, 8) for card in range(2 * n + 1)]
+    cases += [(n, card) for n in (20, 21) for card in (1, 2, 2 * n - 2, 2 * n - 1)]
+    for n, card in cases:
+        masks = index_masks(n, card)
+        assert sorted(reversed(masks), key=lex_key) == masks
+        assert sorted(masks, key=lambda m: members(n, m)) == masks
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,6 @@ def member_masks(n, card):
 def test_mask_enumerations_are_the_filters_they_replace(n):
     for card in range(2 * n + 1):
         assert index_masks(n, card) == member_masks(n, card)
-        assert list(lex_ranks(n, card)) == index_masks(n, card)
     assert index_masks(n) == member_masks(n, n)
     for r in range(n + 1):
         s = n - r

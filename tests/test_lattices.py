@@ -7,11 +7,13 @@ from itertools import combinations
 
 import pytest
 
+from ramwedge.chart import refined_annihilators, spin_annihilators, wedge_vector
+from ramwedge.drivers import _random_element, sample_chart_points
 from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns_masks, wedge_scale)
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import (IndexSet, index_masks, lex_ranks, perp_mask,
+from ramwedge.indexsets import (IndexSet, index_masks, lex_key, perp_mask,
                                 shuffle_sign, sigma_sign_bruteforce, type_masks)
 from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations,
                                echelon_lattice_basis, gauss_jordan,
@@ -19,10 +21,10 @@ from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations
                                lattice_contains, membership_over_R,
                                reduce_mod_pi, residue_rank, residue_spans_equal,
                                signature_eps)
-from ramwedge.rings import DualNumbers, FieldRing
+from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
-from oracles import det, spanning_set
+from oracles import det, first_nonzero_evaluation, spanning_set
 
 F = PrimeField(13)
 PRECISION = 24
@@ -459,8 +461,7 @@ def annihilator_digest(ann):
     field = ann.field
     obj = {"support": [IndexSet(ann.n, t).to_json() for t in ann.support],
            "functionals": [[[IndexSet(ann.n, t).to_json(), field.element_to_json(c)]
-                            for t, c in sorted(phi.items(), key=lambda kv:
-                                               lex_ranks(ann.n, ann.degree)[kv[0]])]
+                            for t, c in sorted(phi.items(), key=lambda kv: lex_key(kv[0]))]
                            for phi in ann.functionals],
            "span_rank": ann.span_rank}
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
@@ -597,7 +598,7 @@ def test_spin_generators_are_the_filtered_folds_at_rank_7(eps):
 
 
 def test_off_support_witnesses_come_in_lex_order():
-    # the rank table sorts the support and the off-support coordinates as
+    # lex_key sorts the support and the off-support coordinates as
     # their member tuples
     n = 3
 
@@ -613,6 +614,50 @@ def test_off_support_witnesses_come_in_lex_order():
               if label.startswith("coordinate")]
     off = sorted((t for t in dense if t not in ann.support_set), key=members)
     assert labels == [f"coordinate{members(t)}" for t in off]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_membership_witness_is_the_sorting_oracles(n):
+    # membership_over_R picks its coordinate witness in one pass; the oracle
+    # sorts.  Seeded vectors over the field, dual and poly rings, visited in
+    # shuffled key order: chart wedges, residue-span members, members with
+    # off-support entries whose lex-least key holds an explicit zero, and
+    # sparse vectors over every mask and over the support
+    rng = random.Random(n)
+    masks = index_masks(n)
+    for lattice in (refined_annihilators(n, F.key(), n - 1, 1),
+                    spin_annihilators(n, F.key(), 1)):
+        _, rb, ann = lattice.whole()
+        off = [t for t in masks if t not in ann.support_set]
+        for ring in (FieldRing(F), DualNumbers(F), PolyRing(F, ("a", "b"))):
+            vectors = [wedge_vector(pt).terms
+                       for pt in sample_chart_points(n, ring, 5, seed=n)]
+            for _ in range(12):
+                member = {}
+                for vec in rng.sample(rb.vectors, 3):
+                    _add_multiple(ring, member, _random_element(ring, rng),
+                                  {t: ring.from_base(c) for t, c in vec.items()})
+                vectors.append(member)
+                extra = sorted(rng.sample(off, 4), key=lambda t: IndexSet(n, t).members)
+                vectors.append({**member, extra[0]: ring.zero})
+                vectors.append({**member, extra[0]: ring.zero,
+                                **{t: _random_element(ring, rng) for t in extra[1:]}})
+                for pool in (masks, ann.support):
+                    vectors.append({t: _random_element(ring, rng)
+                                    for t in rng.sample(pool, 6)})
+            outcomes = set()
+            for terms in vectors:
+                items = list(terms.items())
+                rng.shuffle(items)
+                terms = dict(items)
+                res = membership_over_R(terms, ann, ring)
+                want = first_nonzero_evaluation(ann, terms, ring)
+                assert (res.ok, res.witness, res.value) == want
+                outcomes.add(want[1].split("[")[0].split("(")[0] if want[1] else None)
+            # every path was taken: a pass, and both kinds of witness where
+            # the lattice has kernel functionals
+            assert outcomes >= ({None, "coordinate", "functional"} if ann.functionals
+                                else {None, "coordinate"})
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ from ramwedge.chart import (FAIL, Verdict, check_kl, check_refined, check_spin,
 from ramwedge.drivers import counterexample_point, sample_chart_points
 from ramwedge.exterior import Frame, frame_in_e
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks,
-                                lex_ranks, type_masks)
+from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import (BlockLattice, annihilators,
                                intersect_with_standard_lattice,
                                membership_over_R, pi_adic_column_echelon,
@@ -241,11 +240,10 @@ def test_echelon_inverts_a_pivot_only_when_a_column_holds_its_row(monkeypatch):
     field = FIELDS["F13"]
     one = PiLaurent.one(field)
     a, b = index_masks(2)[:2]
-    rank = lex_ranks(2, 2)
     # disjoint rows: nothing to eliminate, nothing to invert
-    pi_adic_column_echelon([{a: one}, {b: one}], PRECISION, rank)
+    pi_adic_column_echelon([{a: one}, {b: one}], PRECISION)
     assert calls == []
     # the first pivot, at a, is eliminated from the second column; the
     # second pivot, at b, from none
-    pi_adic_column_echelon([{a: one, b: one}, {a: one}], PRECISION, rank)
+    pi_adic_column_echelon([{a: one, b: one}, {a: one}], PRECISION)
     assert calls == [one]
