@@ -329,7 +329,7 @@ def kl_annihilators(n: int, field_key: tuple, l: int, r: int, s: int,
 
 
 def _membership_verdict(lattice: BlockLattice, w: WedgeVector, ring) -> Verdict:
-    result = membership_over_R(w, lattice.covering(w.terms), ring)
+    result = membership_over_R(w, lattice.covering(w.terms, ring), ring)
     if result.ok:
         return Verdict(PASS)
     return Verdict(FAIL, result.witness)

@@ -25,7 +25,9 @@ per-slot factors, computed on (exponent, coefficient) pairs, and a frame
 that breaks the shape raises FrameShapeError.  The generic fold
 wedge_columns_masks serves chart columns and operator images: the image of
 a frame wedge under the wedge power of an operator is the fold of the
-images of its frame vectors (apply_operator), one column per vector.
+images of its frame vectors (apply_operator), one column per vector.  It
+folds over the base field, on the ring.monomials of each coefficient, and
+adds their monomial keys but never unpacks them.
 """
 
 from __future__ import annotations
@@ -374,32 +376,51 @@ def terms_to_json(n: int, terms: dict, coefficient_json) -> list:
 def wedge_columns_masks(columns, ring) -> dict:
     """Fold columns (sparse {position: coeff} maps) into a sparse wedge,
     keyed by bitmask.  Bilinear and alternating in the columns; the value at
-    a set is the minor on those rows in increasing order.  A new factor at
-    position pos moves past the factors of mask above it, so it enters
-    negated when (mask >> pos) has odd weight; each entry is negated once
-    per column, not once per term.  An empty column makes the wedge zero."""
+    a set is the minor on those rows in increasing order.  An empty column
+    makes the wedge zero.  A term is a flat key mask + (monomial << S), S
+    the largest position, with a field coefficient, so a product's key is a
+    sum of keys; one that sets ring.overflow_bits goes to ring.overflowed.
+    A new factor at position pos enters negated when (mask >> pos) has odd
+    weight.  The last column gathers each mask's monomials into a row for
+    ring.from_monomials."""
     if not all(columns):
         return {}
-    acc = {0: ring.one}
-    for col in columns:
-        entries = [(1 << (pos - 1), pos, x, ring.neg(x)) for pos, x in col.items()]
+    field = ring.field
+    fmul, fadd, fzero = field.mul, field.add, field.is_zero
+    shift = max(max(col) for col in columns)
+    low, bad = (1 << shift) - 1, ring.overflow_bits << shift
+    acc = {0: field.one}
+    for left, col in zip(range(len(columns) - 1, -1, -1), columns):
+        entries = [(1 << pos - 1, pos, (1 << pos - 1) + (m << shift), c, field.neg(c))
+                   for pos, x in col.items() for m, c in ring.monomials(x) if not fzero(c)]
         nxt = {}
-        for mask, c in acc.items():
-            for bit, pos, x, neg_x in entries:
+        for key, c in acc.items():
+            mask = key & low
+            for bit, pos, step, x, neg_x in entries:
                 if mask & bit:
                     continue
-                term = ring.mul(c, neg_x if (mask >> pos).bit_count() & 1 else x)
-                key = mask | bit
-                if key in nxt:
-                    merged = ring.add(nxt[key], term)
-                    if ring.is_zero(merged):
-                        del nxt[key]
-                    else:
-                        nxt[key] = merged
-                elif not ring.is_zero(term):
-                    nxt[key] = term
+                k = key + step
+                if k & bad:
+                    ring.overflowed()
+                    continue
+                t = fmul(c, neg_x if (mask >> pos).bit_count() & 1 else x)
+                row = nxt
+                if not left:  # the last column: a row of monomials per mask
+                    m, k = mask | bit, k >> shift
+                    row = nxt.get(m)
+                    if row is None:
+                        nxt[m] = {k: t}
+                        continue
+                if k not in row:
+                    row[k] = t
+                elif not fzero(t := fadd(row[k], t)):
+                    row[k] = t
+                else:
+                    del row[k]
+                    if not (row or left):
+                        del nxt[m]
         acc = nxt
-    return acc
+    return {m: ring.from_monomials(row) for m, row in acc.items()}
 
 
 def wedge_columns(n: int, columns, ring) -> WedgeVector:

@@ -477,12 +477,13 @@ class BlockLattice:
     block is reduced on its own the first time a mask of it is asked for;
     only its annihilators are kept, and `generators` counts its generators.
 
-    covering(terms) builds the blocks a coefficient vector touches and
-    serves as its annihilator set: support_set is the union of the built
-    blocks' supports, and an untouched block holds zero coordinates, which
-    lie in every span.  whole() merges the family's blocks into the lattice
-    that the global pipeline, intersect_with_standard_lattice of every
-    generator of the family, builds, column for column.
+    covering(terms, ring) builds the blocks a coefficient vector touches
+    and serves as its annihilator set: support_set is the union of the
+    built blocks' supports, and an untouched block holds zero coordinates,
+    which lie in every span and vanish on its functionals.  whole() merges
+    the family's blocks into the lattice that the global pipeline,
+    intersect_with_standard_lattice of every generator of the family,
+    builds, column for column.
     """
 
     functionals = ()  # as an annihilator set; see covering
@@ -541,12 +542,11 @@ class BlockLattice:
             found = self._reduce(self._block_masks(mask))[1]
         return found
 
-    def covering(self, terms):
-        """An annihilator set deciding membership of a coefficient vector
-        with these terms ({mask: coefficient}): self once the blocks they
-        touch are built, or the merged set when one of those blocks has
-        kernel functionals, so that functional[i] keeps its global
-        numbering.  Once merged, that set decides every vector."""
+    def covering(self, terms, ring):
+        """An annihilator set deciding membership over ring of a vector with
+        these terms ({mask: coefficient}): self once the blocks they touch
+        are built, or from then on the merged set when a functional of theirs
+        fails and no off-support coordinate does, to number it among all."""
         merged = vars(self).get("annihilators")
         if merged is not None:
             return merged
@@ -554,8 +554,11 @@ class BlockLattice:
         if not terms.keys() <= block_of.keys():
             for t in terms:
                 self.block(t)
-        if self._functional_blocks and any(block_of[t].functionals for t in terms):
-            return self.annihilators
+        if self._functional_blocks and membership_over_R(terms, self, ring).ok:
+            touched = {id(block_of[t]): block_of[t] for t in terms}.values()
+            if any(not ring.is_zero(v) for ann in touched
+                   for _, v in _functional_evaluations(ann, terms, ring)):
+                return self.annihilators
         return self
 
     @cached_property

@@ -2,20 +2,26 @@
 numbers over it, and multivariate polynomials over it.
 
 Every ring exposes the same small protocol (zero, one, add, sub, mul, neg,
-is_zero, from_base, and JSON conversion of elements) so the wedge machinery
-and the membership checks stay generic.  Elements are plain values: a field element, an (a, b) pair
-with b multiplying the square-zero generator, or a sparse
-{monomial key: coefficient} map.
+is_zero, from_base, and JSON conversion of elements) so the chart and
+membership checks stay generic.  Elements are plain values: a field
+element, an (a, b) pair with b multiplying the square-zero generator, or a
+sparse {monomial key: coefficient} map.  The wedge fold reads an element
+as its k-basis expansion instead: monomials gives (int key, field
+coefficient) pairs (key 0 in the field, 0 and 1 for 1 and x in the dual
+numbers, the packed key of a polynomial) and from_monomials takes a
+{key: coefficient} map back.  The key of a product is the sum of the keys;
+one that sets overflow_bits goes to overflowed, which drops it or raises.
 
 A polynomial's monomial key packs its exponent vector into one int, a
 fixed-width field per variable with variable 0 in the most significant
 field, so the key of a product is the sum of the keys and int order is
 exponent-tuple order.  The top bit of each field is a guard: PolyRing.mul
-raises instead of letting a field carry into its neighbour, and JSON input
-refuses exponents above EXPONENT_CAP, so a product of at most MAX_RANK input
-entries (each entry a chart computation forms is one) stays below the
-guard.  Keys are packed and unpacked only in this module: var, one, const,
-is_homogeneous_linear, linear_row and the JSON conversions.
+and the fold raise instead of letting a field carry into its neighbour,
+and JSON input refuses exponents above EXPONENT_CAP, so a product of at
+most MAX_RANK input entries (each entry a chart computation forms is one)
+stays below the guard.  Keys are packed and unpacked only in this module:
+var, one, const, is_homogeneous_linear, linear_row and the JSON
+conversions; the fold adds them but never unpacks them.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class FieldRing:
     field: object
 
     kind = "field"
+    overflow_bits = 0  # no product leaves key 0
 
     @property
     def zero(self):
@@ -66,6 +73,12 @@ class FieldRing:
     def from_base(self, c):
         return c
 
+    def monomials(self, a):
+        return ((0, a),)
+
+    def from_monomials(self, terms):
+        return terms[0]
+
     def element_to_json(self, a):
         return self.field.element_to_json(a)
 
@@ -81,6 +94,10 @@ class DualNumbers:
     field: object
 
     kind = "dual"
+    overflow_bits = 2  # the key of x * x
+
+    def overflowed(self):
+        """x^2 = 0: the product is dropped."""
 
     @property
     def zero(self):
@@ -115,6 +132,12 @@ class DualNumbers:
 
     def from_base(self, c):
         return (c, self.field.zero)
+
+    def monomials(self, a):
+        return ((0, a[0]), (1, a[1]))
+
+    def from_monomials(self, terms):
+        return (terms.get(0, self.field.zero), terms.get(1, self.field.zero))
 
     def element_to_json(self, a):
         return [self.field.element_to_json(a[0]), self.field.element_to_json(a[1])]
@@ -152,9 +175,13 @@ class PolyRing:
         return {1 << shift: i for i, shift in enumerate(self._shifts)}
 
     @cached_property
-    def _guard(self) -> int:
+    def overflow_bits(self) -> int:
         """The guard bits of every field."""
         return sum(1 << (shift + FIELD_BITS - 1) for shift in self._shifts)
+
+    def overflowed(self):
+        raise OverflowError(f"a product over {self.names} has an "
+                            f"exponent above {MAX_EXPONENT}")
 
     def _pack(self, exps) -> int:
         return sum(e << shift for e, shift in zip(exps, self._shifts))
@@ -199,14 +226,13 @@ class PolyRing:
         # cached on the ring, so one patched later still sees every product
         f = self.field
         fmul, fadd, fzero = f.mul, f.add, f.is_zero
-        guard = self._guard
+        guard = self.overflow_bits
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = m1 + m2
                 if m & guard:
-                    raise OverflowError(f"a product over {self.names} has an "
-                                        f"exponent above {MAX_EXPONENT}")
+                    self.overflowed()
                 c = fmul(c1, c2)
                 if m in out:
                     s = fadd(out[m], c)
@@ -226,6 +252,12 @@ class PolyRing:
 
     def from_base(self, c):
         return self.const(c)
+
+    def monomials(self, a):
+        return a.items()
+
+    def from_monomials(self, terms):
+        return terms
 
     def is_homogeneous_linear(self, a) -> bool:
         return bool(a) and all(m in self._var_index for m in a)

@@ -175,7 +175,10 @@ def truncated_inverse(a, precision: int) -> PiLaurent:
 
 class LaurentOps:
     """Coefficient-ring adapter so generic wedge code can run over
-    PiLaurent scalars."""
+    PiLaurent scalars; the fold reads an exact element's pi-exponents as its
+    monomial keys, and no product leaves their range."""
+
+    overflow_bits = 0
 
     def __init__(self, field):
         self.field = field
@@ -196,3 +199,12 @@ class LaurentOps:
 
     def from_base(self, c):
         return PiLaurent.const(self.field, c)
+
+    def monomials(self, a):
+        if a.precision != INF:
+            raise ValueError(f"the wedge fold takes exact scalars, not one known "
+                             f"modulo pi^{a.precision}")
+        return a.coeffs.items()
+
+    def from_monomials(self, terms):
+        return PiLaurent(self.field, terms)

@@ -33,6 +33,34 @@ def apply_wedge_power_operator(op_cols: tuple, degree: int, w: WedgeVector,
     return WedgeVector(w.n, out)
 
 
+def wedge_columns_masks_per_term(columns, ring) -> dict:
+    """The column fold one ring element at a time, with the ring's own mul,
+    add and is_zero: the reference for exterior.wedge_columns_masks, which
+    folds the k-basis expansions of the coefficients over the base field."""
+    if not all(columns):
+        return {}
+    acc = {0: ring.one}
+    for col in columns:
+        entries = [(1 << (pos - 1), pos, x, ring.neg(x)) for pos, x in col.items()]
+        nxt = {}
+        for mask, c in acc.items():
+            for bit, pos, x, neg_x in entries:
+                if mask & bit:
+                    continue
+                term = ring.mul(c, neg_x if (mask >> pos).bit_count() & 1 else x)
+                key = mask | bit
+                if key in nxt:
+                    merged = ring.add(nxt[key], term)
+                    if ring.is_zero(merged):
+                        del nxt[key]
+                    else:
+                        nxt[key] = merged
+                elif not ring.is_zero(term):
+                    nxt[key] = term
+        acc = nxt
+    return acc
+
+
 def first_nonzero_evaluation(ann, terms: dict, ring) -> tuple:
     """(ok, witness, value) of a coefficient vector over R against an
     annihilator set, by sorting: its off-support coordinates in the order

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ramwedge.chart import ChartPoint, _columns_in_e
 from ramwedge.errors import FrameShapeError
 from ramwedge.exterior import (E_BASIS, Frame, WedgeVector, _add_multiple,
                                apply_operator, basis_wedge, build_frame,
@@ -15,10 +16,10 @@ from ramwedge.exterior import (E_BASIS, Frame, WedgeVector, _add_multiple,
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, i_vee, index_masks, perp_mask,
                                 shuffle_sign)
-from ramwedge.rings import DualNumbers, FieldRing, PolyRing
+from ramwedge.rings import MAX_EXPONENT, DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import INF, LaurentOps, PiLaurent
 
-from oracles import apply_wedge_power_operator
+from oracles import apply_wedge_power_operator, wedge_columns_masks_per_term
 
 F = PrimeField(13)
 Q = Rationals()
@@ -119,9 +120,10 @@ def test_wedge_alternates_in_columns():
 
 def test_a_fold_with_an_empty_column_multiplies_nothing(monkeypatch):
     # a zero column makes the wedge zero, wherever it stands among the columns
+    # (counted at the field's mul, the one multiply the fold kernel makes)
     calls = []
-    original = FieldRing.mul
-    monkeypatch.setattr(FieldRing, "mul",
+    original = PrimeField.mul
+    monkeypatch.setattr(PrimeField, "mul",
                         lambda self, a, b: calls.append(a) or original(self, a, b))
     ring = FieldRing(F)
     full = {p: F.of_int(p) for p in range(1, 7)}
@@ -567,3 +569,112 @@ def test_basis_wedge_refuses_a_slot_holding_three_vectors():
     frame = reshaped_unit_frame(3, {2: {4: PiLaurent.one(F)}})
     with pytest.raises(FrameShapeError, match="holds 3 vectors"):
         basis_wedge(frame, IndexSet.of(3, (1,)).mask)
+
+
+# ---------------------------------------------------------------------------
+# The base-field fold kernel against the per-term fold
+
+
+def random_columns(rng, n, count, entry):
+    """count seeded sparse columns over 2n positions; some entries are zero
+    and some columns repeat, so terms cancel and wedges vanish."""
+    cols = []
+    for _ in range(count):
+        if cols and rng.random() < 0.1:
+            cols.append(rng.choice(cols))
+            continue
+        cols.append({p: entry() for p in rng.sample(range(1, 2 * n + 1),
+                                                    rng.randint(1, 2 * n))})
+    return cols
+
+
+def assert_kernel_matches(ring, entry, seed, ordered=False, n=4, trials=40):
+    # the kernel against the per-term fold on seeded columns, one in ten
+    # with an empty column inserted
+    rng = random.Random(seed)
+    empty = 0
+    for _ in range(trials):
+        cols = random_columns(rng, n, rng.randint(1, 2 * n), lambda: entry(rng))
+        if rng.random() < 0.1:
+            cols.insert(rng.randrange(len(cols) + 1), {})
+        got, want = wedge_columns_masks(cols, ring), wedge_columns_masks_per_term(cols, ring)
+        assert got == want
+        if ordered:
+            assert list(got) == list(want)
+        empty += not got
+    assert 0 < empty < trials  # both vanishing and nonzero wedges are compared
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+def test_fold_kernel_over_the_field(field):
+    def entry(rng):
+        return field.of_int(rng.randrange(-2, 3))
+    assert_kernel_matches(FieldRing(field), entry, 1, ordered=True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+def test_fold_kernel_over_dual_numbers(field):
+    # entries with a zero constant part: their products die by x^2 = 0
+    def entry(rng):
+        return (field.of_int(rng.choice([0, 0, 1, 2])), field.of_int(rng.randrange(3)))
+    assert_kernel_matches(DualNumbers(field), entry, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+def test_fold_kernel_over_poly_in_two_variables(field):
+    ring = PolyRing(field, ("a", "b"))
+
+    def entry(rng):
+        return ring.add(ring.const(field.of_int(rng.randrange(3))),
+                        {ring._pack([rng.randrange(3), rng.randrange(2)]):
+                         field.of_int(rng.randrange(1, 3))})
+    assert_kernel_matches(ring, entry, 3)
+
+
+def test_fold_kernel_on_the_symbolic_x1_zero_point():
+    # the top wedge of [X; I] with X1 a 4 x 4 matrix of 16 variables (n = 5)
+    n, d = 5, 4
+    ring = PolyRing(F, tuple(f"x{i}" for i in range(d * d)))
+    x1 = [[ring.var(i * d + j) for j in range(d)] for i in range(d)]
+    cols = _columns_in_e(ChartPoint.from_blocks(n, ring, x1, [ring.zero] * d))
+    got = wedge_columns_masks(cols, ring)
+    assert got == wedge_columns_masks_per_term(cols, ring)
+    assert sum(map(len, got.values())) > len(got) > 1
+
+
+def test_fold_kernel_over_exact_laurent_scalars():
+    ring = LaurentOps(F)
+
+    def entry(rng):
+        return L({e: rng.randrange(13) for e in rng.sample(range(-3, 3), 2)})
+    assert_kernel_matches(ring, entry, 4)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_fold_kernel_keeps_the_key_order_of_frame_folds(n, field):
+    ring = LaurentOps(field)
+    for frame in oracle_frames(n, field):
+        for s in index_masks(n)[::3]:
+            cols = [frame.vector(p) for p in IndexSet(n, s).members]
+            got = wedge_columns_masks(cols, ring)
+            assert list(got.items()) == list(wedge_columns_masks_per_term(cols, ring).items())
+
+
+def test_fold_kernel_raises_where_a_polynomial_product_passes_the_guard():
+    ring = PolyRing(F, ("a", "b"))
+    high = {ring._pack([0, MAX_EXPONENT]): F.one}
+    cols = [{1: high, 2: ring.one}, {2: ring.var(1), 3: ring.var(0)}]
+    for fold in (wedge_columns_masks, wedge_columns_masks_per_term):
+        with pytest.raises(OverflowError):
+            fold(cols, ring)
+    # one exponent lower, both folds agree again
+    cols[0][1] = {ring._pack([0, MAX_EXPONENT - 1]): F.one}
+    assert wedge_columns_masks(cols, ring) == wedge_columns_masks_per_term(cols, ring)
+
+
+def test_fold_kernel_refuses_an_inexact_scalar():
+    ring = LaurentOps(F)
+    inexact = PiLaurent.make(F, {0: 1, 1: 2}, precision=3)
+    with pytest.raises(ValueError, match="exact"):
+        wedge_columns_masks([{1: ring.one}, {2: inexact}], ring)

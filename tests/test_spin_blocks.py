@@ -145,20 +145,24 @@ def test_even_rank_contrast_at_4_is_pinned(eps):
 
 
 def test_covering_with_functionals_uses_the_global_numbering():
-    # at even n a touched block may carry kernel functionals; covering then
-    # falls back to the merged set, so witnesses name functionals by their
-    # place in it
+    # at even n a touched block may carry kernel functionals; covering
+    # falls back to the merged set when one fails, so witnesses name
+    # functionals by their place in it
     field = FIELDS["F13"]
     ring = FieldRing(field)
     _, _, ann = global_lattice(4, field, 1)
+    off = next(t for t in index_masks(4) if t not in ann.support_set)
     fallbacks = 0
     for t in index_masks(4):
-        lattice = block_lattice(4, field, 1)
-        vector = {t: field.one}
-        covering = lattice.covering(vector)
-        fallbacks += covering is lattice.annihilators
-        assert (membership_over_R(vector, covering, ring)
-                == membership_over_R(vector, ann, ring))
+        # alone, and with an off-support coordinate that is the witness
+        # whatever the functionals give, so no block needs its number
+        for vector in ({t: field.one}, {t: field.one, off: field.one}):
+            lattice = block_lattice(4, field, 1)
+            covering = lattice.covering(vector, ring)
+            fallbacks += covering is lattice.annihilators
+            assert len(vector) == 1 or covering is lattice
+            assert (membership_over_R(vector, covering, ring)
+                    == membership_over_R(vector, ann, ring))
     assert fallbacks > 0
 
 
@@ -170,18 +174,25 @@ def test_a_point_builds_only_the_blocks_it_touches():
     lattice = block_lattice(n, pt.ring.field, 1)
     w = wedge_vector(pt)
     assert all(weight(n, t) == (1,) * n for t in w.terms)
-    assert membership_over_R(w, lattice.covering(w.terms), pt.ring).ok
+    assert membership_over_R(w, lattice.covering(w.terms, pt.ring), pt.ring).ok
     assert len(lattice.support_set) == 64
     # kn is unpaired, so its block is the one slot weight: the n sets of
     # type (n - 1, 1) in it give its generators; the block holds kn's one
-    # kernel functional, so covering merges them all
+    # kernel functional, which vanishes on the wedge, so covering merges no
+    # other block
     kn = family_lattice("kl", n, pt.ring.field, l=n, r=n - 1, s=1)
     ann = kn.block(next(iter(w.terms)))
     assert kn.generators == n
     assert all(weight(n, t) == (1,) * n for t in ann.support)
     assert len(ann.functionals) == 1
-    assert kn.covering(w.terms) is kn.annihilators
+    assert kn.covering(w.terms, pt.ring) is kn
+    assert kn.generators == n and "annihilators" not in vars(kn)
     assert membership_over_R(w, kn.annihilators, pt.ring).ok
+    # refined fails the wedge at a kernel functional, numbered among all
+    refined = family_lattice("refined", n, pt.ring.field, r=n - 1, s=1)
+    covering = refined.covering(w.terms, pt.ring)
+    assert covering is refined.annihilators
+    assert membership_over_R(w, covering, pt.ring).witness == "functional[5]"
 
 
 @pytest.mark.parametrize("n,count", [(5, 10), (7, 5)])
