@@ -7,9 +7,8 @@ from .chart import (ChartPoint, ConditionReport, Verdict, check_kl,
                     wedge_vector)
 from .errors import (FieldMismatchError, IndeterminateValuationError,
                      PrecisionExhaustedError, SchemaError)
-from .exterior import (Frame, WedgeVector, basis_wedge, build_frame,
-                       f_frame, form_eval, frame_in_e, g_frame, lambda_frame,
-                       standard_e_frame, wedge_columns, worst_terms)
+from .exterior import (Frame, WedgeVector, basis_wedge, f_frame, form_eval,
+                       frame_in_e, g_frame, wedge_columns, worst_terms)
 from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, index_masks, shuffle_sign,
                         sigma_sign_bruteforce)
@@ -28,12 +27,11 @@ __all__ = [
     "Frame", "IndexSet", "IndeterminateValuationError",
     "PiLaurent", "PolyRing", "PrecisionExhaustedError", "PrimeField",
     "Rationals", "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
-    "annihilators", "basis_wedge",
-    "build_frame", "check_kl", "check_kottwitz", "check_naive_relations",
-    "check_refined", "check_spin", "check_trace", "check_wedge", "f_frame",
-    "form_eval", "frame_in_e", "full_report", "g_frame", "index_masks",
-    "intersect_with_standard_lattice", "lambda_frame", "membership_over_R",
-    "reduce_mod_pi", "shuffle_sign", "sigma_sign_bruteforce",
-    "standard_e_frame", "truncated_inverse",
-    "wedge_columns", "wedge_vector", "worst_terms",
+    "annihilators", "basis_wedge", "check_kl", "check_kottwitz",
+    "check_naive_relations", "check_refined", "check_spin", "check_trace",
+    "check_wedge", "f_frame", "form_eval", "frame_in_e", "full_report",
+    "g_frame", "index_masks", "intersect_with_standard_lattice",
+    "membership_over_R", "reduce_mod_pi", "shuffle_sign",
+    "sigma_sign_bruteforce", "truncated_inverse", "wedge_columns",
+    "wedge_vector", "worst_terms",
 ]

@@ -18,7 +18,7 @@ import tempfile
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, chart_point_from_json,
                     full_report, kl_annihilators, refined_annihilators,
                     spin_annihilators)
-from .drivers import bundle_ranks, run_driver
+from .drivers import DRIVER_RANKS, bundle_ranks, run_driver
 from .errors import (PrecisionExhaustedError, RankError, SchemaError,
                      SignatureError)
 from .fields import PrimeField
@@ -30,8 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-RESULT_IDS = ("sign-lemma", "worst-terms", "refined-basis", "spin-structure",
-              "counterexample", "x1-zero", "operator-identities", "all")
+RESULT_IDS = (*DRIVER_RANKS, "all")
 
 # The flags a single driver does not read; `verify all` accepts both and
 # passes each to the drivers that read it.

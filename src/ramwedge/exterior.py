@@ -1,33 +1,29 @@
-"""The 2n-dimensional ambient space V, its distinguished frames, both
-bilinear forms, and sparse exterior algebra on top of them.
+"""The 2n-dimensional space V, its distinguished frames, both bilinear
+forms, and sparse exterior algebra on top of them.
 
-Ambient basis convention: position i (1 <= i <= n) holds e_i x 1 and
-position n+i holds pi*e_i x 1.  The operator "pi x 1" sends position i to
-position n+i and position n+i to pi^2 times position i, so it squares to
-the scalar pi^2.  A vector is a sparse {position: PiLaurent} map; any
-pi^(-1)*e_j x 1 is stored as pi^(-2) times position n+j, which keeps every
-frame coordinate a finite Laurent polynomial.
+e-basis: every vector is a sparse {position: PiLaurent} map in the basis of
+the standard lattice Lambda_m, m = floor(n/2), the special maximal
+parahoric.  Position j (1 <= j <= n) holds (pi x 1)^lo e_j and position n+j
+holds (pi x 1)^(lo+1) e_j, where lo = -1 for j <= m and lo = 0 above.  As
+(pi x 1)^2 is the scalar pi^2, the operator "pi x 1" sends position j to
+position n+j and position n+j to pi^2 times position j.  The frame builders
+write their vectors straight into this basis (_e_term) and check them there,
+so every wedge coordinate is an e_S coordinate: sparse {mask: coefficient}
+maps, keyed by the bitmask of S (bit i-1 is element i, as IndexSet.mask),
+whose value at S is the minor on rows S taken in increasing row order, with
+columns wedged from left to right.
 
-Frame builders write their vectors in ambient coordinates and check them
-there; frame_in_e rewrites a frame in the basis of the standard lattice
-frame (e-coordinates) once.  Every wedge is taken of e-coordinate vectors,
-so wedge coordinates are e_S coordinates: sparse {mask: coefficient} maps,
-keyed by the bitmask of S (bit i-1 is element i, as IndexSet.mask), whose
-value at S is the minor on rows S taken in increasing row order, with
-columns wedged from left to right.  "pi x 1" has the same matrix in
-e-coordinates as in ambient coordinates.
-
-Slot/monomial invariant.  Every frame vector, in ambient and in
-e-coordinates, lies in one slot {i, n+i} (at most two coordinates, at
-positions i and n+i), and each of its coordinates is an exact monomial
-c*pi^e.  basis_wedge relies on it: a frame wedge is a signed product of
-per-slot factors, computed on (exponent, coefficient) pairs, and a frame
-that breaks the shape raises FrameShapeError.  The generic fold
-wedge_columns_masks serves chart columns and operator images: the image of
-a frame wedge under the wedge power of an operator is the fold of the
-images of its frame vectors (apply_operator), one column per vector.  It
-folds over the base field, on the ring.monomials of each coefficient, and
-adds their monomial keys but never unpacks them.
+Slot/monomial invariant.  Every frame vector lies in one slot {i, n+i}
+(at most two coordinates, at positions i and n+i), and each of its
+coordinates is an exact monomial c*pi^e.  basis_wedge relies on it: a
+frame wedge is a signed product of per-slot factors, computed on
+(exponent, coefficient) pairs, and a frame that breaks the shape raises
+FrameShapeError.  The generic fold wedge_columns_masks serves chart
+columns and operator images: the image of a frame wedge under the wedge
+power of an operator is the fold of the images of its frame vectors
+(apply_operator), one column per vector.  It folds over the base field,
+on the ring.monomials of each coefficient, and adds their monomial keys
+but never unpacks them.
 """
 
 from __future__ import annotations
@@ -48,8 +44,7 @@ E_BASIS = "e_basis"
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered basis of V, each vector a sparse coordinate map: ambient
-    coordinates from the builders, e-coordinates from frame_in_e."""
+    """An ordered basis of V, each vector a sparse e-coordinate map."""
 
     kind: str
     n: int
@@ -115,61 +110,32 @@ def _slot_det(frame: Frame, slot: int, first: tuple, second: tuple):
     return None if field.is_zero(coeff) else (products[0][0], coeff)
 
 
-def _pi_pow_e(field, n: int, j: int, a: int, scale=None) -> dict:
-    """pi^a * e_j x 1 in ambient coordinates (even a lands on position j,
-    odd a on position n+j)."""
-    c = field.one if scale is None else scale
-    if a % 2 == 0:
-        return {j: PiLaurent.make(field, {a: c})}
-    return {n + j: PiLaurent.make(field, {a - 1: c})}
+def _e_term(field, n: int, j: int, a: int, c=None, s: int = 0) -> dict:
+    """c * pi^s * (pi x 1)^a e_j in e-coordinates (c = 1 by default): with
+    d = a - lo, the even part of d is the scalar pi^(d - d mod 2) and
+    d mod 2 picks position j or n+j (module docstring)."""
+    d = a + 1 - (j > n // 2)
+    return {j + n * (d % 2): PiLaurent.make(field, {s + d - d % 2:
+                                                    field.one if c is None else c})}
 
 
-def lambda_frame(field, n: int, i: int) -> Frame:
-    """Ordered basis of the i-th standard lattice tensored up to V.
-
-    For i = b*n + c with 0 <= c < n the lattice is spanned over the valuation
-    ring by pi^(-b-1)*e_j (j <= c) and pi^(-b)*e_j (j > c); the order below
-    puts the most negative powers first, then repeats one pi higher.  At
-    i = m = floor(n/2) this is the frame that defines the e_S wedge basis.
-    """
-    b, c = divmod(i, n)
-    vecs = []
-    for j in range(1, c + 1):
-        vecs.append(_pi_pow_e(field, n, j, -b - 1))
-    for j in range(c + 1, n + 1):
-        vecs.append(_pi_pow_e(field, n, j, -b))
-    for j in range(1, c + 1):
-        vecs.append(_pi_pow_e(field, n, j, -b))
-    for j in range(c + 1, n + 1):
-        vecs.append(_pi_pow_e(field, n, j, -b + 1))
-    frame = Frame(f"lambda({i})", n, field, tuple(vecs))
-    _check_monomial(frame)
-    return frame
-
-
-def standard_e_frame(field, n: int) -> Frame:
-    """The frame defining the e_S basis: lambda(m) with m = floor(n/2)."""
-    return lambda_frame(field, n, n // 2)
+def _eigen_pair(field, n: int, j: int) -> tuple:
+    """e_j - pi^-1 (pi x 1) e_j and (e_j + pi^-1 (pi x 1) e_j) / 2: the -pi
+    and +pi eigenvectors of pi x 1 in slot j.  The symmetric form pairs the
+    -pi vector of slot j to 1 with the +pi vector of slot n+1-j."""
+    half = field.inv(field.of_int(2))
+    return ({**_e_term(field, n, j, 0), **_e_term(field, n, j, 1, field.neg(field.one), -1)},
+            {**_e_term(field, n, j, 0, half), **_e_term(field, n, j, 1, half, -1)})
 
 
 def chart_frame(field, n: int) -> Frame:
-    """The same lattice basis as standard_e_frame, reordered so that the
-    distinguished affine chart consists of the columns of [X; I_n].  Odd n
-    only."""
+    """The standard lattice basis reordered so that the distinguished affine
+    chart consists of the columns of [X; I_n].  Odd n only."""
     if n % 2 == 0 or n < 3:
         raise ValueError("the affine chart frame requires odd n >= 3")
     m = n // 2
-    vecs = []
-    for j in range(m + 2, n + 1):
-        vecs.append(_pi_pow_e(field, n, j, 0))
-    for j in range(1, m + 1):
-        vecs.append(_pi_pow_e(field, n, j, -1))
-    vecs.append(_pi_pow_e(field, n, m + 1, 0))
-    for j in range(m + 2, n + 1):
-        vecs.append(_pi_pow_e(field, n, j, 1))
-    for j in range(1, m + 1):
-        vecs.append(_pi_pow_e(field, n, j, 0))
-    vecs.append(_pi_pow_e(field, n, m + 1, 1))
+    order = [*range(m + 2, n + 1), *range(1, m + 1), m + 1]
+    vecs = [_e_term(field, n, j, a - (j <= m)) for a in (0, 1) for j in order]
     frame = Frame("chart", n, field, tuple(vecs))
     _check_monomial(frame)
     return frame
@@ -178,15 +144,8 @@ def chart_frame(field, n: int) -> Frame:
 def g_frame(field, n: int) -> Frame:
     """Split ordered basis with the first n vectors in the -pi eigenspace of
     pi x 1 and the last n in the +pi eigenspace."""
-    half = field.inv(field.of_int(2))
-    inv_pi = PiLaurent.monomial(field, -1)
-    vecs = []
-    for j in range(1, n + 1):
-        vecs.append({j: PiLaurent.one(field), n + j: -inv_pi})
-    for j in range(1, n + 1):
-        vecs.append({j: PiLaurent.const(field, half),
-                     n + j: inv_pi.scale(half)})
-    frame = Frame("g_split", n, field, tuple(vecs))
+    minus, plus = zip(*(_eigen_pair(field, n, j) for j in range(1, n + 1)))
+    frame = Frame("g_split", n, field, minus + plus)
     _check_split(frame)
     _check_pi_eigen(frame)
     return frame
@@ -194,74 +153,30 @@ def g_frame(field, n: int) -> Frame:
 
 def f_frame(field, n: int) -> Frame:
     """The pinned split ordered basis used to fix the two half-spin summands
-    (both parities of n)."""
-    m = n // 2
-    one = PiLaurent.one(field)
-    vecs = []
-    if n % 2 == 0:
-        for j in range(1, m + 1):
-            vecs.append(_pi_pow_e(field, n, j, -1, scale=field.neg(field.one)))
-        for j in range(m + 1, n + 1):
-            vecs.append({j: one})
-        for j in range(1, m + 1):
-            vecs.append({j: one})
-        for j in range(m + 1, n + 1):
-            vecs.append({n + j: one})
-    else:
-        half = field.inv(field.of_int(2))
-        inv_pi = PiLaurent.monomial(field, -1)
-        for j in range(1, m + 1):
-            vecs.append(_pi_pow_e(field, n, j, -1, scale=field.neg(field.one)))
-        vecs.append({m + 1: one, n + m + 1: -inv_pi})
-        for j in range(m + 2, n + 1):
-            vecs.append({j: one})
-        for j in range(1, m + 1):
-            vecs.append({j: one})
-        vecs.append({m + 1: PiLaurent.const(field, half),
-                     n + m + 1: inv_pi.scale(half)})
-        for j in range(m + 2, n + 1):
-            vecs.append({n + j: one})
+    (both parities of n); at odd n slot m+1 holds the g-frame pair."""
+    m, odd = n // 2, n % 2
+    minus, plus = _eigen_pair(field, n, m + 1)
+    upper = range(m + 1 + odd, n + 1)
+    vecs = [_e_term(field, n, j, -1, field.neg(field.one)) for j in range(1, m + 1)]
+    vecs += [minus] * odd + [_e_term(field, n, j, 0) for j in upper]
+    vecs += [_e_term(field, n, j, 0) for j in range(1, m + 1)]
+    vecs += [plus] * odd + [_e_term(field, n, j, 1) for j in upper]
     frame = Frame("f_split", n, field, tuple(vecs))
     _check_split(frame)
     return frame
 
 
-def build_frame(kind: str, n: int, field, index: int = None) -> Frame:
-    """Dispatcher over the frame kinds; "lambda" takes the lattice index."""
-    if n < 2:
-        raise ValueError("rank n must be at least 2")
-    if kind == "lambda":
-        if index is None:
-            index = n // 2
-        return lambda_frame(field, n, index)
-    if kind == "f_split":
-        return f_frame(field, n)
-    if kind == "g_split":
-        return g_frame(field, n)
-    if kind == "chart":
-        return chart_frame(field, n)
-    raise ValueError(f"unknown frame kind {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def frame_in_e(kind: str, n: int, field) -> Frame:
-    """The frame of the given kind with each vector rewritten in the basis
-    of standard_e_frame, built and self-checked once per (kind, n, field).
-    Ambient position a is c times the standard frame vector p holding it,
-    for a monomial c, so an ambient coordinate x at a becomes x / c at p.
-    The standard frame keeps every slot {i, n+i} in place, so the rewritten
-    vectors keep the slot/monomial shape that basis_wedge reads (module
-    docstring).  The vectors are shared by every caller and must not be
-    mutated."""
-    frame = build_frame(kind, n, field)
-    relabel = {}
-    for p, vec in enumerate(standard_e_frame(field, n).vectors, 1):
-        (amb, c), = vec.items()
-        (exp, cf), = c.coeffs.items()
-        relabel[amb] = (p, PiLaurent.make(field, {-exp: field.inv(cf)}))
-    vectors = tuple({relabel[a][0]: x * relabel[a][1] for a, x in vec.items()}
-                    for vec in frame.vectors)
-    return Frame(frame.kind, n, field, vectors)
+    """The frame of the given kind ("f_split", "g_split" or "chart"), built
+    and self-checked once per (kind, n, field).  The vectors are shared by
+    every caller and must not be mutated."""
+    if n < 2:
+        raise ValueError("rank n must be at least 2")
+    builders = {"f_split": f_frame, "g_split": g_frame, "chart": chart_frame}
+    if kind not in builders:
+        raise ValueError(f"unknown frame kind {kind!r}")
+    return builders[kind](field, n)
 
 
 # ---------------------------------------------------------------------------
@@ -269,33 +184,29 @@ def frame_in_e(kind: str, n: int, field) -> Frame:
 
 
 def form_eval(kind: str, n: int, v: dict, w: dict, field) -> PiLaurent:
-    """Evaluate the symmetric or alternating form on ambient-coordinate
-    vectors (positions 1..2n).  On basis positions a, b:
+    """Evaluate the symmetric or alternating form on e-coordinate vectors.
+    On (pi x 1)^a e_i and (pi x 1)^b e_j with i + j = n + 1:
 
-      symmetric:   (a, b) = 1 if a, b <= n and a + b = n + 1;
-                   -pi^2 if a, b > n and a + b = 3n + 1; else 0.
-      alternating: <a, b> = 1 if a <= n < b and b - n = n + 1 - a;
-                   -1 if b <= n < a and a - n = n + 1 - b; else 0.
+      symmetric:   (-1)^a pi^(a+b)     when a = b mod 2;
+      alternating: (-1)^a pi^(a+b-1)   when a != b mod 2;
 
-    The -pi^2 block is forced by splitness of the distinguished frames: the
-    conjugate of pi is -pi, so pairing pi*e_i against pi*e_j picks up a sign.
+    and 0 on every other pair.  The sign is forced by splitness of the
+    distinguished frames: the conjugate of pi is -pi, so moving pi x 1
+    across the form costs a sign.
     """
+    if kind not in ("symmetric", "alternating"):
+        raise ValueError(f"unknown form {kind!r}")
+    odd = kind == "alternating"
     total = PiLaurent.zero(field)
-    pi_sq = PiLaurent.monomial(field, 2)
-    for a, ca in v.items():
-        for b, cb in w.items():
-            if kind == "symmetric":
-                if a <= n and b <= n and a + b == n + 1:
-                    total = total + ca * cb
-                elif a > n and b > n and a + b == 3 * n + 1:
-                    total = total - ca * cb * pi_sq
-            elif kind == "alternating":
-                if a <= n and b > n and b - n == n + 1 - a:
-                    total = total + ca * cb
-                elif a > n and b <= n and a - n == n + 1 - b:
-                    total = total - ca * cb
-            else:
-                raise ValueError(f"unknown form {kind!r}")
+    for p, x in v.items():
+        i = (p - 1) % n + 1
+        a = (p > n) + (i > n // 2) - 1
+        for q, y in w.items():
+            j = (q - 1) % n + 1
+            b = (q > n) + (j > n // 2) - 1
+            if i + j == n + 1 and (a + b) % 2 == odd:
+                term = x * y * PiLaurent.monomial(field, a + b - odd)
+                total = total - term if a % 2 else total + term
     return total
 
 
@@ -332,12 +243,12 @@ def _check_monomial(frame: Frame):
         vec = frame.vector(pos)
         if len(vec) != 1:
             raise AssertionError(f"{frame.kind} vector {pos} is not a monomial")
-        (amb, coeff), = vec.items()
+        (q, coeff), = vec.items()
         if len(coeff.coeffs) != 1:
             raise AssertionError(f"{frame.kind} vector {pos} has a non-monomial scalar")
-        if amb in seen:
-            raise AssertionError(f"{frame.kind} repeats ambient position {amb}")
-        seen.add(amb)
+        if q in seen:
+            raise AssertionError(f"{frame.kind} repeats position {q}")
+        seen.add(q)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Brute-force oracles and reference arithmetic shared by the tests; the
 package does not use them."""
 
-from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
+from ramwedge.exterior import (Frame, WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns)
 from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import _paired_generators, signature_eps
+from ramwedge.scalars import PiLaurent
 
 
 def spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
@@ -184,3 +185,100 @@ class TuplePolyRing:
             if not f.is_zero(c):
                 out[m] = f.add(out.get(m, f.zero), c)
         return {m: c for m, c in out.items() if not f.is_zero(c)}
+
+
+# ---------------------------------------------------------------------------
+# Ambient coordinates: the reference for the e-coordinate frames and form.
+# Ambient position i (1 <= i <= n) holds e_i x 1 and position n+i holds
+# (pi x 1) e_i, so "pi x 1" has the same matrix as in e-coordinates; any
+# pi^(-1) e_j x 1 is stored as pi^(-2) times position n+j.
+
+
+def ambient_frame(kind, n, field):
+    """The frames in ambient coordinates: "lambda" is the basis of the
+    standard lattice Lambda_m (m = floor(n/2)) that defines the e-basis;
+    "chart" (odd n), "g_split" and "f_split" are written in the paper's
+    notation, vector by vector."""
+    m = n // 2
+    one = PiLaurent.one(field)
+    half = field.inv(field.of_int(2))
+    inv_pi = PiLaurent.monomial(field, -1)
+    minus_one = field.neg(field.one)
+
+    def pi_pow(j, a, scale=field.one):
+        """(pi x 1)^a e_j: even a lands on position j, odd a on n+j."""
+        if a % 2 == 0:
+            return {j: PiLaurent.make(field, {a: scale})}
+        return {n + j: PiLaurent.make(field, {a - 1: scale})}
+
+    def g_pair(j):
+        return ({j: one, n + j: -inv_pi},
+                {j: PiLaurent.const(field, half), n + j: inv_pi.scale(half)})
+
+    if kind == "lambda":
+        vecs = ([pi_pow(j, -1) for j in range(1, m + 1)]
+                + [pi_pow(j, 0) for j in range(m + 1, n + 1)]
+                + [pi_pow(j, 0) for j in range(1, m + 1)]
+                + [pi_pow(j, 1) for j in range(m + 1, n + 1)])
+    elif kind == "chart":
+        upper = range(m + 2, n + 1)
+        vecs = ([pi_pow(j, 0) for j in upper] + [pi_pow(j, -1) for j in range(1, m + 1)]
+                + [pi_pow(m + 1, 0)] + [pi_pow(j, 1) for j in upper]
+                + [pi_pow(j, 0) for j in range(1, m + 1)] + [pi_pow(m + 1, 1)])
+    elif kind == "g_split":
+        pairs = [g_pair(j) for j in range(1, n + 1)]
+        vecs = [p[0] for p in pairs] + [p[1] for p in pairs]
+    elif kind == "f_split":
+        odd = n % 2
+        upper = range(m + 1 + odd, n + 1)
+        minus, plus = g_pair(m + 1)
+        vecs = ([pi_pow(j, -1, minus_one) for j in range(1, m + 1)]
+                + [minus] * odd + [{j: one} for j in upper]
+                + [{j: one} for j in range(1, m + 1)]
+                + [plus] * odd + [{n + j: one} for j in upper])
+    else:
+        raise ValueError(f"unknown frame kind {kind!r}")
+    return Frame(kind, n, field, tuple(vecs))
+
+
+def in_lattice_basis(frame):
+    """An ambient frame rewritten in the basis of ambient_frame("lambda"):
+    ambient position a is c times the lattice vector p holding it, for a
+    monomial c, so an ambient coordinate x at a becomes x / c at p."""
+    field, n = frame.field, frame.n
+    relabel = {}
+    for p, vec in enumerate(ambient_frame("lambda", n, field).vectors, 1):
+        (amb, c), = vec.items()
+        (exp, cf), = c.coeffs.items()
+        relabel[amb] = (p, PiLaurent.make(field, {-exp: field.inv(cf)}))
+    vectors = tuple({relabel[a][0]: x * relabel[a][1] for a, x in vec.items()}
+                    for vec in frame.vectors)
+    return Frame(frame.kind, n, field, vectors)
+
+
+def ambient_form_eval(kind, n, v, w, field):
+    """The symmetric or alternating form on ambient-coordinate vectors.  On
+    basis positions a, b:
+
+      symmetric:   (a, b) = 1 if a, b <= n and a + b = n + 1;
+                   -pi^2 if a, b > n and a + b = 3n + 1; else 0.
+      alternating: <a, b> = 1 if a <= n < b and b - n = n + 1 - a;
+                   -1 if b <= n < a and a - n = n + 1 - b; else 0.
+    """
+    total = PiLaurent.zero(field)
+    pi_sq = PiLaurent.monomial(field, 2)
+    for a, ca in v.items():
+        for b, cb in w.items():
+            if kind == "symmetric":
+                if a <= n and b <= n and a + b == n + 1:
+                    total = total + ca * cb
+                elif a > n and b > n and a + b == 3 * n + 1:
+                    total = total - ca * cb * pi_sq
+            elif kind == "alternating":
+                if a <= n and b > n and b - n == n + 1 - a:
+                    total = total + ca * cb
+                elif a > n and b <= n and a - n == n + 1 - b:
+                    total = total - ca * cb
+            else:
+                raise ValueError(f"unknown form {kind!r}")
+    return total

@@ -13,8 +13,9 @@ from ramwedge.chart import (ChartPoint, charpoly_coefficients,
                             check_trace, check_wedge, full_report, wedge_vector)
 from ramwedge.drivers import sample_chart_points
 from ramwedge.errors import SchemaError
+from ramwedge.exterior import wedge_columns_masks
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import IndexSet
+from ramwedge.indexsets import IndexSet, index_masks
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 
 from oracles import det
@@ -297,6 +298,30 @@ def sampled_points(n, count, seed):
         pts += sample_chart_points(n, ring, count, seed)
         pts.append(nilpotent_point(n, ring, random.Random(seed)))
     return pts
+
+
+@pytest.mark.parametrize("field", [F, Rationals()], ids=["F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_chart_fold_coordinates_are_minors_of_x(n, field):
+    # Pluecker: the coordinate at S = A u (n + B) of the fold of [X; I_n] is
+    # det X[A, C], C the complement of B, times one sign per S across all
+    # points: the sign of moving the columns of B behind those of C
+    nonzero = set()
+    for ring in rings_over(field):
+        pts = sample_chart_points(n, ring, 10, seed=n)
+        pts.append(nilpotent_point(n, ring, random.Random(n)))
+        for pt in pts:
+            fold = wedge_columns_masks(chart_point_embed(pt), ring)
+            for s in index_masks(n):
+                rows = [i for i in range(n) if s >> i & 1]
+                cols = [j for j in range(n) if not s >> n + j & 1]
+                moves = sum(c > b for c in cols for b in range(n) if s >> n + b & 1)
+                minor = det(ring, pt.rows, rows, cols)
+                want = ring.neg(minor) if moves % 2 else minor
+                assert fold.get(s, ring.zero) == want, IndexSet(n, s).members
+                if not ring.is_zero(minor):
+                    nonzero.add(s)
+    assert nonzero == set(index_masks(n))
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), PrimeField(13),

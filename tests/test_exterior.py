@@ -8,21 +8,22 @@ import pytest
 from ramwedge.chart import ChartPoint, _columns_in_e
 from ramwedge.errors import FrameShapeError
 from ramwedge.exterior import (E_BASIS, Frame, WedgeVector, _add_multiple,
-                               apply_operator, basis_wedge, build_frame,
-                               f_frame, form_eval, frame_in_e, g_frame,
-                               lambda_frame, operator_pi_action,
-                               standard_e_frame, wedge_columns,
-                               wedge_columns_masks, wedge_scale, worst_terms)
+                               apply_operator, basis_wedge, f_frame, form_eval,
+                               frame_in_e, g_frame, operator_pi_action,
+                               wedge_columns, wedge_columns_masks, wedge_scale,
+                               worst_terms)
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, i_vee, index_masks, perp_mask,
                                 shuffle_sign)
 from ramwedge.rings import MAX_EXPONENT, DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import INF, LaurentOps, PiLaurent
 
-from oracles import apply_wedge_power_operator, wedge_columns_masks_per_term
+from oracles import (ambient_form_eval, ambient_frame, apply_wedge_power_operator,
+                     in_lattice_basis, wedge_columns_masks_per_term)
 
 F = PrimeField(13)
 Q = Rationals()
+FIELDS = [PrimeField(3), F, Q]
 
 
 def L(coeffs, field=F):
@@ -30,59 +31,35 @@ def L(coeffs, field=F):
 
 
 def test_g_frame_first_and_middle_vectors():
+    # e_j - pi^-1 (pi x 1) e_j and its +pi partner, in e-coordinates: for
+    # j <= m, e_j sits at position n+j and (pi x 1) e_j is pi^2 times
+    # position j; for j > m, at positions j and n+j
+    half = F.inv(F.of_int(2))
     for n in (3, 5):
         g = g_frame(F, n)
-        assert g.vector(1) == {1: L({0: 1}), n + 1: L({-1: -1})}
-        half = F.inv(F.of_int(2))
-        assert g.vector(n + 1) == {1: PiLaurent.const(F, half),
-                                   n + 1: PiLaurent.make(F, {-1: half})}
-
-
-def test_lambda_frame_ambient_realization():
-    # at n = 3 the middle-index lattice frame holds pi^-1 e_1 as pi^-2
-    # times ambient position 4
-    lam = standard_e_frame(F, 3)
-    assert lam.vector(1) == {4: L({-2: 1})}
-    assert [lam.vector(p) for p in range(2, 7)] == [
-        {2: L({0: 1})}, {3: L({0: 1})}, {1: L({0: 1})},
-        {5: L({0: 1})}, {6: L({0: 1})}]
-
-
-def test_lambda_frames_along_the_chain():
-    # every chain index yields a monomial frame covering all 2n ambient
-    # positions; index 0 is the plain ambient basis, index n rescales the
-    # top half by pi^-2
-    for n in (3, 4):
-        for i in range(0, 2 * n + 1):
-            frame = lambda_frame(F, n, i)
-            covered = {next(iter(v)) for v in frame.vectors}
-            assert covered == set(range(1, 2 * n + 1))
-    lam0 = lambda_frame(F, 3, 0)
-    assert [lam0.vector(p) for p in (1, 4)] == [{1: L({0: 1})}, {4: L({0: 1})}]
-    lam_n = lambda_frame(F, 3, 3)
-    assert lam_n.vector(1) == {4: L({-2: 1})}
-    assert lam_n.vector(4) == {1: L({0: 1})}
-
-
-def test_build_frame_dispatch_and_errors():
-    assert build_frame("g_split", 3, F).kind == "g_split"
-    assert build_frame("lambda", 4, F, index=1).kind == "lambda(1)"
-    with pytest.raises(ValueError):
-        build_frame("nope", 3, F)
-    with pytest.raises(ValueError):
-        build_frame("g_split", 1, F)
+        assert g.vector(1) == {n + 1: L({0: 1}), 1: L({1: -1})}
+        assert g.vector(n + 1) == {n + 1: PiLaurent.const(F, half),
+                                   1: PiLaurent.make(F, {1: half})}
+        assert g.vector(n) == {n: L({0: 1}), 2 * n: L({-1: -1})}
 
 
 def test_symmetric_form_on_ambient_basis():
+    # the ambient basis vectors e_i x 1 and (pi x 1) e_i, through the
+    # ambient reference form and through form_eval on their e-coordinates
+    # (at n = 3: e_1 x 1 is position 4, (pi x 1) e_1 is pi^2 times
+    # position 1, and e_i, (pi x 1) e_i for i > 1 are positions i, 3+i)
     n = 3
-    one = PiLaurent.one(F)
+    one, zero = PiLaurent.one(F), PiLaurent.zero(F)
     u = lambda i: {i: one}
-    assert form_eval("symmetric", n, u(1), u(3), F) == one
-    assert form_eval("symmetric", n, u(1), u(4), F) == PiLaurent.zero(F)
-    assert form_eval("symmetric", n, u(4), u(6), F) == L({2: -1})
-    assert form_eval("alternating", n, u(1), u(1), F) == PiLaurent.zero(F)
-    assert form_eval("alternating", n, u(1), u(6), F) == one
-    assert form_eval("alternating", n, u(6), u(1), F) == L({0: -1})
+    in_e = {1: {4: one}, 2: u(2), 3: u(3), 4: {1: L({2: 1})}, 5: u(5), 6: u(6)}
+    for kind, a, b, want in [("symmetric", 1, 3, one), ("symmetric", 1, 4, zero),
+                             ("symmetric", 4, 6, L({2: -1})),
+                             ("alternating", 1, 1, zero), ("alternating", 1, 6, one),
+                             ("alternating", 6, 1, L({0: -1}))]:
+        assert ambient_form_eval(kind, n, u(a), u(b), F) == want
+        assert form_eval(kind, n, in_e[a], in_e[b], F) == want
+    with pytest.raises(ValueError):
+        form_eval("hermitian", n, u(1), u(3), F)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -145,13 +122,6 @@ def test_wedge_column_validation():
         wedge_columns(3, [], ring)
 
 
-def test_lattice_frame_wedge_is_unit_coordinate():
-    for n in (3, 5):
-        s = IndexSet.of(n, range(1, n + 1)).mask
-        w = basis_wedge(frame_in_e("lambda", n, F), s)
-        assert w.terms == {s: PiLaurent.one(F)}
-
-
 ORACLE_CASES = [(kind, n) for n in (3, 4, 5, 7)
                 for kind in ("f_split", "g_split", "chart")
                 if kind != "chart" or n % 2]
@@ -164,8 +134,8 @@ def test_e_coordinates_expand_to_ambient_wedge(kind, n, field):
     # the frame vectors at S equals sum_T c_T * (ambient wedge of the
     # standard lattice frame vectors at T), c_T the e-coordinates at T
     ring = LaurentOps(field)
-    ambient = build_frame(kind, n, field)
-    lattice = standard_e_frame(field, n)
+    ambient = ambient_frame(kind, n, field)
+    lattice = ambient_frame("lambda", n, field)
     in_e = frame_in_e(kind, n, field)
     sets = [s for k, s in enumerate(index_masks(n)) if k % (41 if n == 7 else 1) == 0]
     for s in sets:
@@ -192,7 +162,7 @@ def test_pi_action_has_the_same_matrix_in_e_coordinates():
     # pi x 1 applied to standard lattice vector p equals sum_q A[q, p] times
     # vector q, A the ambient matrix of pi x 1
     for n in (3, 4, 5):
-        lattice = standard_e_frame(F, n)
+        lattice = ambient_frame("lambda", n, F)
         op = operator_pi_action(F, n, PiLaurent.zero(F))
         for p in range(1, 2 * n + 1):
             (q, a), = op[p - 1].items()
@@ -202,8 +172,39 @@ def test_pi_action_has_the_same_matrix_in_e_coordinates():
 
 def test_frames_in_e_are_cached():
     assert frame_in_e("g_split", 5, F) is frame_in_e("g_split", 5, PrimeField(13))
-    with pytest.raises(ValueError):
-        frame_in_e("f_split", 0, F)
+
+
+def test_build_frame_dispatch_and_errors():
+    assert [frame_in_e(kind, 3, F).kind for kind in ("f_split", "g_split", "chart")] == [
+        "f_split", "g_split", "chart"]
+    for kind, n in (("f_split", 0), ("g_split", 1), ("nope", 3), ("lambda", 3)):
+        with pytest.raises(ValueError):
+            frame_in_e(kind, n, F)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", range(2, 12))
+def test_frames_in_e_are_the_ambient_frames_in_the_lattice_basis(n, field):
+    # vector by vector, coefficients and dict order included
+    def entries(frame):
+        return [[(p, x.coeffs, x.precision) for p, x in v.items()] for v in frame.vectors]
+    for kind in ("f_split", "g_split") + (("chart",) if n % 2 else ()):
+        want = in_lattice_basis(ambient_frame(kind, n, field))
+        assert entries(frame_in_e(kind, n, field)) == entries(want), kind
+
+
+@pytest.mark.parametrize("field", [F, Q], ids=["F13", "Q"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_form_eval_is_the_ambient_form_on_every_basis_pair(n, field):
+    # e-position p is lattice vector p, so the form of the unit vectors at p
+    # and q is the ambient form of lattice vectors p and q
+    lattice = ambient_frame("lambda", n, field).vectors
+    one = PiLaurent.one(field)
+    for kind in ("symmetric", "alternating"):
+        for p, v in enumerate(lattice, 1):
+            for q, w in enumerate(lattice, 1):
+                assert (form_eval(kind, n, {p: one}, {q: one}, field)
+                        == ambient_form_eval(kind, n, v, w, field)), (kind, p, q)
 
 
 def test_hand_expanded_g_wedge():
@@ -257,31 +258,24 @@ def test_g_wedge_coefficients_preserve_weight(n):
 def test_pair_factor_identity():
     # the two-factor combination that drives the cancellation case:
     # g_i ^ g_{i*} - g_{i_vee} ^ g_{n+i} equals
-    # (e_i x 1) ^ (e_{i_vee} x 1) - (pi^-1 e_i x 1) ^ (pi e_{i_vee} x 1)
+    # (e_i x 1) ^ (e_{i_vee} x 1) - (pi^-1 e_i x 1) ^ (pi e_{i_vee} x 1),
+    # in e-coordinates (i <= m < i_vee) {n+i} ^ {i_vee} - {i} ^ {n+i_vee}
     ring = LaurentOps(F)
+    one = PiLaurent.one(F)
+
+    def difference(a, b):
+        out = dict(a.terms)
+        _add_multiple(ring, out, -one, b.terms)
+        return out
+
     for n in (3, 5):
         g = g_frame(F, n)
         for i in range(1, n // 2 + 1):
             iv = i_vee(n, i)
-            lhs_a = wedge_columns(n, [g.vector(i), g.vector(2 * n + 1 - i)], ring)
-            lhs_b = wedge_columns(n, [g.vector(iv), g.vector(n + i)], ring)
-            lhs = {s: c for s, c in lhs_a.terms.items()}
-            for s, c in lhs_b.terms.items():
-                cur = lhs.get(s, PiLaurent.zero(F)) - c
-                if cur.is_zero:
-                    lhs.pop(s, None)
-                else:
-                    lhs[s] = cur
-            one = PiLaurent.one(F)
-            rhs_a = wedge_columns(n, [{i: one}, {iv: one}], ring)
-            rhs_b = wedge_columns(n, [{n + i: L({-2: 1})}, {n + iv: one}], ring)
-            rhs = dict(rhs_a.terms)
-            for s, c in rhs_b.terms.items():
-                cur = rhs.get(s, PiLaurent.zero(F)) - c
-                if cur.is_zero:
-                    rhs.pop(s, None)
-                else:
-                    rhs[s] = cur
+            lhs = difference(wedge_columns(n, [g.vector(i), g.vector(2 * n + 1 - i)], ring),
+                             wedge_columns(n, [g.vector(iv), g.vector(n + i)], ring))
+            rhs = difference(wedge_columns(n, [{n + i: one}, {iv: one}], ring),
+                             wedge_columns(n, [{i: one}, {n + iv: one}], ring))
             assert lhs == rhs
 
 
@@ -497,13 +491,19 @@ def test_wedge_vector_json():
 # ---------------------------------------------------------------------------
 # The closed-form frame wedge against the generic fold
 
-FIELDS = [PrimeField(3), PrimeField(13), Q]
+def unit_frame(n, field):
+    """The unit frame e_1, ..., e_2n: the standard lattice basis in
+    e-coordinates."""
+    return Frame("unit", n, field,
+                 tuple({p: PiLaurent.one(field)} for p in range(1, 2 * n + 1)))
 
 
 def oracle_frames(n, field):
-    """The frame_in_e frames (chart at odd n only) and the ambient g-frame."""
-    kinds = ("f_split", "g_split", "lambda") + (("chart",) if n % 2 else ())
-    return [frame_in_e(kind, n, field) for kind in kinds] + [g_frame(field, n)]
+    """The frame_in_e frames (chart at odd n only), the unit frame and the
+    ambient g-frame."""
+    kinds = ("f_split", "g_split") + (("chart",) if n % 2 else ())
+    return ([frame_in_e(kind, n, field) for kind in kinds]
+            + [unit_frame(n, field), ambient_frame("g_split", n, field)])
 
 
 def assert_matches_fold(frame, masks):
@@ -535,9 +535,8 @@ def test_basis_wedge_is_the_fold_on_a_seeded_sample(n, field):
 
 
 def reshaped_unit_frame(n, replaced):
-    """frame_in_e("lambda"), the unit frame e_1, ..., e_2n, with the
-    vectors at the given positions replaced."""
-    vectors = list(frame_in_e("lambda", n, F).vectors)
+    """The unit frame with the vectors at the given positions replaced."""
+    vectors = list(unit_frame(n, F).vectors)
     for pos, vector in replaced.items():
         vectors[pos - 1] = vector
     return Frame("reshaped", n, F, tuple(vectors))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -13,9 +14,11 @@ from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns_masks, wedge_scale)
 from ramwedge.fields import PrimeField, Rationals
-from ramwedge.indexsets import (IndexSet, index_masks, lex_key, perp_mask,
-                                shuffle_sign, sigma_sign_bruteforce, type_masks)
-from ramwedge.lattices import (GUARD_BAND, annihilators, annihilator_evaluations,
+from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_key,
+                                perp_mask, shuffle_sign, sigma_sign_bruteforce,
+                                type_masks)
+from ramwedge.lattices import (GUARD_BAND, BlockLattice, annihilators,
+                               annihilator_evaluations,
                                echelon_lattice_basis, gauss_jordan,
                                intersect_with_standard_lattice,
                                lattice_contains, membership_over_R,
@@ -259,12 +262,35 @@ def test_pipeline_over_rationals_cross_check():
     assert membership_over_R({full: q.one}, ann, FieldRing(q)).ok
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@lru_cache(maxsize=None)
+def family_span_ranks(field) -> dict:
+    """The span_rank of every spin +-, refined (r, s) and kl (l, r, s)
+    family at n = 2..5, r + s = n."""
+    ranks = {}
+    for n in range(2, 6):
+        ffr, gfr = frame_in_e("f_split", n, field), frame_in_e("g_split", n, field)
+        for eps in (1, -1):
+            ranks["spin", n, eps] = BlockLattice(ffr, n, None, eps, PRECISION).span_rank
+        for r in range(n + 1):
+            s = n - r
+            ranks["refined", n, r, s] = BlockLattice(
+                gfr, n, type_masks(n, r, s), signature_eps(s), PRECISION).span_rank
+            for l in range(1, n + 1):
+                ranks["kl", n, l, r, s] = BlockLattice(
+                    gfr, l, bounded_type_masks(n, l, r, s), None, PRECISION).span_rank
+    return ranks
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_residue_rank_independent_of_prime(p):
     field = PrimeField(p)
     gens = spanning_set("refined", 3, field, r=2, s=1)
     rb = reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION))
     assert len(rb) == 6
+    # F_p and Q give equal ranks, family by family
+    got, want = family_span_ranks(field), family_span_ranks(Rationals())
+    assert len(want) == 94
+    assert {k: v for k, v in got.items() if v != want[k]} == {}
 
 
 def test_residue_rank_and_span_equality():
