@@ -20,7 +20,7 @@ whole chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import SchemaError
@@ -260,11 +260,12 @@ def charpoly_coefficients(ring, m) -> list:
     return [c for (c,) in coeffs]
 
 
-def check_kottwitz(pt: ChartPoint) -> Verdict:
+def check_kottwitz(pt: ChartPoint, *, coeffs: list = None) -> Verdict:
     """charpoly(X) = T^n over R: every coefficient below the leading one
-    vanishes; the witness names the first nonzero one."""
+    vanishes; the witness names the first nonzero one.  `coeffs` is
+    charpoly_coefficients(pt.ring, pt.rows) when the caller has it."""
     ring = pt.ring
-    coeffs = charpoly_coefficients(ring, pt.rows)
+    coeffs = charpoly_coefficients(ring, pt.rows) if coeffs is None else coeffs
     for k in range(1, pt.n + 1):
         if not ring.is_zero(coeffs[k]):
             return Verdict(FAIL, f"charpoly coefficient at T^{pt.n - k} is nonzero")
@@ -389,19 +390,38 @@ class ConditionReport:
 
 
 def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> ConditionReport:
-    """Every condition at one point; the top wedge is folded once and
-    shared by the spin, refined and kn membership checks."""
-    wedge = wedge_vector(pt)
+    """Every condition at one point.  The charpoly coefficients serve
+    kottwitz and give det X = (-1)^n c_n, the top wedge's coordinate at the
+    lex-least set e_{1..n} (the chart frame puts X's rows at e-positions
+    1..n in an even order).  When det X != 0, each membership check whose
+    block of e_{1..n} leaves it off the support fails there, as
+    membership_over_R would; the checks left open share one fold."""
+    ring, n, (r, s) = pt.ring, pt.n, pt.signature
+    key, top, cols = ring.field.key(), (1 << n) - 1, tuple(range(1, n + 1))
+    coeffs = charpoly_coefficients(ring, pt.rows)
     conditions = {
         "naive": check_naive_relations(pt),
-        "kottwitz": check_kottwitz(pt),
+        "kottwitz": check_kottwitz(pt, coeffs=coeffs),
         "wedge": check_wedge(pt),
         "trace": check_trace(pt),
-        "spin(+1)": check_spin(pt, 1, precision, wedge=wedge),
-        "spin(-1)": check_spin(pt, -1, precision, wedge=wedge),
-        "refined": check_refined(pt, precision, wedge=wedge),
-        "kn": check_kl(pt, pt.n, precision, wedge=wedge),
     }
+    memberships = {  # name: lattice, its check given the top wedge, witness prefix
+        "spin(+1)": (spin_annihilators(n, key, 1, precision),
+                     partial(check_spin, pt, 1), ""),
+        "spin(-1)": (spin_annihilators(n, key, -1, precision),
+                     partial(check_spin, pt, -1), ""),
+        "refined": (refined_annihilators(n, key, r, s, precision),
+                    partial(check_refined, pt), ""),
+        "kn": (kl_annihilators(n, key, n, r, s, precision),
+               partial(check_kl, pt, n), f"columns {cols}: "),
+    }
+    wedge = None
+    for name, (lattice, check, prefix) in memberships.items():
+        if not ring.is_zero(coeffs[n]) and top not in lattice.block(top).support_set:
+            conditions[name] = Verdict(FAIL, f"{prefix}coordinate{cols}")
+            continue
+        wedge = wedge_vector(pt) if wedge is None else wedge
+        conditions[name] = check(precision=precision, wedge=wedge)
     return ConditionReport(conditions)
 
 

@@ -292,18 +292,22 @@ def wedge_columns_masks(columns, ring) -> dict:
     the largest position, with a field coefficient, so a product's key is a
     sum of keys; one that sets ring.overflow_bits goes to ring.overflowed.
     A new factor at position pos enters negated when (mask >> pos) has odd
-    weight.  The last column gathers each mask's monomials into a row for
-    ring.from_monomials."""
+    weight.  When an entry has a nonzero monomial key, the last column
+    gathers each mask's monomials into a row for ring.from_monomials;
+    otherwise each key is its mask, its coefficient for ring.from_base."""
     if not all(columns):
         return {}
     field = ring.field
     fmul, fadd, fzero = field.mul, field.add, field.is_zero
     shift = max(max(col) for col in columns)
     low, bad = (1 << shift) - 1, ring.overflow_bits << shift
+    steps = [[(1 << pos - 1, pos, (1 << pos - 1) + (m << shift), c, field.neg(c))
+              for pos, x in col.items() for m, c in ring.monomials(x) if not fzero(c)]
+             for col in columns]
+    rows = any(step >> shift for entries in steps for _, _, step, _, _ in entries)
     acc = {0: field.one}
-    for left, col in zip(range(len(columns) - 1, -1, -1), columns):
-        entries = [(1 << pos - 1, pos, (1 << pos - 1) + (m << shift), c, field.neg(c))
-                   for pos, x in col.items() for m, c in ring.monomials(x) if not fzero(c)]
+    for left, entries in zip(range(len(steps) - 1, -1, -1), steps):
+        gather = rows and not left  # the last column: a row of monomials per mask
         nxt = {}
         for key, c in acc.items():
             mask = key & low
@@ -316,7 +320,7 @@ def wedge_columns_masks(columns, ring) -> dict:
                     continue
                 t = fmul(c, neg_x if (mask >> pos).bit_count() & 1 else x)
                 row = nxt
-                if not left:  # the last column: a row of monomials per mask
+                if gather:
                     m, k = mask | bit, k >> shift
                     row = nxt.get(m)
                     if row is None:
@@ -328,10 +332,11 @@ def wedge_columns_masks(columns, ring) -> dict:
                     row[k] = t
                 else:
                     del row[k]
-                    if not (row or left):
+                    if gather and not row:
                         del nxt[m]
         acc = nxt
-    return {m: ring.from_monomials(row) for m, row in acc.items()}
+    convert = ring.from_monomials if rows else ring.from_base
+    return {m: convert(value) for m, value in acc.items()}
 
 
 def wedge_columns(n: int, columns, ring) -> WedgeVector:

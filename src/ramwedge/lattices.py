@@ -84,10 +84,11 @@ def _paired_generators(frame, masks: list, eps: int):
 # pi-adic column echelon over the valuation ring
 
 
-def pi_adic_column_echelon(columns: list, precision: int):
+def pi_adic_column_echelon(columns: list, precision: int, lex: dict = None):
     """Unimodular column reduction with global minimum-valuation pivots.
 
-    columns: sparse {mask: PiLaurent} maps (consumed), all of one degree.
+    columns: sparse {mask: PiLaurent} maps (consumed), all of one degree;
+    lex: {mask: lex_key(mask)} over their masks (elimination adds none).
     Returns [(pivot_set, pivot_valuation, column)] in processing order; each
     pivot row is eliminated from every later column.  Ties break to the
     lexicographically least index set, then the earliest column.  Raises
@@ -97,8 +98,8 @@ def pi_adic_column_echelon(columns: list, precision: int):
     live = {}
     heap = []
     incidence = {}
-    # elimination adds no masks, so the lex keys of the input's masks serve
-    lex = {t: lex_key(t) for t in set().union(*columns)}
+    if lex is None:
+        lex = {t: lex_key(t) for t in set().union(*columns)}
     for cid, col in enumerate(columns):
         col = {t: c for t, c in col.items() if not c.is_zero}
         if not col:
@@ -173,7 +174,8 @@ class DVRTriangularBasis:
         }
 
 
-def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasis:
+def echelon_lattice_basis(generators: list, precision: int,
+                          lex: dict = None) -> DVRTriangularBasis:
     """Unimodular echelon form of the module spanned by the generators over
     the valuation ring, without saturation scaling.  Generators must be
     e-basis wedge vectors of a common degree; zero and redundant generators
@@ -196,18 +198,18 @@ def echelon_lattice_basis(generators: list, precision: int) -> DVRTriangularBasi
         cols.append(dict(g.terms))
     if not cols:
         raise ValueError("all generators are zero")
-    processed = pi_adic_column_echelon(cols, precision)
+    processed = pi_adic_column_echelon(cols, precision, lex)
     pivots = tuple((t, val) for t, val, _ in processed)
     columns = tuple(WedgeVector(n, col) for _, _, col in processed)
     return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
 
 
-def intersect_with_standard_lattice(generators: list,
-                                    precision: int) -> DVRTriangularBasis:
+def intersect_with_standard_lattice(generators: list, precision: int,
+                                    lex: dict = None) -> DVRTriangularBasis:
     """Basis of (F-span of the generators) intersected with the standard
     lattice, at the working precision: the echelon basis with each column
-    saturated to minimum valuation 0."""
-    echelon = echelon_lattice_basis(generators, precision)
+    saturated to minimum valuation 0.  lex is as for the echelon."""
+    echelon = echelon_lattice_basis(generators, precision, lex)
     columns = []
     for (t, val), col in zip(echelon.pivots, echelon.columns):
         if any(c.ord() < val for c in col.terms.values()):
@@ -363,10 +365,11 @@ class AnnihilatorSet:
         return len(self.functionals) + self.coordinate_dim - len(self.support)
 
 
-def annihilators(rb: ResidueBasis) -> AnnihilatorSet:
+def annihilators(rb: ResidueBasis, lex: dict = None) -> AnnihilatorSet:
     """Kernel functionals of the residue span, read off its reduced row
     echelon form: one per non-pivot coordinate t of the support, with 1 at
-    t and minus the t-entry of each reduced row at that row's pivot."""
+    t and minus the t-entry of each reduced row at that row's pivot; lex
+    as for pi_adic_column_echelon, over the support."""
     f = rb.field
     # A residue vector holds no earlier pivot, so with its own pivot moved
     # to the front it keeps that pivot through the Gauss-Jordan step.
@@ -379,7 +382,8 @@ def annihilators(rb: ResidueBasis) -> AnnihilatorSet:
         for t, c in row.items():
             if t not in reduced:
                 functionals.setdefault(t, {t: f.one})[p] = f.neg(c)
-    support = sorted({t for row in reduced.values() for t in row}, key=lex_key)
+    support = sorted({t for row in reduced.values() for t in row},
+                     key=lex_key if lex is None else lex.__getitem__)
     return AnnihilatorSet(rb.n, rb.degree, f, tuple(support),
                           tuple(functionals[t] for t in support if t not in reduced),
                           len(reduced))
@@ -512,18 +516,18 @@ class BlockLattice:
         """The block of these masks reduced: its lattice basis and the
         annihilators of its residue span, recorded for block()."""
         n, frame = self.n, self.frame
+        lex = {m: lex_key(m) for m in masks}  # the echelon and annihilators share it
         family = sorted((m for m in masks if self._family is None or m in self._family),
-                        key=lex_key)
+                        key=lex.__getitem__)
         gens = ([basis_wedge(frame, m) for m in family] if self.eps is None
                 else _paired_generators(frame, family, self.eps))
-        inside = set(masks)
         for g in gens:
-            if not inside.issuperset(g.terms):
+            if not lex.keys() >= g.terms.keys():
                 raise ValueError(f"a generator crosses the weight block of "
-                                 f"{IndexSet(n, min(masks, key=lex_key)).members}")
-        basis = (intersect_with_standard_lattice(gens, self.precision) if gens else
+                                 f"{IndexSet(n, min(masks, key=lex.__getitem__)).members}")
+        basis = (intersect_with_standard_lattice(gens, self.precision, lex) if gens else
                  DVRTriangularBasis(n, self.degree, frame.field, self.precision, (), ()))
-        ann = annihilators(reduce_mod_pi(basis))
+        ann = annihilators(reduce_mod_pi(basis), lex)
         if masks[0] not in self._block_of:
             self._block_of.update(dict.fromkeys(masks, ann))
             self.support_set.update(ann.support)

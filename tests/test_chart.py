@@ -1,12 +1,13 @@
 """Chart points and the condition checkers."""
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
-from ramwedge import exterior
-from ramwedge.chart import (ChartPoint, charpoly_coefficients,
+from ramwedge import chart
+from ramwedge.chart import (FAIL, ChartPoint, Verdict, charpoly_coefficients,
                             chart_point_embed, chart_point_from_json,
                             chart_point_to_json, check_kl, check_kottwitz,
                             check_naive_relations, check_refined, check_spin,
@@ -292,9 +293,9 @@ def rings_over(field):
     return [FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))]
 
 
-def sampled_points(n, count, seed):
+def sampled_points(n, count, seed, field=F):
     pts = []
-    for ring in rings_over(F):
+    for ring in rings_over(field):
         pts += sample_chart_points(n, ring, count, seed)
         pts.append(nilpotent_point(n, ring, random.Random(seed)))
     return pts
@@ -363,42 +364,122 @@ def test_kottwitz_names_first_nonzero_coefficient_without_minors():
         check_kottwitz(pt)
 
 
-def test_full_report_folds_the_top_wedge_once(monkeypatch):
+def det_x(pt):
+    """det X = (-1)^n c_n, from the charpoly coefficients (n is odd)."""
+    return pt.ring.neg(charpoly_coefficients(pt.ring, pt.rows)[pt.n])
+
+
+def counting_folds(monkeypatch):
+    """Patch the fold that chart calls; returns the list of folded column
+    counts."""
     folds = []
-    fold = exterior.wedge_columns_masks
+    fold = chart.wedge_columns
 
-    def counting_fold(columns, ring):
+    def counting_fold(n, columns, ring):
         folds.append(len(columns))
-        return fold(columns, ring)
+        return fold(n, columns, ring)
 
+    monkeypatch.setattr(chart, "wedge_columns", counting_fold)
+    return folds
+
+
+def fresh_lattices(monkeypatch):
+    """Give chart empty lattice caches for the rest of the test; returns the
+    three caches, which the global ones never see."""
+    caches = []
+    for name in ("spin_annihilators", "refined_annihilators", "kl_annihilators"):
+        cache = lru_cache(maxsize=None)(getattr(chart, name).__wrapped__)
+        monkeypatch.setattr(chart, name, cache)
+        caches.append(cache)
+    return caches
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), F, Rationals()], ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_top_wedge_coordinate_at_e_1_to_n_is_det_x(n, field):
+    # the chart frame puts the rows of X at e-positions 1..n in an even
+    # order, so the fold's minor there is det X itself
+    top = (1 << n) - 1
+    nonzero = 0
+    for ring in rings_over(field):
+        pts = sample_chart_points(n, ring, 5 if n < 7 else 3, seed=n)
+        pts.append(nilpotent_point(n, ring, random.Random(n)))
+        for pt in pts:
+            got = wedge_vector(pt).terms.get(top, ring.zero)
+            assert got == det_x(pt)
+            if n < 7:
+                assert got == det(ring, pt.rows, list(range(n)), list(range(n)))
+            nonzero += not ring.is_zero(got)
+    assert nonzero > 0
+
+
+def test_full_report_folds_the_top_wedge_at_most_once(monkeypatch):
     pts = sampled_points(3, 5, seed=7) + sampled_points(5, 5, seed=7)
     for pt in pts:
         full_report(pt)  # lattice construction folds too: warm its caches
-    monkeypatch.setattr(exterior, "wedge_columns_masks", counting_fold)
+    folds = counting_folds(monkeypatch)
+    decided = 0
     for pt in pts:
         folds.clear()
         full_report(pt)
-        assert folds == [pt.n]
+        if pt.ring.is_zero(det_x(pt)):
+            assert folds == [pt.n]
+        else:  # det X decides spin(+1), spin(-1), refined and kn
+            assert folds == []
+            decided += 1
+    assert 0 < decided < len(pts)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_full_report_matches_standalone_checkers(n):
-    checked = 0
-    for pt in sampled_points(n, 10, seed=11):
-        standalone = {
-            "naive": check_naive_relations(pt),
-            "kottwitz": check_kottwitz(pt),
-            "wedge": check_wedge(pt),
-            "trace": check_trace(pt),
-            "spin(+1)": check_spin(pt, 1),
-            "spin(-1)": check_spin(pt, -1),
-            "refined": check_refined(pt),
-            "kn": check_kl(pt, n),
-        }
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_a_report_decided_by_det_x_builds_only_the_block_of_e_1_to_n(monkeypatch, n):
+    top, members = (1 << n) - 1, tuple(range(1, n + 1))
+    caches = fresh_lattices(monkeypatch)
+    folds = counting_folds(monkeypatch)
+    for ring in rings_over(F):
+        pt = sample_chart_points(n, ring, 3, seed=5)[1]  # dense X
+        assert not ring.is_zero(det_x(pt))
         report = full_report(pt).conditions
-        assert report == standalone
-        checked += sum(v.failed for v in report.values())
+        assert report["kn"] == Verdict(FAIL, f"columns {members}: coordinate{members}")
+        for name in ("spin(+1)", "spin(-1)", "refined"):
+            assert report[name] == Verdict(FAIL, f"coordinate{members}")
+    assert folds == []
+    assert [cache.cache_info().currsize for cache in caches] == [2, 1, 1]
+    p = chart.DEFAULT_PRECISION  # the cache keys of full_report's calls
+    for lattice in (chart.spin_annihilators(n, F.key(), 1, p),
+                    chart.spin_annihilators(n, F.key(), -1, p),
+                    chart.refined_annihilators(n, F.key(), n - 1, 1, p),
+                    chart.kl_annihilators(n, F.key(), n, n - 1, 1, p)):
+        assert set(lattice._block_of) == set(lattice._block_masks(top))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_full_report_matches_standalone_checkers(n):
+    # the standalone checkers fold the whole top wedge (once per point
+    # here, shared by the membership checks) and never read det X
+    checked = 0
+    det_zero = det_nonzero = 0
+    for field in (PrimeField(3), F, Rationals()):
+        for pt in sampled_points(n, 10 if n < 7 else 3, seed=11, field=field):
+            w = wedge_vector(pt)
+            standalone = {
+                "naive": check_naive_relations(pt),
+                "kottwitz": check_kottwitz(pt),
+                "wedge": check_wedge(pt),
+                "trace": check_trace(pt),
+                "spin(+1)": check_spin(pt, 1, wedge=w),
+                "spin(-1)": check_spin(pt, -1, wedge=w),
+                "refined": check_refined(pt, wedge=w),
+                "kn": check_kl(pt, n, wedge=w),
+            }
+            report = full_report(pt).conditions
+            assert report == standalone
+            checked += sum(v.failed for v in report.values())
+            if pt.ring.is_zero(det_x(pt)):
+                det_zero += 1
+            else:
+                det_nonzero += 1
     assert checked > 0
+    assert det_zero > 0 and det_nonzero > 0
 
 
 def test_kl_takes_a_given_wedge_only_at_top_degree():
