@@ -20,14 +20,14 @@ whole chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import SchemaError
 from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
 from .indexsets import MAX_RANK, bounded_type_masks, type_masks
-from .lattices import BlockLattice, membership_over_R, signature_eps
+from .lattices import BlockLattice, signature_eps
 from .rings import ring_from_json, ring_to_json
 
 DEFAULT_P = 13
@@ -135,14 +135,6 @@ def wedge_vector(pt: ChartPoint) -> WedgeVector:
     """Wedge of the point's columns from left to right, in e-basis
     coordinates over the point's coefficient ring."""
     return wedge_columns(pt.n, _columns_in_e(pt), pt.ring)
-
-
-def partial_wedge_vectors(pt: ChartPoint, l: int):
-    """e-basis wedges of each l-subset of the point's columns, in column
-    order, as (column tuple, WedgeVector) pairs."""
-    cols = _columns_in_e(pt)
-    for combo in combinations(range(pt.n), l):
-        yield combo, wedge_columns(pt.n, [cols[j] for j in combo], pt.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -329,52 +321,43 @@ def kl_annihilators(n: int, field_key: tuple, l: int, r: int, s: int,
                         bounded_type_masks(n, l, r, s), None, precision)
 
 
-def _membership_verdict(lattice: BlockLattice, w: WedgeVector, ring) -> Verdict:
-    result = membership_over_R(w, lattice.covering(w.terms, ring), ring)
-    if result.ok:
-        return Verdict(PASS)
-    return Verdict(FAIL, result.witness)
+def _membership_verdict(lattice: BlockLattice, w: WedgeVector, ring,
+                        prefix: str = "") -> Verdict:
+    """The lattice's membership verdict on w, its witness after the prefix."""
+    result = lattice.membership(w.terms, ring)
+    return Verdict(PASS) if result.ok else Verdict(FAIL, prefix + result.witness)
 
 
-def check_spin(pt: ChartPoint, eps: int, precision: int = DEFAULT_PRECISION,
-               *, wedge: WedgeVector = None) -> Verdict:
+def check_spin(pt: ChartPoint, eps: int, precision: int = DEFAULT_PRECISION) -> Verdict:
     """The column wedge lies in the mod-pi image of the eps half-spin
-    lattice.  `wedge` is wedge_vector(pt) when the caller has it already."""
+    lattice."""
     spin = spin_annihilators(pt.n, pt.ring.field.key(), eps, precision)
-    w = wedge_vector(pt) if wedge is None else wedge
-    return _membership_verdict(spin, w, pt.ring)
+    return _membership_verdict(spin, wedge_vector(pt), pt.ring)
 
 
-def check_refined(pt: ChartPoint, precision: int = DEFAULT_PRECISION,
-                  *, wedge: WedgeVector = None) -> Verdict:
+def check_refined(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> Verdict:
     """The column wedge lies in the mod-pi image of the half-spin lattice
-    refined by the point's signature.  `wedge` is wedge_vector(pt) when the
-    caller has it already."""
+    refined by the point's signature."""
     r, s = pt.signature
     refined = refined_annihilators(pt.n, pt.ring.field.key(), r, s, precision)
-    w = wedge_vector(pt) if wedge is None else wedge
-    return _membership_verdict(refined, w, pt.ring)
+    return _membership_verdict(refined, wedge_vector(pt), pt.ring)
 
 
-def check_kl(pt: ChartPoint, l: int, precision: int = DEFAULT_PRECISION,
-             *, wedge: WedgeVector = None) -> Verdict:
-    """Every l-fold wedge of the point's columns lies in the mod-pi image of
-    the degree-l lattice bounded by the point's signature.  At l = n the one
-    column subset is all columns, and `wedge` is wedge_vector(pt) when the
-    caller has it already."""
+def check_kl(pt: ChartPoint, l: int, precision: int = DEFAULT_PRECISION) -> Verdict:
+    """Every l-fold wedge of the point's columns, in column order, lies in
+    the mod-pi image of the degree-l lattice bounded by the point's
+    signature; the witness names the first column subset that fails."""
     r, s = pt.signature
     if not 1 <= l <= pt.n:
         raise ValueError(f"wedge degree {l} outside 1..{pt.n}")
-    if wedge is not None and l != pt.n:
-        raise ValueError(f"a given wedge is the top wedge, of degree {pt.n}, not {l}")
     kl = kl_annihilators(pt.n, pt.ring.field.key(), l, r, s, precision)
-    wedges = (partial_wedge_vectors(pt, l) if wedge is None
-              else [(tuple(range(pt.n)), wedge)])
-    for combo, w in wedges:
-        verdict = _membership_verdict(kl, w, pt.ring)
+    cols = _columns_in_e(pt)
+    for combo in combinations(range(pt.n), l):
+        w = wedge_columns(pt.n, [cols[j] for j in combo], pt.ring)
+        verdict = _membership_verdict(kl, w, pt.ring,
+                                      f"columns {tuple(j + 1 for j in combo)}: ")
         if verdict.failed:
-            cols = tuple(j + 1 for j in combo)
-            return Verdict(FAIL, f"columns {cols}: {verdict.witness}")
+            return verdict
     return Verdict(PASS)
 
 
@@ -395,7 +378,8 @@ def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> Condition
     lex-least set e_{1..n} (the chart frame puts X's rows at e-positions
     1..n in an even order).  When det X != 0, each membership check whose
     block of e_{1..n} leaves it off the support fails there, as
-    membership_over_R would; the checks left open share one fold."""
+    membership_over_R would; the checks left open share one fold, and each
+    reads its lattice through _membership_verdict as the checkers do."""
     ring, n, (r, s) = pt.ring, pt.n, pt.signature
     key, top, cols = ring.field.key(), (1 << n) - 1, tuple(range(1, n + 1))
     coeffs = charpoly_coefficients(ring, pt.rows)
@@ -405,23 +389,19 @@ def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> Condition
         "wedge": check_wedge(pt),
         "trace": check_trace(pt),
     }
-    memberships = {  # name: lattice, its check given the top wedge, witness prefix
-        "spin(+1)": (spin_annihilators(n, key, 1, precision),
-                     partial(check_spin, pt, 1), ""),
-        "spin(-1)": (spin_annihilators(n, key, -1, precision),
-                     partial(check_spin, pt, -1), ""),
-        "refined": (refined_annihilators(n, key, r, s, precision),
-                    partial(check_refined, pt), ""),
-        "kn": (kl_annihilators(n, key, n, r, s, precision),
-               partial(check_kl, pt, n), f"columns {cols}: "),
+    memberships = {  # name: lattice, witness prefix
+        "spin(+1)": (spin_annihilators(n, key, 1, precision), ""),
+        "spin(-1)": (spin_annihilators(n, key, -1, precision), ""),
+        "refined": (refined_annihilators(n, key, r, s, precision), ""),
+        "kn": (kl_annihilators(n, key, n, r, s, precision), f"columns {cols}: "),
     }
     wedge = None
-    for name, (lattice, check, prefix) in memberships.items():
+    for name, (lattice, prefix) in memberships.items():
         if not ring.is_zero(coeffs[n]) and top not in lattice.block(top).support_set:
             conditions[name] = Verdict(FAIL, f"{prefix}coordinate{cols}")
             continue
         wedge = wedge_vector(pt) if wedge is None else wedge
-        conditions[name] = check(precision=precision, wedge=wedge)
+        conditions[name] = _membership_verdict(lattice, wedge, ring, prefix)
     return ConditionReport(conditions)
 
 

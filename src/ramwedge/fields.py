@@ -17,16 +17,31 @@ def is_json_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
+MAX_MODULUS = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """The strong probable-prime test to each prime base up to 37, which no
+    composite below 3.18 * 10^23 passes: exact below MAX_MODULUS."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -37,6 +52,8 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= MAX_MODULUS:
+            raise ValueError(f"modulus {self.p} is not below 2^64")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
         if self.p == 2:

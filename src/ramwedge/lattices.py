@@ -400,10 +400,10 @@ class MembershipResult:
 
 
 def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
-    """All functional evaluations against a coefficient vector over R:
-    off-support coordinates present in the vector, in lex order, then the
-    tracked kernel functionals.  Yields (label, value) pairs.  ann is an
-    AnnihilatorSet or what BlockLattice.covering returns for these terms."""
+    """The evaluations membership_over_R reads, as (label, value) pairs:
+    each off-support coordinate the vector over R holds, zero or not, in
+    lex order, then every tracked kernel functional.  ann is an
+    AnnihilatorSet (of a BlockLattice, its merged annihilators)."""
     support = ann.support_set
     for t in sorted((t for t in terms if t not in support), key=lex_key):
         yield (f"coordinate{IndexSet(ann.n, t).members}", terms[t])
@@ -481,16 +481,15 @@ class BlockLattice:
     block is reduced on its own the first time a mask of it is asked for;
     only its annihilators are kept, and `generators` counts its generators.
 
-    covering(terms, ring) builds the blocks a coefficient vector touches
-    and serves as its annihilator set: support_set is the union of the
-    built blocks' supports, and an untouched block holds zero coordinates,
-    which lie in every span and vanish on its functionals.  whole() merges
-    the family's blocks into the lattice that the global pipeline,
-    intersect_with_standard_lattice of every generator of the family,
-    builds, column for column.
+    membership(terms, ring) decides a coefficient vector from the blocks
+    it touches: support_set is the union of the built blocks' supports, and
+    an untouched block holds zero coordinates, which lie in every span and
+    vanish on its functionals.  whole() merges the family's blocks into the
+    lattice that the global pipeline, intersect_with_standard_lattice of
+    every generator of the family, builds, column for column.
     """
 
-    functionals = ()  # as an annihilator set; see covering
+    functionals = ()  # as an annihilator set of the built supports; see membership
 
     def __init__(self, frame, degree: int, masks, eps, precision: int):
         if eps not in (1, -1, None):
@@ -502,7 +501,7 @@ class BlockLattice:
         self.generators = 0
         self.support_set = set()
         self._block_of = {}  # mask -> annihilators of its block, once built
-        self._functional_blocks = False
+        self._functional_blocks = []  # the built blocks' annihilators with functionals
 
     def _block_masks(self, mask: int) -> list:
         """The masks of the block holding the mask."""
@@ -531,7 +530,8 @@ class BlockLattice:
         if masks[0] not in self._block_of:
             self._block_of.update(dict.fromkeys(masks, ann))
             self.support_set.update(ann.support)
-            self._functional_blocks |= bool(ann.functionals)
+            if ann.functionals:
+                self._functional_blocks.append(ann)
             self.generators += len(gens)
         return basis, ann
 
@@ -546,24 +546,24 @@ class BlockLattice:
             found = self._reduce(self._block_masks(mask))[1]
         return found
 
-    def covering(self, terms, ring):
-        """An annihilator set deciding membership over ring of a vector with
-        these terms ({mask: coefficient}): self once the blocks they touch
-        are built, or from then on the merged set when a functional of theirs
-        fails and no off-support coordinate does, to number it among all."""
-        merged = vars(self).get("annihilators")
-        if merged is not None:
-            return merged
-        block_of = self._block_of
-        if not terms.keys() <= block_of.keys():
+    def membership(self, terms, ring) -> MembershipResult:
+        """Whether a vector with these terms ({mask: coefficient}) over ring
+        lies in ring tensor the residue span, as membership_over_R of the
+        merged annihilators reports it.  The blocks the terms touch are
+        built and their supports decide the off-support coordinates; only
+        when those pass and a built block's functional fails (an untouched
+        block's all vanish) does the merged set decide, to number that
+        functional among all."""
+        built = self._block_of.keys()
+        # the subset test reads every term: skip it once every mask's block is built
+        if len(built) < comb(2 * self.n, self.degree) and not terms.keys() <= built:
             for t in terms:
                 self.block(t)
-        if self._functional_blocks and membership_over_R(terms, self, ring).ok:
-            touched = {id(block_of[t]): block_of[t] for t in terms}.values()
-            if any(not ring.is_zero(v) for ann in touched
-                   for _, v in _functional_evaluations(ann, terms, ring)):
-                return self.annihilators
-        return self
+        result = membership_over_R(terms, self, ring)
+        if result.ok and any(not ring.is_zero(v) for ann in self._functional_blocks
+                             for _, v in _functional_evaluations(ann, terms, ring)):
+            return membership_over_R(terms, self.annihilators, ring)
+        return result
 
     @cached_property
     def annihilators(self) -> AnnihilatorSet:

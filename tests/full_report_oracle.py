@@ -1,13 +1,14 @@
-"""full_report against the standalone checkers, which fold the whole top
-wedge and never read det X, at one odd rank over F_13.  Per ring (the
-field, the dual numbers, poly(a, b)) it checks one dense sampled point, one
-dense nilpotent point and the counterexample's shape, X1 = diag(x, -x, 0,
-..., 0, -x, x) with x = 1, the dual generator or a.  Too slow for the
-tier-1 suite at n = 9; run it from the root of a checkout:
+"""full_report against one fold of the whole top wedge per point, whose
+four memberships are decided on their lattices as the checkers decide,
+never reading det X, at one odd rank over F_13.  Per ring (the field, the
+dual numbers, poly(a, b)) it checks one dense sampled point, one dense
+nilpotent point and the counterexample's shape, X1 = diag(x, -x, 0, ...,
+0, -x, x) with x = 1, the dual generator or a.  Too slow for the tier-1
+suite at n = 9; run it from the root of a checkout:
 
     PYTHONPATH=src python tests/full_report_oracle.py [--n 9]
 
-Exit 0 when every report equals the checkers' verdicts and points with
+Exit 0 when every report equals those verdicts and points with
 det X = 0 and with det X != 0 both occur."""
 
 import argparse
@@ -15,14 +16,13 @@ import random
 import sys
 import time
 
-from ramwedge.chart import (ChartPoint, charpoly_coefficients, check_kl,
+from ramwedge.chart import (ChartPoint, charpoly_coefficients,
                             check_kottwitz, check_naive_relations,
-                            check_refined, check_spin, check_trace,
-                            check_wedge, full_report, wedge_vector)
+                            check_trace, check_wedge, full_report)
 from ramwedge.drivers import sample_chart_points
 from ramwedge.fields import PrimeField
 
-from test_chart import nilpotent_point, rings_over
+from test_chart import folded_memberships, nilpotent_point, rings_over
 
 
 def counterexample_shape(n, ring):
@@ -45,16 +45,12 @@ def main(argv=None) -> int:
                   "counterexample": counterexample_shape(n, ring)}
         for kind, pt in points.items():
             start = time.perf_counter()
-            w = wedge_vector(pt)
             standalone = {
                 "naive": check_naive_relations(pt),
                 "kottwitz": check_kottwitz(pt),
                 "wedge": check_wedge(pt),
                 "trace": check_trace(pt),
-                "spin(+1)": check_spin(pt, 1, wedge=w),
-                "spin(-1)": check_spin(pt, -1, wedge=w),
-                "refined": check_refined(pt, wedge=w),
-                "kn": check_kl(pt, n, wedge=w),
+                **folded_memberships(pt),
             }
             report = full_report(pt).conditions
             det_zero = ring.is_zero(charpoly_coefficients(ring, pt.rows)[n])

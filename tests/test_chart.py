@@ -231,9 +231,10 @@ def test_chart_point_schema_errors():
                                "X": [[[0, 0], 1, [0, 0]],
                                      [[0, 0], [0, 0], [0, 0]],
                                      [[0, 0], [0, 0], [0, 0]]]})
-    with pytest.raises(SchemaError, match="'p'"):
-        chart_point_from_json({"n": 3, "p": 9, "ring": {"kind": "field"},
-                               "X": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]})
+    for p, why in ((9, "is not prime"), (2**64 + 13, "is not below 2\\^64")):
+        with pytest.raises(SchemaError, match=f"field 'p': modulus {p} {why}"):
+            chart_point_from_json({"n": 3, "p": p, "ring": {"kind": "field"},
+                                   "X": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]})
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +453,43 @@ def test_a_report_decided_by_det_x_builds_only_the_block_of_e_1_to_n(monkeypatch
         assert set(lattice._block_of) == set(lattice._block_masks(top))
 
 
+def folded_memberships(pt) -> dict:
+    """full_report's four membership verdicts from one fold of the whole top
+    wedge, each decided on its lattice as the checkers decide, never reading
+    det X."""
+    n, ring, (r, s), key = pt.n, pt.ring, pt.signature, pt.ring.field.key()
+    p, w = chart.DEFAULT_PRECISION, wedge_vector(pt)  # p as the checkers key the caches
+    verdict = chart._membership_verdict
+    return {
+        "spin(+1)": verdict(chart.spin_annihilators(n, key, 1, p), w, ring),
+        "spin(-1)": verdict(chart.spin_annihilators(n, key, -1, p), w, ring),
+        "refined": verdict(chart.refined_annihilators(n, key, r, s, p), w, ring),
+        "kn": verdict(chart.kl_annihilators(n, key, n, r, s, p), w, ring,
+                      f"columns {tuple(range(1, n + 1))}: "),
+    }
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_full_report_matches_standalone_checkers(n):
-    # the standalone checkers fold the whole top wedge (once per point
-    # here, shared by the membership checks) and never read det X
+    # one fold per point decides the four memberships; at n = 3 and 5 the
+    # checkers themselves, each folding on its own, give them too
     checked = 0
     det_zero = det_nonzero = 0
     for field in (PrimeField(3), F, Rationals()):
         for pt in sampled_points(n, 10 if n < 7 else 3, seed=11, field=field):
-            w = wedge_vector(pt)
             standalone = {
                 "naive": check_naive_relations(pt),
                 "kottwitz": check_kottwitz(pt),
                 "wedge": check_wedge(pt),
                 "trace": check_trace(pt),
-                "spin(+1)": check_spin(pt, 1, wedge=w),
-                "spin(-1)": check_spin(pt, -1, wedge=w),
-                "refined": check_refined(pt, wedge=w),
-                "kn": check_kl(pt, n, wedge=w),
+                **folded_memberships(pt),
             }
             report = full_report(pt).conditions
             assert report == standalone
+            if n < 7:
+                checkers = {"spin(+1)": check_spin(pt, 1), "spin(-1)": check_spin(pt, -1),
+                            "refined": check_refined(pt), "kn": check_kl(pt, n)}
+                assert checkers.items() <= standalone.items()
             checked += sum(v.failed for v in report.values())
             if pt.ring.is_zero(det_x(pt)):
                 det_zero += 1
@@ -480,11 +497,3 @@ def test_full_report_matches_standalone_checkers(n):
                 det_nonzero += 1
     assert checked > 0
     assert det_zero > 0 and det_nonzero > 0
-
-
-def test_kl_takes_a_given_wedge_only_at_top_degree():
-    pt = counterexample(5, DualNumbers(F))
-    w = wedge_vector(pt)
-    assert check_kl(pt, 5, wedge=w) == check_kl(pt, 5)
-    with pytest.raises(ValueError, match="top wedge"):
-        check_kl(pt, 3, wedge=w)

@@ -357,12 +357,22 @@ def test_out_naming_a_file_is_usage_error(tmp_path, monkeypatch, capsys, argv,
     (["verify", "sign-lemma", "--n", "3"], "-7"),
     (["verify", "refined-basis", "--n", "3"], "15"),
     (["basis", "spin", "--n", "3"], "2"),
-], ids=["4", "-7", "15", "2"])
+    (["verify", "x1-zero", "--n", "3"], "1000000000000000001"),
+    (["verify", "x1-zero", "--n", "3"], str(2**64 + 13)),
+], ids=["4", "-7", "15", "2", "1e18+1", "2^64+13"])
 def test_p_must_be_an_odd_prime(tmp_path, capsys, argv, p):
     out = tmp_path / "results"
     assert main(argv + ["--p", p, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: --p {p}: ")
     assert not out.exists()
+
+
+def test_x1_zero_runs_over_a_modulus_near_ten_to_the_18(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert main(["verify", "x1-zero", "--n", "3", "--p", str(10**18 + 3),
+                 "--out", str(out)]) == 0
+    certificate = json.loads((out / "certificate-x1-zero.json").read_text())
+    assert (certificate["params"]["p"], certificate["verdict"]) == (10**18 + 3, "pass")
 
 
 def test_check_point_takes_p_from_the_point_file(tmp_path, capsys):

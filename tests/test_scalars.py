@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ramwedge.errors import FieldMismatchError, IndeterminateValuationError
-from ramwedge.fields import PrimeField, Rationals
+from ramwedge.fields import PrimeField, Rationals, _is_prime
 from ramwedge.scalars import INF, PiLaurent, truncated_inverse
 
 from oracles import series_inverse
@@ -23,6 +23,32 @@ def test_base_field_validation():
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def test_primality_agrees_with_trial_division_below_ten_thousand():
+    def trial(m):
+        return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+    assert [m for m in range(10_000) if _is_prime(m)] == [m for m in range(10_000) if trial(m)]
+
+
+@pytest.mark.parametrize("p,prime", [
+    (10**18 + 3, True), (2**61 - 1, True), (2**64 - 59, True),
+    (10**18 + 1, False), (561, False), (3825123056546413051, False),
+], ids=["1e18+3", "2^61-1", "2^64-59", "1e18+1", "carmichael-561", "psp-to-23"])
+def test_large_moduli_are_decided_at_once(p, prime):
+    # 3825123056546413051 passes the strong test to every prime base up to 23
+    assert _is_prime(p) == prime
+    if prime:
+        assert PrimeField(p).p == p
+    else:
+        with pytest.raises(ValueError, match="is not prime"):
+            PrimeField(p)
+
+
+@pytest.mark.parametrize("p", [2**64, 2**64 + 13, 10**40 + 121])
+def test_moduli_from_two_to_the_64_are_refused(p):
+    with pytest.raises(ValueError, match="is not below 2\\^64"):
+        PrimeField(p)
 
 
 def test_add_cancellation():

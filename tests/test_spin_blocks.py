@@ -3,16 +3,18 @@ degree-l type-bounded), built one weight block at a time, against the
 global pipeline (intersect_with_standard_lattice of the oracle
 spanning_set) as its oracle."""
 
+import re
+
 import pytest
 
-from ramwedge.chart import (FAIL, Verdict, check_kl, check_refined, check_spin,
+from ramwedge.chart import (FAIL, PASS, Verdict, check_kl, check_refined, check_spin,
                             kl_annihilators, refined_annihilators,
                             spin_annihilators, wedge_vector)
 from ramwedge.drivers import counterexample_point, sample_chart_points
 from ramwedge.exterior import Frame, frame_in_e
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
-from ramwedge.lattices import (BlockLattice, annihilators,
+from ramwedge.lattices import (BlockLattice, annihilator_evaluations, annihilators,
                                intersect_with_standard_lattice,
                                membership_over_R, pi_adic_column_echelon,
                                reduce_mod_pi, signature_eps)
@@ -144,26 +146,57 @@ def test_even_rank_contrast_at_4_is_pinned(eps):
     assert (ann.span_rank, len(ann.support), len(ann.functionals)) == (35, 62, 27)
 
 
-def test_covering_with_functionals_uses_the_global_numbering():
-    # at even n a touched block may carry kernel functionals; covering
-    # falls back to the merged set when one fails, so witnesses name
-    # functionals by their place in it
+def test_membership_with_functionals_uses_the_global_numbering():
+    # at even n a touched block may carry kernel functionals; membership
+    # decides by the merged set when one fails, so witnesses name
+    # functionals by their place in it, and builds that set only then
     field = FIELDS["F13"]
     ring = FieldRing(field)
     _, _, ann = global_lattice(4, field, 1)
     off = next(t for t in index_masks(4) if t not in ann.support_set)
-    fallbacks = 0
+    merges = 0
     for t in index_masks(4):
         # alone, and with an off-support coordinate that is the witness
         # whatever the functionals give, so no block needs its number
         for vector in ({t: field.one}, {t: field.one, off: field.one}):
             lattice = block_lattice(4, field, 1)
-            covering = lattice.covering(vector, ring)
-            fallbacks += covering is lattice.annihilators
-            assert len(vector) == 1 or covering is lattice
-            assert (membership_over_R(vector, covering, ring)
-                    == membership_over_R(vector, ann, ring))
-    assert fallbacks > 0
+            assert lattice.membership(vector, ring) == membership_over_R(vector, ann, ring)
+            # the first nonzero evaluation on t's block: off-support
+            # coordinates come before its functionals
+            failing = [label for label, v in
+                       annihilator_evaluations(lattice.block(t), vector, ring)
+                       if not ring.is_zero(v)]
+            merged = "annihilators" in vars(lattice)
+            assert merged == (bool(failing) and failing[0].startswith("functional"))
+            assert len(vector) == 1 or not merged
+            merges += merged
+    assert merges > 0
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_lattice_merged_first_decides_as_a_fresh_one(n):
+    # membership reads the blocks a vector touches whether or not the
+    # merged set exists, so merging first changes no verdict or witness;
+    # at n = 5 only the counterexample fails at a kernel functional
+    field = FIELDS["F13"]
+    families = [("spin", {"eps": 1}), ("spin", {"eps": -1}),
+                ("refined", {"r": n - 1, "s": 1}), ("kl", {"l": n, "r": n - 1, "s": 1})]
+    fresh = [family_lattice(kind, n, field, **params) for kind, params in families]
+    merged = [family_lattice(kind, n, field, **params) for kind, params in families]
+    for lattice in merged:
+        lattice.annihilators
+    witnesses = set()
+    for ring in (FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))):
+        pts = sample_chart_points(n, ring, 8, seed=2)
+        if ring.kind == "dual" and n == 5:
+            pts.append(counterexample_point(n))
+        for pt in pts:
+            w = wedge_vector(pt)
+            for a, b in zip(fresh, merged):
+                got = a.membership(w.terms, ring)
+                assert got == b.membership(w.terms, ring)
+                witnesses.add(got.witness and re.match(r"\w+", got.witness)[0])
+    assert witnesses == {None, "coordinate", "functional"}
 
 
 def test_a_point_builds_only_the_blocks_it_touches():
@@ -174,25 +207,24 @@ def test_a_point_builds_only_the_blocks_it_touches():
     lattice = block_lattice(n, pt.ring.field, 1)
     w = wedge_vector(pt)
     assert all(weight(n, t) == (1,) * n for t in w.terms)
-    assert membership_over_R(w, lattice.covering(w.terms, pt.ring), pt.ring).ok
+    assert lattice.membership(w.terms, pt.ring).ok
     assert len(lattice.support_set) == 64
     # kn is unpaired, so its block is the one slot weight: the n sets of
     # type (n - 1, 1) in it give its generators; the block holds kn's one
-    # kernel functional, which vanishes on the wedge, so covering merges no
-    # other block
+    # kernel functional, which vanishes on the wedge, so membership merges
+    # no other block
     kn = family_lattice("kl", n, pt.ring.field, l=n, r=n - 1, s=1)
     ann = kn.block(next(iter(w.terms)))
     assert kn.generators == n
     assert all(weight(n, t) == (1,) * n for t in ann.support)
     assert len(ann.functionals) == 1
-    assert kn.covering(w.terms, pt.ring) is kn
+    assert kn.membership(w.terms, pt.ring).ok
     assert kn.generators == n and "annihilators" not in vars(kn)
     assert membership_over_R(w, kn.annihilators, pt.ring).ok
     # refined fails the wedge at a kernel functional, numbered among all
     refined = family_lattice("refined", n, pt.ring.field, r=n - 1, s=1)
-    covering = refined.covering(w.terms, pt.ring)
-    assert covering is refined.annihilators
-    assert membership_over_R(w, covering, pt.ring).witness == "functional[5]"
+    assert refined.membership(w.terms, pt.ring).witness == "functional[5]"
+    assert "annihilators" in vars(refined)
 
 
 @pytest.mark.parametrize("n,count", [(5, 10), (7, 5)])
@@ -201,13 +233,15 @@ def test_both_signs_give_one_verdict_on_sampled_points(n, count):
     # verdict and one witness; the lazy blocks give the global ones
     field = FIELDS["F13"]
     _, _, ann = global_lattice(n, field, 1)
+    plus, minus = (spin_annihilators(n, field.key(), eps, PRECISION) for eps in (1, -1))
     for ring in (FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))):
         for pt in sample_chart_points(n, ring, count, seed=0):
             w = wedge_vector(pt)
-            plus = check_spin(pt, 1, wedge=w)
-            assert plus == check_spin(pt, -1, wedge=w)
-            got = membership_over_R(w, ann, ring)
-            assert (plus.passed, plus.witness) == (got.ok, got.witness)
+            got = plus.membership(w.terms, ring)
+            assert got == minus.membership(w.terms, ring) == membership_over_R(w, ann, ring)
+            if n == 5:  # the checkers themselves, each folding on its own
+                verdicts = [check_spin(pt, 1), check_spin(pt, -1)]
+                assert verdicts == [Verdict(PASS if got.ok else FAIL, got.witness)] * 2
 
 
 def test_spin_annihilators_is_one_cached_lattice():
@@ -224,23 +258,22 @@ def test_spin_annihilators_is_one_cached_lattice():
 @pytest.mark.parametrize("n,index", [(5, 2), (7, 5), (9, 9)])
 def test_witness_numbering_does_not_depend_on_build_order(n, index, history):
     # the counterexample fails refined at one kernel functional and passes
-    # kn, whether its lattices are new, built whole, or have first covered
+    # kn, whether its lattices are new, built whole, or have first decided
     # other points' wedges (blocks built in another order)
     refined_annihilators.cache_clear()
     kl_annihilators.cache_clear()
     pt = counterexample_point(n)
     key = pt.ring.field.key()
     if history == "whole":
-        refined_annihilators(n, key, n - 1, 1).whole()
-        kl_annihilators(n, key, n, n - 1, 1).whole()
+        refined_annihilators(n, key, n - 1, 1, PRECISION).whole()
+        kl_annihilators(n, key, n, n - 1, 1, PRECISION).whole()
     elif history == "sampled":
         for other in sample_chart_points(n, pt.ring, 4, seed=1):
             w = wedge_vector(other)
-            check_refined(other, wedge=w)
-            check_kl(other, n, wedge=w)
-    w = wedge_vector(pt)
-    assert check_refined(pt, wedge=w) == Verdict(FAIL, f"functional[{index}]")
-    assert check_kl(pt, n, wedge=w).passed
+            refined_annihilators(n, key, n - 1, 1, PRECISION).membership(w.terms, pt.ring)
+            kl_annihilators(n, key, n, n - 1, 1, PRECISION).membership(w.terms, pt.ring)
+    assert check_refined(pt) == Verdict(FAIL, f"functional[{index}]")
+    assert check_kl(pt, n).passed
 
 
 def test_echelon_inverts_a_pivot_only_when_a_column_holds_its_row(monkeypatch):
