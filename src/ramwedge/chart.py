@@ -4,7 +4,11 @@ chart-level moduli conditions.
 
 A chart point is an n x n matrix X over a coefficient ring R (odd n); it
 represents the rank-n submodule spanned by the columns of [X; I_n] in the
-chart ordering of the standard lattice frame.  X is blocked as
+chart ordering of the standard lattice basis, a permutation of the
+e-basis (exterior module docstring): row i of X is e-position order[i] and
+row n+j of I_n is n + order[j], with order = (m+2..n, 1..m, m+1),
+m = floor(n/2), so X's rows fill e_1..e_n in an even order (m(m+1)
+inversions).  X is blocked as
 
     X = [ X1  X2 ]     X1 of size (n-1) x (n-1), X4 scalar.
         [ X3  X4 ]
@@ -107,28 +111,17 @@ class ChartPoint:
                 and ring.is_zero(self.x4()))
 
 
-def chart_point_embed(pt: ChartPoint) -> list:
-    """Columns of [X; I_n] as sparse vectors over the chart frame positions:
-    column j carries X[., j] on rows 1..n and a 1 on row n + j."""
+def _columns_in_e(pt: ChartPoint) -> list:
+    """The columns of [X; I_n] at their e-positions (module docstring):
+    X's nonzero entries first, in row order, then the 1 of I_n."""
+    n, m, ring = pt.n, pt.n // 2, pt.ring
+    order = (*range(m + 2, n + 1), *range(1, m + 1), m + 1)
     cols = []
-    for j in range(pt.n):
-        col = {}
-        for i in range(pt.n):
-            c = pt.rows[i][j]
-            if not pt.ring.is_zero(c):
-                col[i + 1] = c
-        col[pt.n + j + 1] = pt.ring.one
+    for j in range(n):
+        col = {order[i]: row[j] for i, row in enumerate(pt.rows) if not ring.is_zero(row[j])}
+        col[n + order[j]] = ring.one
         cols.append(col)
     return cols
-
-
-def _columns_in_e(pt: ChartPoint) -> list:
-    """The embedded columns relabelled from chart positions to e-positions.
-    Each chart frame vector is a unit e-vector, so the chart frame is a
-    permutation of the standard lattice basis."""
-    frame = frame_in_e("chart", pt.n, pt.ring.field)
-    posmap = [next(iter(vec)) for vec in frame.vectors]
-    return [{posmap[p - 1]: c for p, c in col.items()} for col in chart_point_embed(pt)]
 
 
 def wedge_vector(pt: ChartPoint) -> WedgeVector:
@@ -295,9 +288,11 @@ def check_trace(pt: ChartPoint) -> Verdict:
     return Verdict(PASS)
 
 
+# The lattices take precision positionally and without a default, so equal
+# calls share one cache entry.
 @lru_cache(maxsize=None)
 def spin_annihilators(n: int, field_key: tuple, eps: int,
-                      precision: int = DEFAULT_PRECISION) -> BlockLattice:
+                      precision: int, /) -> BlockLattice:
     """The eps half-spin lattice: pairs over every index set of size n."""
     return BlockLattice(frame_in_e("f_split", n, field_from_key(field_key)), n,
                         None, eps, precision)
@@ -305,7 +300,7 @@ def spin_annihilators(n: int, field_key: tuple, eps: int,
 
 @lru_cache(maxsize=None)
 def refined_annihilators(n: int, field_key: tuple, r: int, s: int,
-                         precision: int = DEFAULT_PRECISION) -> BlockLattice:
+                         precision: int, /) -> BlockLattice:
     """The half-spin lattice refined by the signature (r, s): pairs over the
     index sets of type (r, s), with the sign that s fixes."""
     return BlockLattice(frame_in_e("g_split", n, field_from_key(field_key)), n,
@@ -314,7 +309,7 @@ def refined_annihilators(n: int, field_key: tuple, r: int, s: int,
 
 @lru_cache(maxsize=None)
 def kl_annihilators(n: int, field_key: tuple, l: int, r: int, s: int,
-                    precision: int = DEFAULT_PRECISION) -> BlockLattice:
+                    precision: int, /) -> BlockLattice:
     """The degree-l lattice bounded by the signature (r, s): the unpaired
     wedges over the index sets of size l and type at most (r, s)."""
     return BlockLattice(frame_in_e("g_split", n, field_from_key(field_key)), l,
@@ -375,7 +370,7 @@ class ConditionReport:
 def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> ConditionReport:
     """Every condition at one point.  The charpoly coefficients serve
     kottwitz and give det X = (-1)^n c_n, the top wedge's coordinate at the
-    lex-least set e_{1..n} (the chart frame puts X's rows at e-positions
+    lex-least set e_{1..n} (_columns_in_e puts X's rows at e-positions
     1..n in an even order).  When det X != 0, each membership check whose
     block of e_{1..n} leaves it off the support fails there, as
     membership_over_R would; the checks left open share one fold, and each

@@ -18,7 +18,7 @@ from .exterior import (WedgeVector, apply_operator, basis_wedge, frame_in_e,
                        operator_pi_action, wedge_columns, wedge_scale,
                        worst_terms)
 from .fields import PrimeField
-from .indexsets import (IndexSet, bounded_type_masks, i_vee, index_masks,
+from .indexsets import (MAX_RANK, IndexSet, bounded_type_masks, i_vee, index_masks,
                         shuffle_sign, sigma_sign_bruteforce, type_masks,
                         type_n11_sets)
 from .lattices import (annihilator_evaluations, echelon_lattice_basis,
@@ -46,7 +46,8 @@ class Certificate:
 
 # The ranks each driver supports: (least, greatest or None, odd only,
 # default).  `verify all --n N` runs a driver at min(N, greatest), and one
-# without a greatest rank at max(N, least).
+# without a greatest rank at max(N, least).  No driver runs above MAX_RANK,
+# the rank lex_key orders masks up to.
 DRIVER_RANKS = {
     "sign-lemma": (2, 6, False, 6),
     "worst-terms": (3, 9, True, 7),
@@ -60,10 +61,10 @@ DRIVER_RANKS = {
 
 def _require_rank(result_id: str, n: int):
     low, high, odd, _ = DRIVER_RANKS[result_id]
-    if n < low or (high is not None and n > high) or (odd and n % 2 == 0):
-        bounds = f"{low} <= n <= {high}" if high is not None else f"n >= {low}"
+    high = MAX_RANK if high is None else high
+    if not low <= n <= high or (odd and n % 2 == 0):
         raise RankError(f"{result_id} needs {'odd ' if odd else ''}n with "
-                        f"{bounds}, got {n}")
+                        f"{low} <= n <= {high}, got {n}")
 
 
 def _require_signature(result_id: str, n: int, signature):

@@ -7,11 +7,14 @@ parahoric.  Position j (1 <= j <= n) holds (pi x 1)^lo e_j and position n+j
 holds (pi x 1)^(lo+1) e_j, where lo = -1 for j <= m and lo = 0 above.  As
 (pi x 1)^2 is the scalar pi^2, the operator "pi x 1" sends position j to
 position n+j and position n+j to pi^2 times position j.  The frame builders
-write their vectors straight into this basis (_e_term) and check them there,
-so every wedge coordinate is an e_S coordinate: sparse {mask: coefficient}
-maps, keyed by the bitmask of S (bit i-1 is element i, as IndexSet.mask),
-whose value at S is the minor on rows S taken in increasing row order, with
-columns wedged from left to right.
+write their vectors straight into this basis (_e_term) and check them there.
+The chart of chart.py is no frame: its reordering of the standard lattice
+basis is a permutation of the e-positions, and chart._columns_in_e writes
+the chart columns at them.  So every wedge coordinate is an e_S
+coordinate: sparse {mask: coefficient} maps, keyed by the bitmask of S
+(bit i-1 is element i, as IndexSet.mask), whose value at S is the minor on
+rows S taken in increasing row order, with columns wedged from left to
+right.
 
 Slot/monomial invariant.  Every frame vector lies in one slot {i, n+i}
 (at most two coordinates, at positions i and n+i), and each of its
@@ -128,19 +131,6 @@ def _eigen_pair(field, n: int, j: int) -> tuple:
             {**_e_term(field, n, j, 0, half), **_e_term(field, n, j, 1, half, -1)})
 
 
-def chart_frame(field, n: int) -> Frame:
-    """The standard lattice basis reordered so that the distinguished affine
-    chart consists of the columns of [X; I_n].  Odd n only."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("the affine chart frame requires odd n >= 3")
-    m = n // 2
-    order = [*range(m + 2, n + 1), *range(1, m + 1), m + 1]
-    vecs = [_e_term(field, n, j, a - (j <= m)) for a in (0, 1) for j in order]
-    frame = Frame("chart", n, field, tuple(vecs))
-    _check_monomial(frame)
-    return frame
-
-
 def g_frame(field, n: int) -> Frame:
     """Split ordered basis with the first n vectors in the -pi eigenspace of
     pi x 1 and the last n in the +pi eigenspace."""
@@ -168,12 +158,12 @@ def f_frame(field, n: int) -> Frame:
 
 @lru_cache(maxsize=None)
 def frame_in_e(kind: str, n: int, field) -> Frame:
-    """The frame of the given kind ("f_split", "g_split" or "chart"), built
-    and self-checked once per (kind, n, field).  The vectors are shared by
-    every caller and must not be mutated."""
+    """The frame of the given kind ("f_split" or "g_split"), built and
+    self-checked once per (kind, n, field).  The vectors are shared by every
+    caller and must not be mutated."""
     if n < 2:
         raise ValueError("rank n must be at least 2")
-    builders = {"f_split": f_frame, "g_split": g_frame, "chart": chart_frame}
+    builders = {"f_split": f_frame, "g_split": g_frame}
     if kind not in builders:
         raise ValueError(f"unknown frame kind {kind!r}")
     return builders[kind](field, n)
@@ -235,20 +225,6 @@ def _check_pi_eigen(frame: Frame):
         want = {p: c * lam for p, c in frame.vector(pos).items()}
         if image != want:
             raise AssertionError(f"{frame.kind} vector {pos} is not a pi-eigenvector")
-
-
-def _check_monomial(frame: Frame):
-    seen = set()
-    for pos in range(1, 2 * frame.n + 1):
-        vec = frame.vector(pos)
-        if len(vec) != 1:
-            raise AssertionError(f"{frame.kind} vector {pos} is not a monomial")
-        (q, coeff), = vec.items()
-        if len(coeff.coeffs) != 1:
-            raise AssertionError(f"{frame.kind} vector {pos} has a non-monomial scalar")
-        if q in seen:
-            raise AssertionError(f"{frame.kind} repeats position {q}")
-        seen.add(q)
 
 
 # ---------------------------------------------------------------------------

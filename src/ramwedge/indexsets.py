@@ -104,7 +104,9 @@ def index_masks(n: int, card: int = None) -> list:
 def lex_key(mask: int) -> int:
     """The sort key of lex order (of the increasing member tuples) on masks
     of one cardinality: -star_mask(MAX_RANK, mask), inlined, since the bit
-    reversal at the fixed width 2 * MAX_RANK keeps the order at every rank."""
+    reversal at the fixed width 2 * MAX_RANK keeps the order at every rank
+    up to MAX_RANK.  Its domain is the 42-bit masks, mask < 2^(2 * MAX_RANK):
+    a higher bit breaks the order."""
     return -int(bin(mask | 1 << 2 * MAX_RANK)[:2:-1], 2)
 
 

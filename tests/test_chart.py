@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 
 from ramwedge import chart
-from ramwedge.chart import (FAIL, ChartPoint, Verdict, charpoly_coefficients,
-                            chart_point_embed, chart_point_from_json,
+from ramwedge.chart import (FAIL, ChartPoint, Verdict, _columns_in_e,
+                            charpoly_coefficients, chart_point_from_json,
                             chart_point_to_json, check_kl, check_kottwitz,
                             check_naive_relations, check_refined, check_spin,
                             check_trace, check_wedge, full_report, wedge_vector)
@@ -47,11 +47,24 @@ def counterexample(n, ring):
     return diag_point(n, ring, diag)
 
 
+def chart_position_columns(pt):
+    """The columns of [X; I_n] at their chart positions: column j carries
+    X[., j] on rows 1..n and a 1 on row n + j."""
+    cols = []
+    for j in range(pt.n):
+        col = {i + 1: row[j] for i, row in enumerate(pt.rows) if not pt.ring.is_zero(row[j])}
+        col[pt.n + j + 1] = pt.ring.one
+        cols.append(col)
+    return cols
+
+
 def test_embed_worst_point():
+    # at n = 3 the chart order is (3, 1, 2): the 1s of I_3 sit at e-positions
+    # 6, 4, 5
     n = 3
-    ring = FieldRing(F)
-    cols = chart_point_embed(worst_point(n, ring))
-    assert cols == [{4: F.one}, {5: F.one}, {6: F.one}]
+    pt = worst_point(n, FieldRing(F))
+    assert chart_position_columns(pt) == [{4: F.one}, {5: F.one}, {6: F.one}]
+    assert _columns_in_e(pt) == [{6: F.one}, {4: F.one}, {5: F.one}]
 
 
 def test_worst_point_wedge_is_top_coordinate():
@@ -313,7 +326,7 @@ def test_chart_fold_coordinates_are_minors_of_x(n, field):
         pts = sample_chart_points(n, ring, 10, seed=n)
         pts.append(nilpotent_point(n, ring, random.Random(n)))
         for pt in pts:
-            fold = wedge_columns_masks(chart_point_embed(pt), ring)
+            fold = wedge_columns_masks(chart_position_columns(pt), ring)
             for s in index_masks(n):
                 rows = [i for i in range(n) if s >> i & 1]
                 cols = [j for j in range(n) if not s >> n + j & 1]

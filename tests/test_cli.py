@@ -80,6 +80,9 @@ def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
      "odd n with 3 <= n <= 11, got 4"),
     (["all", "--n", "4"], "odd n with 3 <= n <= 9, got 4"),
     (["operator-identities", "--n", "13"], "odd n with 3 <= n <= 11, got 13"),
+    # lex_key orders masks up to MAX_RANK = 21 only
+    (["counterexample", "--n", "23"], "odd n with 5 <= n <= 21, got 23"),
+    (["all", "--n", "23"], "odd n with 5 <= n <= 21, got 23"),
 ])
 def test_rank_out_of_range_is_usage_error(tmp_path, capsys, argv, bounds):
     # no driver silently runs at another rank than --n asks for

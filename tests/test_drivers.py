@@ -183,8 +183,8 @@ def test_bundle_ranks_cap_each_driver_at_its_range():
     ("sign-lemma", 0), ("sign-lemma", 7), ("worst-terms", 100),
     ("worst-terms", 4), ("refined-basis", 9), ("spin-structure", -3),
     ("counterexample", 3), ("x1-zero", 11), ("operator-identities", 4),
-    ("operator-identities", 13),
-    ("all", 4), ("all", 1)])
+    ("operator-identities", 13), ("counterexample", 22), ("counterexample", 23),
+    ("all", 4), ("all", 1), ("all", 23)])
 def test_run_driver_rejects_ranks_out_of_range(result_id, n):
     with pytest.raises(RankError):
         run_driver(result_id, n=n)

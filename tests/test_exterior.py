@@ -122,6 +122,20 @@ def test_wedge_column_validation():
         wedge_columns(3, [], ring)
 
 
+def chart_in_e(n, field):
+    """The chart's reordering of the standard lattice basis as a frame of
+    unit e-vectors, read off chart._columns_in_e at X = I_n: column j holds
+    row j at the e-position of chart vector j, then the 1 of I_n at that of
+    chart vector n+j."""
+    ring = FieldRing(field)
+    ident = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
+                  for i in range(n))
+    cols = _columns_in_e(ChartPoint(n, ring, ident, (n - 1, 1)))
+    rows, ones = zip(*(list(col) for col in cols))
+    one = PiLaurent.one(field)
+    return Frame("chart", n, field, tuple({q: one} for q in rows + ones))
+
+
 ORACLE_CASES = [(kind, n) for n in (3, 4, 5, 7)
                 for kind in ("f_split", "g_split", "chart")
                 if kind != "chart" or n % 2]
@@ -132,11 +146,12 @@ ORACLE_CASES = [(kind, n) for n in (3, 4, 5, 7)
 def test_e_coordinates_expand_to_ambient_wedge(kind, n, field):
     # independent of the conversion to e-coordinates: the ambient wedge of
     # the frame vectors at S equals sum_T c_T * (ambient wedge of the
-    # standard lattice frame vectors at T), c_T the e-coordinates at T
+    # standard lattice frame vectors at T), c_T the e-coordinates at T; the
+    # chart's frame is read off the positions of _columns_in_e
     ring = LaurentOps(field)
     ambient = ambient_frame(kind, n, field)
     lattice = ambient_frame("lambda", n, field)
-    in_e = frame_in_e(kind, n, field)
+    in_e = chart_in_e(n, field) if kind == "chart" else frame_in_e(kind, n, field)
     sets = [s for k, s in enumerate(index_masks(n)) if k % (41 if n == 7 else 1) == 0]
     for s in sets:
         want = wedge_columns_masks([ambient.vector(p) for p in IndexSet(n, s).members],
@@ -151,11 +166,6 @@ def test_e_coordinates_expand_to_ambient_wedge(kind, n, field):
                 else:
                     got[mask] = total
         assert got == want
-    if kind == "chart":
-        # the chart frame is a permutation of the standard lattice basis
-        one = PiLaurent.one(field)
-        assert sorted(next(iter(v)) for v in in_e.vectors) == list(range(1, 2 * n + 1))
-        assert all(list(v.values()) == [one] for v in in_e.vectors)
 
 
 def test_pi_action_has_the_same_matrix_in_e_coordinates():
@@ -175,9 +185,10 @@ def test_frames_in_e_are_cached():
 
 
 def test_build_frame_dispatch_and_errors():
-    assert [frame_in_e(kind, 3, F).kind for kind in ("f_split", "g_split", "chart")] == [
-        "f_split", "g_split", "chart"]
-    for kind, n in (("f_split", 0), ("g_split", 1), ("nope", 3), ("lambda", 3)):
+    assert [frame_in_e(kind, 3, F).kind for kind in ("f_split", "g_split")] == [
+        "f_split", "g_split"]
+    for kind, n in (("f_split", 0), ("g_split", 1), ("nope", 3), ("lambda", 3),
+                    ("chart", 3)):
         with pytest.raises(ValueError):
             frame_in_e(kind, n, F)
 
@@ -188,9 +199,27 @@ def test_frames_in_e_are_the_ambient_frames_in_the_lattice_basis(n, field):
     # vector by vector, coefficients and dict order included
     def entries(frame):
         return [[(p, x.coeffs, x.precision) for p, x in v.items()] for v in frame.vectors]
-    for kind in ("f_split", "g_split") + (("chart",) if n % 2 else ()):
+    for kind in ("f_split", "g_split"):
         want = in_lattice_basis(ambient_frame(kind, n, field))
         assert entries(frame_in_e(kind, n, field)) == entries(want), kind
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_chart_columns_sit_at_the_ambient_chart_frame_positions(n, field):
+    # the ambient chart frame in the lattice basis is unit vectors, and
+    # _columns_in_e puts row i of X at the position of vector i and the 1
+    # of column j at that of vector n+j, rows first in increasing order
+    one = PiLaurent.one(field)
+    frame = in_lattice_basis(ambient_frame("chart", n, field))
+    assert all(list(v.values()) == [one] for v in frame.vectors)
+    pos = [next(iter(v)) for v in frame.vectors]
+    assert sorted(pos) == list(range(1, 2 * n + 1))
+    ring = FieldRing(field)
+    pt = ChartPoint(n, ring, ((ring.one,) * n,) * n, (n - 1, 1))
+    assert [list(col.items()) for col in _columns_in_e(pt)] == [
+        [(pos[i], ring.one) for i in range(n)] + [(pos[n + j], ring.one)]
+        for j in range(n)]
 
 
 @pytest.mark.parametrize("field", [F, Q], ids=["F13", "Q"])
@@ -499,10 +528,10 @@ def unit_frame(n, field):
 
 
 def oracle_frames(n, field):
-    """The frame_in_e frames (chart at odd n only), the unit frame and the
-    ambient g-frame."""
-    kinds = ("f_split", "g_split") + (("chart",) if n % 2 else ())
-    return ([frame_in_e(kind, n, field) for kind in kinds]
+    """The frame_in_e frames, the chart's unit frame (odd n only), the unit
+    frame and the ambient g-frame."""
+    return ([frame_in_e(kind, n, field) for kind in ("f_split", "g_split")]
+            + ([chart_in_e(n, field)] if n % 2 else [])
             + [unit_frame(n, field), ambient_frame("g_split", n, field)])
 
 

@@ -651,8 +651,8 @@ def test_membership_witness_is_the_sorting_oracles(n):
     # sparse vectors over every mask and over the support
     rng = random.Random(n)
     masks = index_masks(n)
-    for lattice in (refined_annihilators(n, F.key(), n - 1, 1),
-                    spin_annihilators(n, F.key(), 1)):
+    for lattice in (refined_annihilators(n, F.key(), n - 1, 1, PRECISION),
+                    spin_annihilators(n, F.key(), 1, PRECISION)):
         _, rb, ann = lattice.whole()
         off = [t for t in masks if t not in ann.support_set]
         for ring in (FieldRing(F), DualNumbers(F), PolyRing(F, ("a", "b"))):

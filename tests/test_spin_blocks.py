@@ -245,13 +245,23 @@ def test_both_signs_give_one_verdict_on_sampled_points(n, count):
 
 
 def test_spin_annihilators_is_one_cached_lattice():
+    # precision is positional-only and required, so equal calls have one
+    # cache key: a second call is a hit, and no keyword spelling makes a
+    # second entry
     key = FIELDS["F13"].key()
     for build, args in ((spin_annihilators, (5, key, 1)),
                         (refined_annihilators, (5, key, 4, 1)),
                         (kl_annihilators, (5, key, 3, 4, 1))):
         a = build(*args, PRECISION)
+        before = build.cache_info()
         assert a is build(*args, PRECISION)
         assert isinstance(a, BlockLattice)
+        after = build.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        for call in (lambda: build(*args), lambda: build(*args, precision=PRECISION)):
+            with pytest.raises(TypeError):
+                call()
+        assert build.cache_info().currsize == after.currsize
 
 
 @pytest.mark.parametrize("history", ["fresh", "whole", "sampled"])
