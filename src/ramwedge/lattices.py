@@ -421,17 +421,27 @@ def _functional_evaluations(ann: AnnihilatorSet, terms: dict, ring):
         yield (f"functional[{idx}]", total)
 
 
+def _least_off_support(terms: dict, support, ring, built=None) -> tuple:
+    """In one pass: the lex-least nonzero off-support coordinate in built
+    (all when None), and the nonzero ones outside built before it; lex order
+    (t precedes u iff t holds the lowest bit of t ^ u) is tested before zero."""
+    least, unbuilt = None, []
+    for t, c in terms.items():
+        if t in support or least is not None and not (d := t ^ least) & -d & t:
+            continue
+        if built is not None and t not in built:
+            unbuilt.append(t)
+        elif not ring.is_zero(c):
+            least = t
+    return least, [t for t in unbuilt if (least is None or (d := t ^ least) & -d & t)
+                   and not ring.is_zero(terms[t])]
+
+
 def membership_over_R(w, ann: AnnihilatorSet, ring) -> MembershipResult:
     """Whether an e-basis coefficient vector over R lies in R tensor the
-    residue span; on failure reports the first nonzero evaluation in the
-    order of annihilator_evaluations, taking the lex-least off-support
-    coordinate in one pass (t precedes u iff t holds the lowest bit of t ^ u)."""
+    residue span; on failure, the first nonzero annihilator_evaluations."""
     terms = w.terms if isinstance(w, WedgeVector) else w
-    support, least = ann.support_set, None
-    for t, c in terms.items():
-        if (t not in support and (least is None or (d := t ^ least) & -d & t)
-                and not ring.is_zero(c)):
-            least = t
+    least, _ = _least_off_support(terms, ann.support_set, ring)
     if least is not None:
         return MembershipResult(False, f"coordinate{IndexSet(ann.n, least).members}",
                                 terms[least])
@@ -481,15 +491,13 @@ class BlockLattice:
     block is reduced on its own the first time a mask of it is asked for;
     only its annihilators are kept, and `generators` counts its generators.
 
-    membership(terms, ring) decides a coefficient vector from the blocks
-    it touches: support_set is the union of the built blocks' supports, and
-    an untouched block holds zero coordinates, which lie in every span and
-    vanish on its functionals.  whole() merges the family's blocks into the
-    lattice that the global pipeline, intersect_with_standard_lattice of
-    every generator of the family, builds, column for column.
+    membership(terms, ring) builds blocks only up to a vector's witness:
+    support_set is the union of the built blocks' supports, and an unbuilt
+    block's coordinates are zero, in every span and off its functionals.
+    whole() merges the family's blocks into the lattice that the global
+    pipeline, intersect_with_standard_lattice of every generator of the
+    family, builds, column for column.
     """
-
-    functionals = ()  # as an annihilator set of the built supports; see membership
 
     def __init__(self, frame, degree: int, masks, eps, precision: int):
         if eps not in (1, -1, None):
@@ -549,21 +557,23 @@ class BlockLattice:
     def membership(self, terms, ring) -> MembershipResult:
         """Whether a vector with these terms ({mask: coefficient}) over ring
         lies in ring tensor the residue span, as membership_over_R of the
-        merged annihilators reports it.  The blocks the terms touch are
-        built and their supports decide the off-support coordinates; only
-        when those pass and a built block's functional fails (an untouched
-        block's all vanish) does the merged set decide, to number that
-        functional among all."""
-        built = self._block_of.keys()
-        # the subset test reads every term: skip it once every mask's block is built
-        if len(built) < comb(2 * self.n, self.degree) and not terms.keys() <= built:
-            for t in terms:
-                self.block(t)
-        result = membership_over_R(terms, self, ring)
-        if result.ok and any(not ring.is_zero(v) for ann in self._functional_blocks
-                             for _, v in _functional_evaluations(ann, terms, ring)):
+        merged annihilators (built only for a failing functional) reports it."""
+        least, unbuilt = _least_off_support(terms, self.support_set, ring, self._block_of)
+        if unbuilt:  # walked in lex order; the lex-least (bit test) is often the witness
+            first = unbuilt[0]
+            for t in unbuilt:
+                if (d := t ^ first) & -d & t:
+                    first = t
+            walk = ([first] if first not in self.block(first).support_set
+                    else sorted(unbuilt, key=lex_key))
+            least = next((t for t in walk if t not in self.block(t).support_set), least)
+        if least is not None:
+            return MembershipResult(False, f"coordinate{IndexSet(self.n, least).members}",
+                                    terms[least])
+        if any(not ring.is_zero(v) for ann in self._functional_blocks
+               for _, v in _functional_evaluations(ann, terms, ring)):
             return membership_over_R(terms, self.annihilators, ring)
-        return result
+        return MembershipResult(True)
 
     @cached_property
     def annihilators(self) -> AnnihilatorSet:

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from ramwedge import chart
-from ramwedge.chart import (FAIL, ChartPoint, Verdict, _columns_in_e,
+from ramwedge.chart import (FAIL, PASS, ChartPoint, Verdict, _columns_in_e,
                             charpoly_coefficients, chart_point_from_json,
                             chart_point_to_json, check_kl, check_kottwitz,
                             check_naive_relations, check_refined, check_spin,
@@ -17,6 +17,7 @@ from ramwedge.errors import SchemaError
 from ramwedge.exterior import wedge_columns_masks
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet, index_masks
+from ramwedge.lattices import membership_over_R
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 
 from oracles import det
@@ -307,6 +308,25 @@ def rings_over(field):
     return [FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))]
 
 
+def counterexample_shape(n, ring):
+    """X1 = diag(x, -x, 0, ..., 0, -x, x), with x = 1, the dual generator or
+    a, and X2, X3, X4 zero: the counterexample's shape over any ring."""
+    x = (ring.one if ring.kind == "field" else ring.x() if ring.kind == "dual"
+         else ring.var(0))
+    diag = [ring.zero] * (n - 1)
+    diag[0], diag[1], diag[n - 3], diag[n - 2] = x, ring.neg(x), ring.neg(x), x
+    x1 = [[diag[i] if i == j else ring.zero for j in range(n - 1)] for i in range(n - 1)]
+    return ChartPoint.from_blocks(n, ring, x1, [ring.zero] * (n - 1))
+
+
+def dense_points(n, ring) -> dict:
+    """One dense sampled point (X2 and X4 nonzero too), one dense nilpotent
+    point and the counterexample's shape over the ring, by kind."""
+    return {"dense": sample_chart_points(n, ring, 2, seed=n)[1],
+            "nilpotent": nilpotent_point(n, ring, random.Random(n)),
+            "counterexample": counterexample_shape(n, ring)}
+
+
 def sampled_points(n, count, seed, field=F):
     pts = []
     for ring in rings_over(field):
@@ -480,6 +500,53 @@ def folded_memberships(pt) -> dict:
         "kn": verdict(chart.kl_annihilators(n, key, n, r, s, p), w, ring,
                       f"columns {tuple(range(1, n + 1))}: "),
     }
+
+
+@lru_cache(maxsize=None)
+def merged_lattices(n, field_key, r, s, precision) -> dict:
+    """full_report's four lattices with their witness prefixes, built apart
+    from chart's caches and with every block reduced."""
+    build = {name: getattr(chart, name).__wrapped__
+             for name in ("spin_annihilators", "refined_annihilators", "kl_annihilators")}
+    lattices = {
+        "spin(+1)": (build["spin_annihilators"](n, field_key, 1, precision), ""),
+        "spin(-1)": (build["spin_annihilators"](n, field_key, -1, precision), ""),
+        "refined": (build["refined_annihilators"](n, field_key, r, s, precision), ""),
+        "kn": (build["kl_annihilators"](n, field_key, n, r, s, precision),
+               f"columns {tuple(range(1, n + 1))}: "),
+    }
+    for lattice, _ in lattices.values():
+        lattice.annihilators
+    return lattices
+
+
+def every_block_memberships(pt, precision=chart.DEFAULT_PRECISION) -> dict:
+    """full_report's four membership verdicts as membership_over_R gives
+    them against each lattice's merged annihilators, every block reduced:
+    the oracle of BlockLattice.membership, which reduces the blocks of a
+    wedge only up to its witness."""
+    w, ring = wedge_vector(pt), pt.ring
+    out = {}
+    for name, (lattice, prefix) in merged_lattices(
+            pt.n, ring.field.key(), *pt.signature, precision).items():
+        result = membership_over_R(w, lattice.annihilators, ring)
+        out[name] = Verdict(PASS) if result.ok else Verdict(FAIL, prefix + result.witness)
+    return out
+
+
+@pytest.mark.parametrize("precision", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_low_precision_reports_are_the_every_block_oracle(monkeypatch, n, precision):
+    # a report decided at an early witness reduces no block after it, so it
+    # cannot run out of precision in one; at precisions 5 to 8 neither the
+    # reports nor the oracle, every block reduced, run out (at 3 the merged
+    # lattices do, at every n)
+    fresh_lattices(monkeypatch)
+    for field in (F, Rationals()):
+        for ring in rings_over(field):
+            for pt in dense_points(n, ring).values():
+                report = full_report(pt, precision).conditions
+                assert every_block_memberships(pt, precision).items() <= report.items()
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

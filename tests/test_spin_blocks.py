@@ -3,6 +3,7 @@ degree-l type-bounded), built one weight block at a time, against the
 global pipeline (intersect_with_standard_lattice of the oracle
 spanning_set) as its oracle."""
 
+import random
 import re
 
 import pytest
@@ -23,6 +24,7 @@ from ramwedge.scalars import PiLaurent
 from ramwedge import lattices
 
 from oracles import spanning_set
+from test_chart import dense_points, nilpotent_point, rings_over
 from test_lattices import annihilator_digest
 
 PRECISION = 24
@@ -41,6 +43,17 @@ def family_lattice(kind, n, field, eps=None, r=None, s=None, l=None, frame=None)
         frame_kind, degree, masks = "g_split", l, bounded_type_masks(n, l, r, s)
     return BlockLattice(frame or frame_in_e(frame_kind, n, field), degree, masks, eps,
                         PRECISION)
+
+
+def report_families(n):
+    """The families of full_report's four lattices at signature (n - 1, 1),
+    as (kind, family_lattice parameters)."""
+    return [("spin", {"eps": 1}), ("spin", {"eps": -1}),
+            ("refined", {"r": n - 1, "s": 1}), ("kl", {"l": n, "r": n - 1, "s": 1})]
+
+
+def built_blocks(lattice) -> int:
+    return len({id(ann) for ann in lattice._block_of.values()})
 
 
 def block_lattice(n, field, eps):
@@ -179,8 +192,7 @@ def test_a_lattice_merged_first_decides_as_a_fresh_one(n):
     # merged set exists, so merging first changes no verdict or witness;
     # at n = 5 only the counterexample fails at a kernel functional
     field = FIELDS["F13"]
-    families = [("spin", {"eps": 1}), ("spin", {"eps": -1}),
-                ("refined", {"r": n - 1, "s": 1}), ("kl", {"l": n, "r": n - 1, "s": 1})]
+    families = report_families(n)
     fresh = [family_lattice(kind, n, field, **params) for kind, params in families]
     merged = [family_lattice(kind, n, field, **params) for kind, params in families]
     for lattice in merged:
@@ -208,7 +220,7 @@ def test_a_point_builds_only_the_blocks_it_touches():
     w = wedge_vector(pt)
     assert all(weight(n, t) == (1,) * n for t in w.terms)
     assert lattice.membership(w.terms, pt.ring).ok
-    assert len(lattice.support_set) == 64
+    assert len(lattice.support_set) == 64 and built_blocks(lattice) == 1
     # kn is unpaired, so its block is the one slot weight: the n sets of
     # type (n - 1, 1) in it give its generators; the block holds kn's one
     # kernel functional, which vanishes on the wedge, so membership merges
@@ -225,6 +237,66 @@ def test_a_point_builds_only_the_blocks_it_touches():
     refined = family_lattice("refined", n, pt.ring.field, r=n - 1, s=1)
     assert refined.membership(w.terms, pt.ring).witness == "functional[5]"
     assert "annihilators" in vars(refined)
+
+
+def test_a_dense_nilpotent_point_builds_one_block_per_lattice():
+    # det X = 0, so the wedge fails every lattice at the second index set
+    # in lex order, whose block is off the support there: membership walks
+    # the wedge's coordinates in lex order and reduces only that block
+    n, field = 5, FIELDS["F13"]
+    second = IndexSet.of(n, (1, 2, 3, 4, 6)).mask
+    for seed in (1, 2, 3):
+        pt = nilpotent_point(n, FieldRing(field), random.Random(seed))
+        w = wedge_vector(pt)
+        for kind, params in report_families(n):
+            lattice = family_lattice(kind, n, field, **params)
+            assert lattice.membership(w.terms, pt.ring).witness == "coordinate(1, 2, 3, 4, 6)"
+            assert set(lattice._block_of) == set(lattice._block_masks(second))
+            assert built_blocks(lattice) == 1
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_a_point_that_passes_spin_builds_every_block_it_touches(n):
+    # with no off-support coordinate the walk reaches the end: the blocks
+    # built are those of the wedge's nonzero coordinates, some but not all
+    field = FIELDS["F13"]
+    touched = set()
+    for ring in rings_over(field):
+        for pt in sample_chart_points(n, ring, 6, seed=1):
+            w = wedge_vector(pt)
+            lattice = block_lattice(n, field, 1)
+            if lattice.membership(w.terms, ring).ok:
+                nonzero = [t for t, c in w.terms.items() if not ring.is_zero(c)]
+                assert set(lattice._block_of) == {
+                    m for t in nonzero for m in lattice._block_masks(t)}
+                touched.add(built_blocks(lattice))
+    assert min(touched) < max(touched)
+
+
+@pytest.mark.parametrize("history", ["fresh", "merged"])
+@pytest.mark.parametrize("field", ["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_membership_is_membership_over_the_merged_blocks(n, field, history):
+    # the oracle of the walk is membership_over_R against the merged
+    # annihilators, every block built: on dense sampled, dense nilpotent
+    # and counterexample-shaped points, over each ring, with lattices new
+    # for each point or merged before the first
+    field = FIELDS[field]
+    merged = [family_lattice(kind, n, field, **params) for kind, params in report_families(n)]
+    for lattice in merged:
+        lattice.annihilators
+    witnesses = set()
+    for ring in rings_over(field):
+        for pt in dense_points(n, ring).values():
+            w = wedge_vector(pt)
+            lattices = merged if history == "merged" else [
+                family_lattice(kind, n, field, **params) for kind, params in report_families(n)]
+            for lattice, oracle in zip(lattices, merged):
+                got = lattice.membership(w.terms, ring)
+                assert got == membership_over_R(w, oracle.annihilators, ring)
+                witnesses.add(got.witness and re.match(r"\w+", got.witness)[0])
+    # at n = 3 no such point fails at a kernel functional
+    assert witnesses == {None, "coordinate", "functional"} - ({"functional"} if n == 3 else set())
 
 
 @pytest.mark.parametrize("n,count", [(5, 10), (7, 5)])
