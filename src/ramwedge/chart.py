@@ -23,7 +23,6 @@ whole chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -32,6 +31,7 @@ from .exterior import WedgeVector, frame_in_e, wedge_columns
 from .fields import PrimeField, Rationals, field_from_key, is_json_int
 from .indexsets import MAX_RANK, bounded_type_masks, type_masks
 from .lattices import BlockLattice, signature_eps
+from .records import frozen
 from .rings import ring_from_json, ring_to_json
 
 DEFAULT_P = 13
@@ -42,7 +42,7 @@ FAIL = "fail"
 OUT_OF_CHART = "out-of-chart"
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     status: str
     witness: str = None
@@ -62,7 +62,7 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
+@frozen
 class ChartPoint:
     n: int
     ring: object
@@ -356,7 +356,7 @@ def check_kl(pt: ChartPoint, l: int, precision: int = DEFAULT_PRECISION) -> Verd
     return Verdict(PASS)
 
 
-@dataclass(frozen=True)
+@frozen
 class ConditionReport:
     conditions: dict
 

@@ -7,7 +7,6 @@ takes an explicit seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 
 from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
                     block_reflection, full_report, mat_add, mat_mul,
@@ -18,22 +17,23 @@ from .exterior import (WedgeVector, apply_operator, basis_wedge, frame_in_e,
                        operator_pi_action, wedge_columns, wedge_scale,
                        worst_terms)
 from .fields import PrimeField
-from .indexsets import (MAX_RANK, IndexSet, bounded_type_masks, i_vee, index_masks,
-                        shuffle_sign, sigma_sign_bruteforce, type_masks,
-                        type_n11_sets)
+from .indexsets import (DRIVER_RANKS, MAX_RANK, IndexSet, bounded_type_masks,
+                        bundle_ranks, i_vee, index_masks, shuffle_sign,
+                        sigma_sign_bruteforce, type_masks, type_n11_sets)
 from .lattices import (annihilator_evaluations, echelon_lattice_basis,
                        lattice_contains, membership_over_R, paired_generator,
                        residue_rank, residue_spans_equal, signature_eps)
+from .records import frozen
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
 
 
-@dataclass(frozen=True)
+@frozen
 class Certificate:
     result: str
     params: dict
     verdict: str  # "pass" | "fail" | "inconclusive"
-    evidence: dict = dc_field(default_factory=dict)
+    evidence: dict
 
     @property
     def passed(self) -> bool:
@@ -42,21 +42,6 @@ class Certificate:
     def to_json(self):
         return {"result": self.result, "params": self.params,
                 "verdict": self.verdict, "evidence": self.evidence}
-
-
-# The ranks each driver supports: (least, greatest or None, odd only,
-# default).  `verify all --n N` runs a driver at min(N, greatest), and one
-# without a greatest rank at max(N, least).  No driver runs above MAX_RANK,
-# the rank lex_key orders masks up to.
-DRIVER_RANKS = {
-    "sign-lemma": (2, 6, False, 6),
-    "worst-terms": (3, 9, True, 7),
-    "refined-basis": (3, 7, True, 5),
-    "spin-structure": (3, 7, True, 5),
-    "counterexample": (5, None, True, 5),
-    "x1-zero": (3, 9, True, 3),
-    "operator-identities": (3, 11, True, 3),
-}
 
 
 def _require_rank(result_id: str, n: int):
@@ -595,39 +580,8 @@ def check_point_implications(pt: ChartPoint, precision: int = DEFAULT_PRECISION)
     return out, report
 
 
-def verify_implications(n: int, p: int = DEFAULT_P, samples: int = 200,
-                        seed: int = 0,
-                        precision: int = DEFAULT_PRECISION) -> Certificate:
-    field = PrimeField(p)
-    rings = [FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))]
-    violations = []
-    refined_passes = 0
-    checked = 0
-    for ring in rings:
-        for pt in sample_chart_points(n, ring, samples, seed):
-            checked += 1
-            bad, report = check_point_implications(pt, precision)
-            if report.conditions["refined"].passed:
-                refined_passes += 1
-            for msg in bad:
-                violations.append({"ring": ring.kind, "message": msg})
-    verdict = "pass" if not violations else "fail"
-    return Certificate("implications",
-                       {"n": n, "p": p, "samples": samples, "seed": seed},
-                       verdict,
-                       {"points_checked": checked,
-                        "refined_passes": refined_passes,
-                        "violations": violations})
-
-
 # ---------------------------------------------------------------------------
 # Registry
-
-
-def bundle_ranks(n: int) -> list:
-    """(result id, rank) for each driver of `verify all --n n`, in order."""
-    return [(result_id, max(n, low) if high is None else min(n, high))
-            for result_id, (low, high, _, _) in DRIVER_RANKS.items()]
 
 
 def run_driver(result_id: str, n: int = None, p: int = DEFAULT_P,

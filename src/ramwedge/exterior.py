@@ -31,11 +31,11 @@ but never unpacks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import FrameShapeError
 from .indexsets import IndexSet, lex_key
+from .records import frozen
 from .scalars import INF, LaurentOps, PiLaurent
 
 E_BASIS = "e_basis"
@@ -45,7 +45,7 @@ E_BASIS = "e_basis"
 # Frames
 
 
-@dataclass(frozen=True)
+@frozen
 class Frame:
     """An ordered basis of V, each vector a sparse e-coordinate map."""
 
@@ -231,7 +231,7 @@ def _check_pi_eigen(frame: Frame):
 # Sparse wedge expansion
 
 
-@dataclass(frozen=True)
+@frozen
 class WedgeVector:
     """Element of a wedge power as a sparse {mask: coefficient} map; the
     library builds every one in e_S coordinates."""

@@ -7,8 +7,9 @@ is rejected everywhere since 1/2 must be invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import frozen
 
 
 def is_json_int(obj) -> bool:
@@ -45,7 +46,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class PrimeField:
     """The field F_p for an odd prime p; elements are ints in 0..p-1."""
 
@@ -102,7 +103,7 @@ class PrimeField:
         return ("Fp", self.p)
 
 
-@dataclass(frozen=True)
+@frozen
 class Rationals:
     """The rational numbers; elements are Fraction instances."""
 

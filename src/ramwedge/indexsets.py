@@ -1,6 +1,6 @@
 """Subsets S of {1..2n}, the index sets of the wedge basis, as int masks
 (bit i-1 is element i), with the enumerators, dualities, shuffle sign and
-lex order the engine reads.
+lex order the engine reads, and the ranks up to which drivers run.
 
 Conventions, for a fixed rank n:
   i_vee  = n + 1 - i                (reflection of {1..n})
@@ -14,17 +14,37 @@ the one order on it.  IndexSet only parses a member list and prints one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from .records import frozen
+
 MAX_RANK = 21  # enumeration guard: C(42, 21) is the largest exhaustive mode
+
+# The ranks each driver supports, up to MAX_RANK: (least, greatest or None,
+# odd only, default); here so that the CLI lists the drivers without loading them.
+DRIVER_RANKS = {
+    "sign-lemma": (2, 6, False, 6),
+    "worst-terms": (3, 9, True, 7),
+    "refined-basis": (3, 7, True, 5),
+    "spin-structure": (3, 7, True, 5),
+    "counterexample": (5, None, True, 5),
+    "x1-zero": (3, 9, True, 3),
+    "operator-identities": (3, 11, True, 3),
+}
+
+
+def bundle_ranks(n: int) -> list:
+    """(result id, rank) for each driver of `verify all --n n`, in order: a
+    driver runs at min(n, greatest), or at max(n, least) without a greatest."""
+    return [(result_id, max(n, low) if high is None else min(n, high))
+            for result_id, (low, high, _, _) in DRIVER_RANKS.items()]
 
 
 def i_vee(n: int, i: int) -> int:
     return n + 1 - i
 
 
-@dataclass(frozen=True)
+@frozen
 class IndexSet:
     """A subset of {1..2n} as read from or written to JSON: its mask
     (bit i-1 is element i) and its increasing member tuple."""

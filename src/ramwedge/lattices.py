@@ -18,13 +18,13 @@ the standard lattice.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from functools import cached_property
 from math import comb
 
 from .errors import PrecisionExhaustedError
 from .exterior import WedgeVector, _add_multiple, basis_wedge, terms_to_json
 from .indexsets import IndexSet, index_masks, lex_key, perp_mask, shuffle_sign
+from .records import frozen, replace
 from .scalars import LaurentOps, truncated_inverse
 
 GUARD_BAND = 4
@@ -147,7 +147,7 @@ def pi_adic_column_echelon(columns: list, precision: int, lex: dict = None):
     return processed
 
 
-@dataclass(frozen=True)
+@frozen
 class DVRTriangularBasis:
     """Basis of a saturated lattice: columns scaled to minimum valuation 0,
     pairwise distinct pivot index sets (recorded with their pre-scaling
@@ -248,7 +248,7 @@ def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
 # Reduction mod pi and residue spans
 
 
-@dataclass(frozen=True)
+@frozen
 class ResidueBasis:
     """k-basis of the image of a saturated lattice in the standard lattice
     mod pi; inherits the triangular pivot structure."""
@@ -333,7 +333,7 @@ def residue_spans_equal(field, vecs_a: list, vecs_b: list) -> bool:
 # Annihilators and membership over coefficient rings
 
 
-@dataclass(frozen=True)
+@frozen
 class AnnihilatorSet:
     """k-linear functionals cutting out the span of a residue basis inside
     the full coordinate space of its wedge degree.  A coefficient vector
@@ -389,7 +389,7 @@ def annihilators(rb: ResidueBasis, lex: dict = None) -> AnnihilatorSet:
                           len(reduced))
 
 
-@dataclass(frozen=True)
+@frozen
 class MembershipResult:
     ok: bool
     witness: str = None

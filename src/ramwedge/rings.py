@@ -26,19 +26,19 @@ conversions; the fold adds them but never unpacks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SchemaError
 from .fields import is_json_int
 from .indexsets import MAX_RANK
+from .records import frozen
 
 FIELD_BITS = 16  # bits per variable in a monomial key, the top one a guard
 MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1  # the largest below the guard
 EXPONENT_CAP = MAX_EXPONENT // MAX_RANK  # the largest in JSON input
 
 
-@dataclass(frozen=True)
+@frozen
 class FieldRing:
     """The residue field viewed as a coefficient ring."""
 
@@ -86,7 +86,7 @@ class FieldRing:
         return self.field.element_from_json(obj)
 
 
-@dataclass(frozen=True)
+@frozen
 class DualNumbers:
     """k[x]/(x^2): elements are pairs (a, b) meaning a + b*x, with
     (a, b) * (c, d) = (a*c, a*d + b*c)."""
@@ -149,7 +149,7 @@ class DualNumbers:
                 self.field.element_from_json(obj[1]))
 
 
-@dataclass(frozen=True)
+@frozen
 class PolyRing:
     """Multivariate polynomials over the base field with named variables.
     Elements are sparse {monomial key: coefficient} maps; a key is the

@@ -14,14 +14,14 @@ its valuation is indeterminate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FieldMismatchError, IndeterminateValuationError
+from .records import frozen
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
+@frozen
 class PiLaurent:
     """sum_e c_e * pi^e with c_e in the base field, known modulo
     pi^precision (INF: a finite Laurent polynomial, exact)."""

@@ -1,10 +1,14 @@
 """Brute-force oracles and reference arithmetic shared by the tests; the
 package does not use them."""
 
+from ramwedge.chart import DEFAULT_P, DEFAULT_PRECISION
+from ramwedge.drivers import Certificate, check_point_implications, sample_chart_points
 from ramwedge.exterior import (Frame, WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns)
+from ramwedge.fields import PrimeField
 from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import _paired_generators, signature_eps
+from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import PiLaurent
 
 
@@ -282,3 +286,31 @@ def ambient_form_eval(kind, n, v, w, field):
             else:
                 raise ValueError(f"unknown form {kind!r}")
     return total
+
+
+def verify_implications(n: int, p: int = DEFAULT_P, samples: int = 200,
+                        seed: int = 0,
+                        precision: int = DEFAULT_PRECISION) -> Certificate:
+    """The implications of check_point_implications on seeded samples over
+    the field, dual and poly(a, b) rings, as a certificate; the CLI runs no
+    such driver."""
+    field = PrimeField(p)
+    rings = [FieldRing(field), DualNumbers(field), PolyRing(field, ("a", "b"))]
+    violations = []
+    refined_passes = 0
+    checked = 0
+    for ring in rings:
+        for pt in sample_chart_points(n, ring, samples, seed):
+            checked += 1
+            bad, report = check_point_implications(pt, precision)
+            if report.conditions["refined"].passed:
+                refined_passes += 1
+            for msg in bad:
+                violations.append({"ring": ring.kind, "message": msg})
+    verdict = "pass" if not violations else "fail"
+    return Certificate("implications",
+                       {"n": n, "p": p, "samples": samples, "seed": seed},
+                       verdict,
+                       {"points_checked": checked,
+                        "refined_passes": refined_passes,
+                        "violations": violations})

@@ -7,12 +7,14 @@ import pytest
 from ramwedge.drivers import (bundle_ranks, canonical_pairs, classify_pair_case,
                               counterexample_point, expected_pair_worst_term,
                               run_counterexample, run_driver,
-                              scaled_generator_exponent, verify_implications,
+                              scaled_generator_exponent,
                               verify_operator_identities, verify_refined_basis,
                               verify_sign_lemma, verify_spin_structure,
                               verify_worst_term_tables, verify_x1_zero)
 from ramwedge.errors import RankError
 from ramwedge.fields import PrimeField
+
+from oracles import verify_implications
 
 F = PrimeField(13)
 
