@@ -422,14 +422,15 @@ def _functional_evaluations(ann: AnnihilatorSet, terms: dict, ring):
 
 
 def _least_off_support(terms: dict, support, ring, built=None) -> tuple:
-    """In one pass: the lex-least nonzero off-support coordinate in built
-    (all when None), and the nonzero ones outside built before it; lex order
-    (t precedes u iff t holds the lowest bit of t ^ u) is tested before zero."""
+    """In one pass: the lex-least nonzero off-support t with built(t) (a
+    BlockLattice tests t's slot weight in its block index; None: every t),
+    and the nonzero ones before it without; lex order (t precedes u iff t
+    holds the lowest bit of t ^ u) is tested before zero."""
     least, unbuilt = None, []
     for t, c in terms.items():
         if t in support or least is not None and not (d := t ^ least) & -d & t:
             continue
-        if built is not None and t not in built:
+        if built is not None and not built(t):
             unbuilt.append(t)
         elif not ring.is_zero(c):
             least = t
@@ -437,10 +438,10 @@ def _least_off_support(terms: dict, support, ring, built=None) -> tuple:
                    and not ring.is_zero(terms[t])]
 
 
-def membership_over_R(w, ann: AnnihilatorSet, ring) -> MembershipResult:
-    """Whether an e-basis coefficient vector over R lies in R tensor the
-    residue span; on failure, the first nonzero annihilator_evaluations."""
-    terms = w.terms if isinstance(w, WedgeVector) else w
+def membership_over_R(terms: dict, ann: AnnihilatorSet, ring) -> MembershipResult:
+    """Whether an e-basis coefficient vector over R ({mask: coefficient})
+    lies in R tensor the residue span; on failure, the first nonzero
+    annihilator_evaluations."""
     least, _ = _least_off_support(terms, ann.support_set, ring)
     if least is not None:
         return MembershipResult(False, f"coordinate{IndexSet(ann.n, least).members}",
@@ -489,7 +490,8 @@ class BlockLattice:
     slot, so each generator lies in the block of its set (one that does not
     raises ValueError), the lattice is the direct sum of its blocks, and a
     block is reduced on its own the first time a mask of it is asked for;
-    only its annihilators are kept, and `generators` counts its generators.
+    only its annihilators are kept, under its slot weights (w and, paired,
+    that of S-perp: none per mask), and `generators` counts its generators.
 
     membership(terms, ring) builds blocks only up to a vector's witness:
     support_set is the union of the built blocks' supports, and an unbuilt
@@ -508,21 +510,21 @@ class BlockLattice:
         self._family = None if masks is None else frozenset(masks)
         self.generators = 0
         self.support_set = set()
-        self._block_of = {}  # mask -> annihilators of its block, once built
+        self._block_of = {}  # slot weight -> annihilators of its block, once built
         self._functional_blocks = []  # the built blocks' annihilators with functionals
 
-    def _block_masks(self, mask: int) -> list:
-        """The masks of the block holding the mask."""
-        n = self.n
-        weights = {_slot_weight(n, mask)}
-        if self.eps is not None:
-            weights.add(_slot_weight(n, perp_mask(n, mask)))
-        return [m for w in weights for m in _weight_masks(n, *w)]
+    def _block_weights(self, mask: int) -> list:
+        """The slot weights of the block holding the mask: its own, then
+        that of S-perp if the family is paired and the two differ."""
+        n, w = self.n, _slot_weight(self.n, mask)
+        perp = w if self.eps is None else _slot_weight(n, perp_mask(n, mask))
+        return [w] if perp == w else [w, perp]
 
-    def _reduce(self, masks: list) -> tuple:
-        """The block of these masks reduced: its lattice basis and the
+    def _reduce(self, weights: list) -> tuple:
+        """The block of these slot weights reduced: its lattice basis and the
         annihilators of its residue span, recorded for block()."""
         n, frame = self.n, self.frame
+        masks = [m for w in weights for m in _weight_masks(n, *w)]
         lex = {m: lex_key(m) for m in masks}  # the echelon and annihilators share it
         family = sorted((m for m in masks if self._family is None or m in self._family),
                         key=lex.__getitem__)
@@ -535,30 +537,35 @@ class BlockLattice:
         basis = (intersect_with_standard_lattice(gens, self.precision, lex) if gens else
                  DVRTriangularBasis(n, self.degree, frame.field, self.precision, (), ()))
         ann = annihilators(reduce_mod_pi(basis), lex)
-        if masks[0] not in self._block_of:
-            self._block_of.update(dict.fromkeys(masks, ann))
+        if weights[0] not in self._block_of:
+            self._block_of.update(dict.fromkeys(weights, ann))
             self.support_set.update(ann.support)
             if ann.functionals:
                 self._functional_blocks.append(ann)
             self.generators += len(gens)
         return basis, ann
 
-    def _family_masks(self) -> list:
-        return index_masks(self.n, self.degree) if self.masks is None else self.masks
-
     def block(self, mask: int) -> AnnihilatorSet:
-        """The annihilators of the block holding the mask, built on first
-        touch."""
-        found = self._block_of.get(mask)
-        if found is None:
-            found = self._reduce(self._block_masks(mask))[1]
-        return found
+        """The annihilators of the block holding the mask, built on first touch."""
+        found = self._block_of.get(_slot_weight(self.n, mask))
+        return self._reduce(self._block_weights(mask))[1] if found is None else found
+
+    def _family_blocks(self):
+        """Each block holding a family mask, once, as its first family mask
+        and its slot weights, in the order of that mask."""
+        seen = set()
+        for m in index_masks(self.n, self.degree) if self.masks is None else self.masks:
+            if _slot_weight(self.n, m) not in seen:
+                seen.update(weights := self._block_weights(m))
+                yield m, weights
 
     def membership(self, terms, ring) -> MembershipResult:
         """Whether a vector with these terms ({mask: coefficient}) over ring
         lies in ring tensor the residue span, as membership_over_R of the
         merged annihilators (built only for a failing functional) reports it."""
-        least, unbuilt = _least_off_support(terms, self.support_set, ring, self._block_of)
+        index, n = self._block_of, self.n
+        least, unbuilt = _least_off_support(terms, self.support_set, ring,
+                                            lambda t: _slot_weight(n, t) in index)
         if unbuilt:  # walked in lex order; the lex-least (bit test) is often the witness
             first = unbuilt[0]
             for t in unbuilt:
@@ -581,9 +588,7 @@ class BlockLattice:
         residue span: the supports and the functionals in lex order, each
         functional keyed by its first entry, the non-pivot support
         coordinate it belongs to (as annihilators orders them)."""
-        for m in self._family_masks():
-            self.block(m)
-        blocks = {id(ann): ann for ann in self._block_of.values()}.values()
+        blocks = [self.block(m) for m, _ in self._family_blocks()]
         functionals = sorted((phi for ann in blocks for phi in ann.functionals),
                              key=lambda phi: lex_key(next(iter(phi))))
         return AnnihilatorSet(self.n, self.degree, self.frame.field,
@@ -602,12 +607,7 @@ class BlockLattice:
         valuation, lex order of the pivot), the order in which the global
         echelon takes their pivots, since no column holds entries of two
         blocks."""
-        blocks, seen = [], set()
-        for m in self._family_masks():
-            if m not in seen:
-                masks = self._block_masks(m)
-                seen.update(masks)
-                blocks.append(self._reduce(masks)[0])
+        blocks = [self._reduce(weights)[0] for _, weights in self._family_blocks()]
         merged = list(heapq.merge(
             *(zip(b.pivots, b.columns) for b in blocks),
             key=lambda pivot_column: (pivot_column[0][1], lex_key(pivot_column[0][0]))))

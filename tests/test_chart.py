@@ -483,7 +483,7 @@ def test_a_report_decided_by_det_x_builds_only_the_block_of_e_1_to_n(monkeypatch
                     chart.spin_annihilators(n, F.key(), -1, p),
                     chart.refined_annihilators(n, F.key(), n - 1, 1, p),
                     chart.kl_annihilators(n, F.key(), n, n - 1, 1, p)):
-        assert set(lattice._block_of) == set(lattice._block_masks(top))
+        assert set(lattice._block_of) == set(lattice._block_weights(top))
 
 
 def folded_memberships(pt) -> dict:
@@ -529,7 +529,7 @@ def every_block_memberships(pt, precision=chart.DEFAULT_PRECISION) -> dict:
     out = {}
     for name, (lattice, prefix) in merged_lattices(
             pt.n, ring.field.key(), *pt.signature, precision).items():
-        result = membership_over_R(w, lattice.annihilators, ring)
+        result = membership_over_R(w.terms, lattice.annihilators, ring)
         out[name] = Verdict(PASS) if result.ok else Verdict(FAIL, prefix + result.witness)
     return out
 

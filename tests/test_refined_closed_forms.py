@@ -65,6 +65,17 @@ def test_refined_lattice_closed_forms(n, field, precision):
     assert measured(n, field, precision) == closed_forms(n)
 
 
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_the_block_index_holds_at_most_two_entries_a_block(n):
+    # keyed by slot weight: a paired block's own and that of S-perp, one
+    # entry when the two agree, and none per mask
+    lattice = refined_annihilators.__wrapped__(n, FIELDS[1].key(), n - 1, 1, DEFAULT_PRECISION)
+    lattice.annihilators
+    blocks = {id(block) for block in lattice._block_of.values()}
+    assert len(blocks) == closed_forms(n)["blocks"]
+    assert len(lattice._block_of) <= 2 * len(blocks)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, nargs="+", default=[11])

@@ -53,6 +53,7 @@ def report_families(n):
 
 
 def built_blocks(lattice) -> int:
+    # a paired block holds two slot weights of the index, one when self-perp
     return len({id(ann) for ann in lattice._block_of.values()})
 
 
@@ -232,7 +233,7 @@ def test_a_point_builds_only_the_blocks_it_touches():
     assert len(ann.functionals) == 1
     assert kn.membership(w.terms, pt.ring).ok
     assert kn.generators == n and "annihilators" not in vars(kn)
-    assert membership_over_R(w, kn.annihilators, pt.ring).ok
+    assert membership_over_R(w.terms, kn.annihilators, pt.ring).ok
     # refined fails the wedge at a kernel functional, numbered among all
     refined = family_lattice("refined", n, pt.ring.field, r=n - 1, s=1)
     assert refined.membership(w.terms, pt.ring).witness == "functional[5]"
@@ -251,7 +252,7 @@ def test_a_dense_nilpotent_point_builds_one_block_per_lattice():
         for kind, params in report_families(n):
             lattice = family_lattice(kind, n, field, **params)
             assert lattice.membership(w.terms, pt.ring).witness == "coordinate(1, 2, 3, 4, 6)"
-            assert set(lattice._block_of) == set(lattice._block_masks(second))
+            assert set(lattice._block_of) == set(lattice._block_weights(second))
             assert built_blocks(lattice) == 1
 
 
@@ -268,7 +269,7 @@ def test_a_point_that_passes_spin_builds_every_block_it_touches(n):
             if lattice.membership(w.terms, ring).ok:
                 nonzero = [t for t, c in w.terms.items() if not ring.is_zero(c)]
                 assert set(lattice._block_of) == {
-                    m for t in nonzero for m in lattice._block_masks(t)}
+                    wt for t in nonzero for wt in lattice._block_weights(t)}
                 touched.add(built_blocks(lattice))
     assert min(touched) < max(touched)
 
@@ -293,7 +294,7 @@ def test_membership_is_membership_over_the_merged_blocks(n, field, history):
                 family_lattice(kind, n, field, **params) for kind, params in report_families(n)]
             for lattice, oracle in zip(lattices, merged):
                 got = lattice.membership(w.terms, ring)
-                assert got == membership_over_R(w, oracle.annihilators, ring)
+                assert got == membership_over_R(w.terms, oracle.annihilators, ring)
                 witnesses.add(got.witness and re.match(r"\w+", got.witness)[0])
     # at n = 3 no such point fails at a kernel functional
     assert witnesses == {None, "coordinate", "functional"} - ({"functional"} if n == 3 else set())
@@ -310,7 +311,7 @@ def test_both_signs_give_one_verdict_on_sampled_points(n, count):
         for pt in sample_chart_points(n, ring, count, seed=0):
             w = wedge_vector(pt)
             got = plus.membership(w.terms, ring)
-            assert got == minus.membership(w.terms, ring) == membership_over_R(w, ann, ring)
+            assert got == minus.membership(w.terms, ring) == membership_over_R(w.terms, ann, ring)
             if n == 5:  # the checkers themselves, each folding on its own
                 verdicts = [check_spin(pt, 1), check_spin(pt, -1)]
                 assert verdicts == [Verdict(PASS if got.ok else FAIL, got.witness)] * 2
