@@ -14,8 +14,7 @@ from .indexsets import (IndexSet, index_masks, shuffle_sign,
                         sigma_sign_bruteforce)
 from .lattices import (AnnihilatorSet, BlockLattice, DVRTriangularBasis,
                        ResidueBasis, annihilators,
-                       intersect_with_standard_lattice, membership_over_R,
-                       reduce_mod_pi)
+                       intersect_with_standard_lattice, reduce_mod_pi)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import PiLaurent, truncated_inverse
 
@@ -31,7 +30,7 @@ __all__ = [
     "check_naive_relations", "check_refined", "check_spin", "check_trace",
     "check_wedge", "f_frame", "form_eval", "frame_in_e", "full_report",
     "g_frame", "index_masks", "intersect_with_standard_lattice",
-    "membership_over_R", "reduce_mod_pi", "shuffle_sign",
+    "reduce_mod_pi", "shuffle_sign",
     "sigma_sign_bruteforce", "truncated_inverse", "wedge_columns",
     "wedge_vector", "worst_terms",
 ]

@@ -373,7 +373,7 @@ def full_report(pt: ChartPoint, precision: int = DEFAULT_PRECISION) -> Condition
     lex-least set e_{1..n} (_columns_in_e puts X's rows at e-positions
     1..n in an even order).  When det X != 0, each membership check whose
     block of e_{1..n} leaves it off the support fails there, as
-    membership_over_R would; the checks left open share one fold, and each
+    BlockLattice.membership would; the checks left open share one fold, and each
     reads its lattice through _membership_verdict as the checkers do."""
     ring, n, (r, s) = pt.ring, pt.n, pt.signature
     key, top, cols = ring.field.key(), (1 << n) - 1, tuple(range(1, n + 1))

@@ -214,7 +214,7 @@ def cmd_dump_basis(args) -> int:
     }
     path = os.path.join(args.out, f"basis-{label}-n{n}.json")
     _write_json(path, out_obj)
-    print(f"rank {basis.rank} basis written to {path}")
+    print(f"rank {len(basis)} basis written to {path}")
     return EXIT_PASS
 
 

@@ -20,8 +20,8 @@ from .fields import PrimeField
 from .indexsets import (DRIVER_RANKS, MAX_RANK, IndexSet, bounded_type_masks,
                         bundle_ranks, i_vee, index_masks, shuffle_sign,
                         sigma_sign_bruteforce, type_masks, type_n11_sets)
-from .lattices import (annihilator_evaluations, echelon_lattice_basis,
-                       lattice_contains, membership_over_R, paired_generator,
+from .lattices import (annihilator_evaluations, lattice_contains,
+                       paired_generator, pi_adic_column_echelon,
                        residue_rank, residue_spans_equal, signature_eps)
 from .records import frozen
 from .rings import DualNumbers, FieldRing, PolyRing
@@ -296,7 +296,7 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
     refined = refined_annihilators(n, field.key(), n - 1, 1, precision)
     computed, rb, _ = refined.whole()
     scaled = scaled_pair_generators(field, n)
-    scaled_echelon = echelon_lattice_basis(scaled, precision)
+    scaled_echelon = pi_adic_column_echelon(scaled, precision)
     fwd = all(lattice_contains(scaled_echelon, col) for col in computed.columns)
     bwd = all(lattice_contains(computed, w) for w in scaled)
     cor = corollary_residue_vectors(field, n)
@@ -305,7 +305,7 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
     verdict = "pass" if (fwd and bwd and spans and dims) else "fail"
     return Certificate("refined-basis", {"n": n, "p": p, "precision": precision},
                        verdict,
-                       {"generators": refined.generators, "lattice_rank": computed.rank,
+                       {"generators": refined.generators, "lattice_rank": len(computed),
                         "computed_in_scaled": fwd, "scaled_in_computed": bwd,
                         "residue_dimension": len(rb), "listed_elements": len(cor),
                         "residue_spans_equal": spans})
@@ -329,16 +329,17 @@ def verify_spin_structure(n: int, p: int = DEFAULT_P,
     evidence = {}
     ok = True
     for eps in (1, -1):
-        basis, rb, ann = spin_annihilators(n, field.key(), eps, precision).whole()
+        lattice = spin_annihilators(n, field.key(), eps, precision)
+        basis, rb, _ = lattice.whole()
         hits = sum(1 for vec in rb.vectors if detector in vec)
         members = {}
         for t in listed:
-            res = membership_over_R({t: field.one}, ann, ring)
+            res = lattice.membership({t: field.one}, ring)
             members[str(IndexSet(n, t).members)] = res.ok
             ok = ok and res.ok
         ok = ok and hits == 0
         evidence[f"eps={eps:+d}"] = {
-            "rank": basis.rank,
+            "rank": len(basis),
             "detector_coordinate_hits": hits,
             "listed_memberships": members,
         }

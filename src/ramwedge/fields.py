@@ -7,6 +7,7 @@ is rejected everywhere since 1/2 must be invertible.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .records import frozen
@@ -142,14 +143,17 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}"
 
     def element_from_json(self, obj) -> Fraction:
+        """A JSON integer, or a string a or a/b of decimal integers with an
+        optional leading - (what element_to_json writes); never the
+        exponent or decimal forms that Fraction itself would read."""
         if is_json_int(obj):
             return Fraction(obj)
-        if isinstance(obj, str):
+        if isinstance(obj, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", obj):
             try:
                 return Fraction(obj)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in {obj!r}") from None
-        raise ValueError(f"expected integer or fraction string, got {obj!r}")
+        raise ValueError(f"expected integer or fraction string a/b, got {obj!r}")
 
     def key(self) -> tuple:
         return ("Q",)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .errors import PrecisionExhaustedError
 from .exterior import WedgeVector, _add_multiple, basis_wedge, terms_to_json
-from .indexsets import IndexSet, index_masks, lex_key, perp_mask, shuffle_sign
+from .indexsets import IndexSet, lex_key, perp_mask, shuffle_sign
 from .records import frozen, replace
 from .scalars import LaurentOps, truncated_inverse
 
@@ -84,31 +85,64 @@ def _paired_generators(frame, masks: list, eps: int):
 # pi-adic column echelon over the valuation ring
 
 
-def pi_adic_column_echelon(columns: list, precision: int, lex: dict = None):
-    """Unimodular column reduction with global minimum-valuation pivots.
+@frozen
+class DVRTriangularBasis:
+    """Basis of a lattice in echelon form: pairwise distinct pivot index
+    sets (recorded with their pivot valuations), triangular in processing
+    order; saturated, its columns have minimum valuation 0."""
 
-    columns: sparse {mask: PiLaurent} maps (consumed), all of one degree;
-    lex: {mask: lex_key(mask)} over their masks (elimination adds none).
-    Returns [(pivot_set, pivot_valuation, column)] in processing order; each
-    pivot row is eliminated from every later column.  Ties break to the
-    lexicographically least index set, then the earliest column.  Raises
-    PrecisionExhaustedError when a pivot valuation enters the guard band
-    below the working precision.
+    n: int
+    degree: int
+    field: object
+    precision: int
+    pivots: tuple
+    columns: tuple
+
+    def __len__(self):
+        return len(self.columns)
+
+    def to_json(self):
+        return {
+            "columns": [
+                {"pivot": IndexSet(self.n, piv).to_json(), "pivotValuation": val,
+                 "terms": col.to_json()["terms"]}
+                for (piv, val), col in zip(self.pivots, self.columns)
+            ],
+        }
+
+
+def pi_adic_column_echelon(generators: list, precision: int,
+                           lex: dict = None) -> DVRTriangularBasis:
+    """Unimodular echelon form of the module that the generators, e-basis
+    wedge vectors of one degree, span over the valuation ring, without
+    saturation scaling; zero and redundant generators are tolerated.
+
+    Column reduction with global minimum-valuation pivots: each pivot row is
+    eliminated from every later column, and ties break to the
+    lexicographically least index set, then the earliest generator.  lex:
+    {mask: lex_key(mask)} over the generators' masks (elimination adds
+    none).  Raises PrecisionExhaustedError when a pivot valuation enters the
+    guard band below the working precision.
     """
-    live = {}
-    heap = []
-    incidence = {}
+    if not generators:
+        raise ValueError("no generators")
+    nonzero = [g for g in generators if not g.is_zero]
+    if not nonzero:
+        raise ValueError("all generators are zero")
+    if len({g.degree() for g in nonzero}) > 1:
+        raise ValueError("generators of mixed wedge degree")
+    live, heap, incidence = {}, [], {}
     if lex is None:
-        lex = {t: lex_key(t) for t in set().union(*columns)}
-    for cid, col in enumerate(columns):
-        col = {t: c for t, c in col.items() if not c.is_zero}
+        lex = {t: lex_key(t) for g in nonzero for t in g.terms}
+    for cid, g in enumerate(nonzero):
+        col = {t: c for t, c in g.terms.items() if not c.is_zero}
         if not col:
             continue
         live[cid] = col
         for t, c in col.items():
             heapq.heappush(heap, (c.ord(), lex[t], cid, t))
             incidence.setdefault(t, set()).add(cid)
-    processed = []
+    pivots, columns = [], []
     while live:
         while True:
             if not heap:
@@ -121,7 +155,8 @@ def pi_adic_column_echelon(columns: list, precision: int, lex: dict = None):
             raise PrecisionExhaustedError(
                 f"pivot valuation {val} within {GUARD_BAND} of precision {precision}")
         pivot_col = live.pop(cid)
-        processed.append((t, val, pivot_col))
+        pivots.append((t, val))
+        columns.append(WedgeVector(nonzero[0].n, pivot_col))
         ops = LaurentOps(pivot.field)
         inv = None  # computed once a live column holds the pivot row
         rest = [t2 for t2 in pivot_col if t2 != t]
@@ -144,64 +179,9 @@ def pi_adic_column_echelon(columns: list, precision: int, lex: dict = None):
             col2.pop(t, None)
             if not col2:
                 del live[cid2]
-    return processed
-
-
-@frozen
-class DVRTriangularBasis:
-    """Basis of a saturated lattice: columns scaled to minimum valuation 0,
-    pairwise distinct pivot index sets (recorded with their pre-scaling
-    valuations), triangular in processing order."""
-
-    n: int
-    degree: int
-    field: object
-    precision: int
-    pivots: tuple
-    columns: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.columns)
-
-    def to_json(self):
-        return {
-            "columns": [
-                {"pivot": IndexSet(self.n, piv).to_json(), "pivotValuation": val,
-                 "terms": col.to_json()["terms"]}
-                for (piv, val), col in zip(self.pivots, self.columns)
-            ],
-        }
-
-
-def echelon_lattice_basis(generators: list, precision: int,
-                          lex: dict = None) -> DVRTriangularBasis:
-    """Unimodular echelon form of the module spanned by the generators over
-    the valuation ring, without saturation scaling.  Generators must be
-    e-basis wedge vectors of a common degree; zero and redundant generators
-    are tolerated."""
-    if not generators:
-        raise ValueError("no generators")
-    n = generators[0].n
-    degree = None
-    field = None
-    cols = []
-    for g in generators:
-        if g.is_zero:
-            continue
-        d = g.degree()
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise ValueError("generators of mixed wedge degree")
-        field = next(iter(g.terms.values())).field
-        cols.append(dict(g.terms))
-    if not cols:
-        raise ValueError("all generators are zero")
-    processed = pi_adic_column_echelon(cols, precision, lex)
-    pivots = tuple((t, val) for t, val, _ in processed)
-    columns = tuple(WedgeVector(n, col) for _, _, col in processed)
-    return DVRTriangularBasis(n, degree, field, precision, pivots, columns)
+    g = nonzero[-1]
+    return DVRTriangularBasis(g.n, g.degree(), next(iter(g.terms.values())).field,
+                              precision, tuple(pivots), tuple(columns))
 
 
 def intersect_with_standard_lattice(generators: list, precision: int,
@@ -209,7 +189,7 @@ def intersect_with_standard_lattice(generators: list, precision: int,
     """Basis of (F-span of the generators) intersected with the standard
     lattice, at the working precision: the echelon basis with each column
     saturated to minimum valuation 0.  lex is as for the echelon."""
-    echelon = echelon_lattice_basis(generators, precision, lex)
+    echelon = pi_adic_column_echelon(generators, precision, lex)
     columns = []
     for (t, val), col in zip(echelon.pivots, echelon.columns):
         if any(c.ord() < val for c in col.terms.values()):
@@ -400,10 +380,11 @@ class MembershipResult:
 
 
 def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
-    """The evaluations membership_over_R reads, as (label, value) pairs:
-    each off-support coordinate the vector over R holds, zero or not, in
-    lex order, then every tracked kernel functional.  ann is an
-    AnnihilatorSet (of a BlockLattice, its merged annihilators)."""
+    """The evaluations whose first nonzero one is the witness of
+    BlockLattice.membership, as (label, value) pairs: each off-support
+    coordinate the vector over R holds, zero or not, in lex order, then
+    every tracked kernel functional.  ann is an AnnihilatorSet (of a
+    BlockLattice, its merged annihilators)."""
     support = ann.support_set
     for t in sorted((t for t in terms if t not in support), key=lex_key):
         yield (f"coordinate{IndexSet(ann.n, t).members}", terms[t])
@@ -414,42 +395,9 @@ def _functional_evaluations(ann: AnnihilatorSet, terms: dict, ring):
     for idx, phi in enumerate(ann.functionals):
         total = ring.zero
         for t, coef in phi.items():
-            c = terms.get(t)
-            if c is None:
-                continue
-            total = ring.add(total, ring.mul(ring.from_base(coef), c))
+            if (c := terms.get(t)) is not None:
+                total = ring.add(total, ring.mul(ring.from_base(coef), c))
         yield (f"functional[{idx}]", total)
-
-
-def _least_off_support(terms: dict, support, ring, built=None) -> tuple:
-    """In one pass: the lex-least nonzero off-support t with built(t) (a
-    BlockLattice tests t's slot weight in its block index; None: every t),
-    and the nonzero ones before it without; lex order (t precedes u iff t
-    holds the lowest bit of t ^ u) is tested before zero."""
-    least, unbuilt = None, []
-    for t, c in terms.items():
-        if t in support or least is not None and not (d := t ^ least) & -d & t:
-            continue
-        if built is not None and not built(t):
-            unbuilt.append(t)
-        elif not ring.is_zero(c):
-            least = t
-    return least, [t for t in unbuilt if (least is None or (d := t ^ least) & -d & t)
-                   and not ring.is_zero(terms[t])]
-
-
-def membership_over_R(terms: dict, ann: AnnihilatorSet, ring) -> MembershipResult:
-    """Whether an e-basis coefficient vector over R ({mask: coefficient})
-    lies in R tensor the residue span; on failure, the first nonzero
-    annihilator_evaluations."""
-    least, _ = _least_off_support(terms, ann.support_set, ring)
-    if least is not None:
-        return MembershipResult(False, f"coordinate{IndexSet(ann.n, least).members}",
-                                terms[least])
-    for label, value in _functional_evaluations(ann, terms, ring):
-        if not ring.is_zero(value):
-            return MembershipResult(False, label, value)
-    return MembershipResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -552,20 +500,39 @@ class BlockLattice:
 
     def _family_blocks(self):
         """Each block holding a family mask, once, as its first family mask
-        and its slot weights, in the order of that mask."""
-        seen = set()
-        for m in index_masks(self.n, self.degree) if self.masks is None else self.masks:
-            if _slot_weight(self.n, m) not in seen:
+        and its slot weights, in the order of the masks; for spin (masks
+        None) they are one per slot weight, twos | twos << n | ones."""
+        n, seen, slots = self.n, set(), [1 << i for i in range(self.n)]
+        masks = self.masks if self.masks is not None else (
+            sum(twos) * ((1 << n) + 1) + sum(ones) for k in range(self.degree // 2 + 1)
+            for twos in combinations(slots, k)
+            for ones in combinations([b for b in slots if b not in twos],
+                                     self.degree - 2 * k))
+        for m in masks:
+            if _slot_weight(n, m) not in seen:
                 seen.update(weights := self._block_weights(m))
                 yield m, weights
 
     def membership(self, terms, ring) -> MembershipResult:
         """Whether a vector with these terms ({mask: coefficient}) over ring
-        lies in ring tensor the residue span, as membership_over_R of the
-        merged annihilators (built only for a failing functional) reports it."""
-        index, n = self._block_of, self.n
-        least, unbuilt = _least_off_support(terms, self.support_set, ring,
-                                            lambda t: _slot_weight(n, t) in index)
+        lies in ring tensor the residue span.  On failure, the first nonzero
+        annihilator_evaluations of the merged annihilators: the lex-least
+        nonzero coordinate off the support, else the first failing functional
+        (the merged set is built only then, which numbers it among all)."""
+        index, n, support = self._block_of, self.n, self.support_set
+        # one pass: the lex-least nonzero t off the built blocks' supports,
+        # and the nonzero t of unbuilt blocks before it; lex order (t
+        # precedes u iff t holds the lowest bit of t ^ u) is tested first
+        least, unbuilt = None, []
+        for t, c in terms.items():
+            if t in support or least is not None and not (d := t ^ least) & -d & t:
+                continue
+            if _slot_weight(n, t) not in index:
+                unbuilt.append(t)
+            elif not ring.is_zero(c):
+                least = t
+        unbuilt = [t for t in unbuilt if (least is None or (d := t ^ least) & -d & t)
+                   and not ring.is_zero(terms[t])]
         if unbuilt:  # walked in lex order; the lex-least (bit test) is often the witness
             first = unbuilt[0]
             for t in unbuilt:
@@ -575,11 +542,14 @@ class BlockLattice:
                     else sorted(unbuilt, key=lex_key))
             least = next((t for t in walk if t not in self.block(t).support_set), least)
         if least is not None:
-            return MembershipResult(False, f"coordinate{IndexSet(self.n, least).members}",
+            return MembershipResult(False, f"coordinate{IndexSet(n, least).members}",
                                     terms[least])
         if any(not ring.is_zero(v) for ann in self._functional_blocks
                for _, v in _functional_evaluations(ann, terms, ring)):
-            return membership_over_R(terms, self.annihilators, ring)
+            # every nonzero coordinate is on the support: a functional decides
+            return next(MembershipResult(False, label, v) for label, v
+                        in _functional_evaluations(self.annihilators, terms, ring)
+                        if not ring.is_zero(v))
         return MembershipResult(True)
 
     @cached_property

@@ -1,8 +1,8 @@
 """full_report against one fold of the whole top wedge per point, whose
 four memberships are decided on their lattices as the checkers decide,
-never reading det X, and against membership_over_R of each lattice's
-merged annihilators (every block reduced, on lattices built apart from
-the caches), at one odd rank over F_13.  Per ring (the field, the dual
+never reading det X, and against first_nonzero_evaluation of each
+lattice's merged annihilators (every block reduced, on lattices built
+apart from the caches), at one odd rank over F_13.  Per ring (the field, the dual
 numbers, poly(a, b)) it checks one dense sampled point, one dense
 nilpotent point and the counterexample's shape, X1 = diag(x, -x, 0, ...,
 0, -x, x) with x = 1, the dual generator or a.  Too slow for the tier-1

@@ -70,8 +70,8 @@ def first_nonzero_evaluation(ann, terms: dict, ring) -> tuple:
     """(ok, witness, value) of a coefficient vector over R against an
     annihilator set, by sorting: its off-support coordinates in the order
     of their member tuples, then the tracked functionals in order, and the
-    first nonzero evaluation fails.  The reference for membership_over_R,
-    which finds the coordinate in one pass."""
+    first nonzero evaluation fails.  The reference for
+    BlockLattice.membership, which finds the coordinate in one pass."""
     support = set(ann.support)
     evaluations = [(f"coordinate{IndexSet(ann.n, t).members}", terms[t])
                    for t in sorted(terms, key=lambda t: IndexSet(ann.n, t).members)

@@ -17,10 +17,9 @@ from ramwedge.errors import SchemaError
 from ramwedge.exterior import wedge_columns_masks
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet, index_masks
-from ramwedge.lattices import membership_over_R
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 
-from oracles import det
+from oracles import det, first_nonzero_evaluation
 
 F = PrimeField(13)
 
@@ -521,16 +520,16 @@ def merged_lattices(n, field_key, r, s, precision) -> dict:
 
 
 def every_block_memberships(pt, precision=chart.DEFAULT_PRECISION) -> dict:
-    """full_report's four membership verdicts as membership_over_R gives
-    them against each lattice's merged annihilators, every block reduced:
-    the oracle of BlockLattice.membership, which reduces the blocks of a
-    wedge only up to its witness."""
+    """full_report's four membership verdicts as first_nonzero_evaluation
+    gives them against each lattice's merged annihilators, every block
+    reduced: the oracle of BlockLattice.membership, which reduces the blocks
+    of a wedge only up to its witness."""
     w, ring = wedge_vector(pt), pt.ring
     out = {}
     for name, (lattice, prefix) in merged_lattices(
             pt.n, ring.field.key(), *pt.signature, precision).items():
-        result = membership_over_R(w.terms, lattice.annihilators, ring)
-        out[name] = Verdict(PASS) if result.ok else Verdict(FAIL, prefix + result.witness)
+        ok, witness, _ = first_nonzero_evaluation(lattice.annihilators, w.terms, ring)
+        out[name] = Verdict(PASS) if ok else Verdict(FAIL, prefix + witness)
     return out
 
 

@@ -257,6 +257,19 @@ def test_zero_denominator_entry_names_field(tmp_path, capsys):
     assert "X[1][1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["1e400", "1.5"])
+def test_rationals_only_in_integer_and_fraction_form(tmp_path, capsys, entry):
+    # Fraction itself reads exponent and decimal strings; the format is a
+    # JSON integer or a string a or a/b of decimal integers
+    src = tmp_path / "point.json"
+    src.write_text(json.dumps({"n": 3, "p": "rationals", "ring": {"kind": "field"},
+                               "X": [[0, 0, 0], [0, entry, 0], [0, 0, 0]]}))
+    out = tmp_path / "results"
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    assert "X[1][1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_basis_rejects_rank_below_two(tmp_path, capsys, n):
     out = tmp_path / "results"

@@ -75,6 +75,24 @@ GOLDEN = {
         "certificate-counterexample.json":
             "2cbd98e3db48bc42ceac20a01ea979a6b5191a0407a527e41a609b14d773a954",
     },
+    # the two drivers that read a lattice's merged blocks: refined-basis
+    # (echelon and lattice_contains) and spin-structure (memberships)
+    ("verify", "refined-basis", "--n", "5"): {
+        "certificate-refined-basis.json":
+            "ae88a5a28e16c1e14ddc4f6e8b6f8488ba96fc2e29a8822c091ad7cc2d6a448e",
+    },
+    ("verify", "refined-basis", "--n", "7"): {
+        "certificate-refined-basis.json":
+            "fd110c28b6769b651ce51a894a4a068101a35b7990e43defa5689a9d381eaa42",
+    },
+    ("verify", "spin-structure", "--n", "5"): {
+        "certificate-spin-structure.json":
+            "2f1c1f25023ee510b8ec5f3e50e2b92fdd5ee43d0cf66eba38eaef83410ab680",
+    },
+    ("verify", "spin-structure", "--n", "7"): {
+        "certificate-spin-structure.json":
+            "a6bbe7413bd6bf885b9555094cd01bd00ad68d26f2b28e174397f3c37dc715c5",
+    },
     ("basis", "spin", "--n", "5", "--eps", "-1"): {
         "basis-spin-1-n5.json":
             "2959b8f48dcc681773aa3f9c7975ca78eb2e6bb1a65880a98187d8be7d728c73",

@@ -18,10 +18,9 @@ from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_k
                                 perp_mask, shuffle_sign, sigma_sign_bruteforce,
                                 type_masks)
 from ramwedge.lattices import (GUARD_BAND, BlockLattice, annihilators,
-                               annihilator_evaluations,
-                               echelon_lattice_basis, gauss_jordan,
+                               annihilator_evaluations, gauss_jordan,
                                intersect_with_standard_lattice,
-                               lattice_contains, membership_over_R,
+                               lattice_contains, pi_adic_column_echelon,
                                reduce_mod_pi, residue_rank, residue_spans_equal,
                                signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
@@ -89,7 +88,7 @@ def test_monomial_saturation():
     a = IndexSet.of(n, (1, 2, 3)).mask
     basis = intersect_with_standard_lattice([e_vec(n, [((1, 2, 3), L({-3: 1}))])],
                                             PRECISION)
-    assert basis.rank == 1
+    assert len(basis) == 1
     assert basis.pivots == ((a, -3),)
     assert basis.columns[0].terms == {a: PiLaurent.one(F)}
 
@@ -98,7 +97,7 @@ def test_single_column_scaling():
     n = 3
     gen = e_vec(n, [((1, 2, 3), L({0: 1})), ((1, 2, 4), L({-1: 1}))])
     basis = intersect_with_standard_lattice([gen], PRECISION)
-    assert basis.rank == 1
+    assert len(basis) == 1
     col = basis.columns[0].terms
     assert col[IndexSet.of(n, (1, 2, 3)).mask] == L({1: 1})
     assert col[IndexSet.of(n, (1, 2, 4)).mask] == L({0: 1})
@@ -109,7 +108,7 @@ def test_redundant_generators_detected():
     gen = e_vec(n, [((1, 2, 3), L({0: 1}))])
     dup = e_vec(n, [((1, 2, 3), L({2: 5}))])
     basis = intersect_with_standard_lattice([gen, dup], PRECISION)
-    assert basis.rank == 1
+    assert len(basis) == 1
 
 
 def test_precision_guard_trips():
@@ -119,7 +118,7 @@ def test_precision_guard_trips():
         intersect_with_standard_lattice([gen], PRECISION)
 
 
-@pytest.mark.parametrize("build", [echelon_lattice_basis,
+@pytest.mark.parametrize("build", [pi_adic_column_echelon,
                                    intersect_with_standard_lattice])
 def test_echelon_entry_points_reject_bad_generators(build):
     n = 3
@@ -135,7 +134,7 @@ def test_echelon_entry_points_reject_bad_generators(build):
 
 def test_intersection_saturates_the_echelon():
     gens = spanning_set("refined", 3, F, r=2, s=1)
-    echelon = echelon_lattice_basis(gens, PRECISION)
+    echelon = pi_adic_column_echelon(gens, PRECISION)
     basis = intersect_with_standard_lattice(gens, PRECISION)
     assert basis.pivots == echelon.pivots
     assert (basis.n, basis.degree, basis.field) == (echelon.n, echelon.degree, F)
@@ -190,9 +189,9 @@ def test_annihilator_toy_examples():
     assert ann.coordinate_dim == 2
     assert ann.functional_count == 1
     ring = FieldRing(F)
-    assert membership_over_R({a: F.of_int(5)}, ann, ring).ok
-    res = membership_over_R({b: F.one}, ann, ring)
-    assert not res.ok and "coordinate" in res.witness
+    assert first_nonzero_evaluation(ann, {a: F.of_int(5)}, ring)[0]
+    ok, witness, _ = first_nonzero_evaluation(ann, {b: F.one}, ring)
+    assert not ok and "coordinate" in witness
 
     # difference vector: the annihilator is the coordinate sum
     rb = ResidueBasis(1, 1, F, ({a: F.one, b: F.neg(F.one)},), (a,))
@@ -200,8 +199,8 @@ def test_annihilator_toy_examples():
     assert len(ann.functionals) == 1
     assert ann.functionals[0] == {b: F.one, a: F.one}
     assert ann.functional_count + ann.span_rank == ann.coordinate_dim
-    assert membership_over_R({a: F.of_int(3), b: F.of_int(10)}, ann, ring).ok
-    assert not membership_over_R({a: F.of_int(3), b: F.of_int(3)}, ann, ring).ok
+    assert first_nonzero_evaluation(ann, {a: F.of_int(3), b: F.of_int(10)}, ring)[0]
+    assert not first_nonzero_evaluation(ann, {a: F.of_int(3), b: F.of_int(3)}, ring)[0]
 
 
 def test_rank_nullity_on_computed_lattices():
@@ -219,14 +218,15 @@ def test_rank_nullity_on_computed_lattices():
                 assert all(F.is_zero(value) for label, value
                            in annihilator_evaluations(ann, vec, ring)
                            if label.startswith("functional"))
-                assert membership_over_R(vec, ann, ring).ok
+                assert first_nonzero_evaluation(ann, vec, ring)[0]
 
 
 def test_membership_of_zero_vector():
     n = 3
     gens = spanning_set("spin", n, F, eps=1)
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
-    assert membership_over_R({}, ann, FieldRing(F)).ok
+    assert first_nonzero_evaluation(ann, {}, FieldRing(F))[0]
+    assert spin_annihilators(n, F.key(), 1, PRECISION).membership({}, FieldRing(F)).ok
 
 
 def test_spin_residue_over_dual_numbers():
@@ -236,7 +236,8 @@ def test_spin_residue_over_dual_numbers():
     gens = spanning_set("spin", n, F, eps=-1)
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
     target = {IndexSet.of(n, (4, 5, 6)).mask: ring.x()}
-    assert membership_over_R(target, ann, ring).ok
+    assert first_nonzero_evaluation(ann, target, ring)[0]
+    assert spin_annihilators(n, F.key(), -1, PRECISION).membership(target, ring).ok
 
 
 def test_annihilator_evaluations_labels():
@@ -256,10 +257,12 @@ def test_pipeline_over_rationals_cross_check():
     gens = spanning_set("refined", 3, q, r=2, s=1)
     basis = intersect_with_standard_lattice(gens, PRECISION)
     rb = reduce_mod_pi(basis)
-    assert basis.rank == len(rb) == 6
+    assert len(basis) == len(rb) == 6
     ann = annihilators(rb)
     full = IndexSet.of(3, (4, 5, 6)).mask
-    assert membership_over_R({full: q.one}, ann, FieldRing(q)).ok
+    assert first_nonzero_evaluation(ann, {full: q.one}, FieldRing(q))[0]
+    assert refined_annihilators(3, q.key(), 2, 1, PRECISION).membership(
+        {full: q.one}, FieldRing(q)).ok
 
 
 @lru_cache(maxsize=None)
@@ -424,7 +427,7 @@ def test_spanning_set_golden_spans(kind, n, p):
         spanning_set(name, n, PrimeField(p), **kwargs), PRECISION)
     residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
     digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
-    assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]
+    assert (len(basis), digest) == GOLDEN_SPANS[kind, n, p]
 
 
 # Lattice rank and the first 16 hex digits of the SHA-256 of the annihilator
@@ -529,7 +532,7 @@ def test_residue_basis_at_smallest_working_precision(kind, n, p):
     else:
         residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
         digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
-        assert (basis.rank, digest) == GOLDEN_SPANS[kind, n, p]
+        assert (len(basis), digest) == GOLDEN_SPANS[kind, n, p]
 
 
 def test_engine_structures_hold_only_int_keys():
@@ -644,16 +647,19 @@ def test_off_support_witnesses_come_in_lex_order():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_membership_witness_is_the_sorting_oracles(n):
-    # membership_over_R picks its coordinate witness in one pass; the oracle
-    # sorts.  Seeded vectors over the field, dual and poly rings, visited in
-    # shuffled key order: chart wedges, residue-span members, members with
-    # off-support entries whose lex-least key holds an explicit zero, and
-    # sparse vectors over every mask and over the support
+    # BlockLattice.membership picks its coordinate witness in one pass; the
+    # oracle sorts.  Seeded vectors over the field, dual and poly rings,
+    # visited in shuffled key order: chart wedges, residue-span members,
+    # members with off-support entries whose lex-least key holds an explicit
+    # zero, and sparse vectors over every mask and over the support; each
+    # decided on the merged lattice and on a fresh one, which builds blocks
+    # only up to the witness
     rng = random.Random(n)
     masks = index_masks(n)
-    for lattice in (refined_annihilators(n, F.key(), n - 1, 1, PRECISION),
-                    spin_annihilators(n, F.key(), 1, PRECISION)):
-        _, rb, ann = lattice.whole()
+    for build, args in ((refined_annihilators, (n, F.key(), n - 1, 1, PRECISION)),
+                        (spin_annihilators, (n, F.key(), 1, PRECISION))):
+        merged = build(*args)
+        _, rb, ann = merged.whole()
         off = [t for t in masks if t not in ann.support_set]
         for ring in (FieldRing(F), DualNumbers(F), PolyRing(F, ("a", "b"))):
             vectors = [wedge_vector(pt).terms
@@ -676,9 +682,10 @@ def test_membership_witness_is_the_sorting_oracles(n):
                 items = list(terms.items())
                 rng.shuffle(items)
                 terms = dict(items)
-                res = membership_over_R(terms, ann, ring)
                 want = first_nonzero_evaluation(ann, terms, ring)
-                assert (res.ok, res.witness, res.value) == want
+                for lattice in (merged, build.__wrapped__(*args)):
+                    res = lattice.membership(terms, ring)
+                    assert (res.ok, res.witness, res.value) == want
                 outcomes.add(want[1].split("[")[0].split("(")[0] if want[1] else None)
             # every path was taken: a pass, and both kinds of witness where
             # the lattice has kernel functionals

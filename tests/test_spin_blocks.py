@@ -12,18 +12,18 @@ from ramwedge.chart import (FAIL, PASS, Verdict, check_kl, check_refined, check_
                             kl_annihilators, refined_annihilators,
                             spin_annihilators, wedge_vector)
 from ramwedge.drivers import counterexample_point, sample_chart_points
-from ramwedge.exterior import Frame, frame_in_e
+from ramwedge.exterior import Frame, WedgeVector, frame_in_e
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import (BlockLattice, annihilator_evaluations, annihilators,
                                intersect_with_standard_lattice,
-                               membership_over_R, pi_adic_column_echelon,
-                               reduce_mod_pi, signature_eps)
+                               pi_adic_column_echelon, reduce_mod_pi,
+                               signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import PiLaurent
 from ramwedge import lattices
 
-from oracles import spanning_set
+from oracles import first_nonzero_evaluation, spanning_set
 from test_chart import dense_points, nilpotent_point, rings_over
 from test_lattices import annihilator_digest
 
@@ -119,6 +119,25 @@ def test_merged_blocks_are_the_global_lattice(n, field_name, kind, params):
         assert family_lattice(kind, n, field, **params).annihilators == ann
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_spin_without_masks_finds_the_blocks_of_every_mask(n):
+    # masks None (as spin_annihilators builds it) lists one mask per slot
+    # weight, not all C(2n, n): the same blocks, each once, and the same
+    # merged lattice as listing every mask
+    field = FIELDS["F13"]
+    listed = block_lattice(n, field, -1)
+    unlisted = BlockLattice(frame_in_e("f_split", n, field), n, None, -1, PRECISION)
+    blocks = [frozenset(weights) for _, weights in unlisted._family_blocks()]
+    assert len(blocks) == len(set(blocks))
+    assert set(blocks) == {frozenset(weights) for _, weights in listed._family_blocks()}
+    (basis, residue, ann), want = unlisted.whole(), listed.whole()
+    assert basis.pivots == want[0].pivots
+    assert [list(c.terms.items()) for c in basis.columns] == \
+        [list(c.terms.items()) for c in want[0].columns]
+    assert (residue, ann) == want[1:]
+    assert unlisted.generators == listed.generators
+
+
 def test_a_generator_that_crosses_blocks_raises():
     # frame vectors 1 and 2 swapped: each still lies in one slot, but not in
     # the slot of its position, so wedges leave the weight of their set; the
@@ -174,7 +193,8 @@ def test_membership_with_functionals_uses_the_global_numbering():
         # whatever the functionals give, so no block needs its number
         for vector in ({t: field.one}, {t: field.one, off: field.one}):
             lattice = block_lattice(4, field, 1)
-            assert lattice.membership(vector, ring) == membership_over_R(vector, ann, ring)
+            got = lattice.membership(vector, ring)
+            assert (got.ok, got.witness, got.value) == first_nonzero_evaluation(ann, vector, ring)
             # the first nonzero evaluation on t's block: off-support
             # coordinates come before its functionals
             failing = [label for label, v in
@@ -233,7 +253,7 @@ def test_a_point_builds_only_the_blocks_it_touches():
     assert len(ann.functionals) == 1
     assert kn.membership(w.terms, pt.ring).ok
     assert kn.generators == n and "annihilators" not in vars(kn)
-    assert membership_over_R(w.terms, kn.annihilators, pt.ring).ok
+    assert first_nonzero_evaluation(kn.annihilators, w.terms, pt.ring)[0]
     # refined fails the wedge at a kernel functional, numbered among all
     refined = family_lattice("refined", n, pt.ring.field, r=n - 1, s=1)
     assert refined.membership(w.terms, pt.ring).witness == "functional[5]"
@@ -278,7 +298,7 @@ def test_a_point_that_passes_spin_builds_every_block_it_touches(n):
 @pytest.mark.parametrize("field", ["F3", "F13", "Q"])
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_membership_is_membership_over_the_merged_blocks(n, field, history):
-    # the oracle of the walk is membership_over_R against the merged
+    # the oracle of the walk is first_nonzero_evaluation against the merged
     # annihilators, every block built: on dense sampled, dense nilpotent
     # and counterexample-shaped points, over each ring, with lattices new
     # for each point or merged before the first
@@ -294,7 +314,8 @@ def test_membership_is_membership_over_the_merged_blocks(n, field, history):
                 family_lattice(kind, n, field, **params) for kind, params in report_families(n)]
             for lattice, oracle in zip(lattices, merged):
                 got = lattice.membership(w.terms, ring)
-                assert got == membership_over_R(w.terms, oracle.annihilators, ring)
+                assert (got.ok, got.witness, got.value) == first_nonzero_evaluation(
+                    oracle.annihilators, w.terms, ring)
                 witnesses.add(got.witness and re.match(r"\w+", got.witness)[0])
     # at n = 3 no such point fails at a kernel functional
     assert witnesses == {None, "coordinate", "functional"} - ({"functional"} if n == 3 else set())
@@ -311,7 +332,8 @@ def test_both_signs_give_one_verdict_on_sampled_points(n, count):
         for pt in sample_chart_points(n, ring, count, seed=0):
             w = wedge_vector(pt)
             got = plus.membership(w.terms, ring)
-            assert got == minus.membership(w.terms, ring) == membership_over_R(w.terms, ann, ring)
+            assert got == minus.membership(w.terms, ring)
+            assert (got.ok, got.witness, got.value) == first_nonzero_evaluation(ann, w.terms, ring)
             if n == 5:  # the checkers themselves, each folding on its own
                 verdicts = [check_spin(pt, 1), check_spin(pt, -1)]
                 assert verdicts == [Verdict(PASS if got.ok else FAIL, got.witness)] * 2
@@ -368,9 +390,10 @@ def test_echelon_inverts_a_pivot_only_when_a_column_holds_its_row(monkeypatch):
     one = PiLaurent.one(field)
     a, b = index_masks(2)[:2]
     # disjoint rows: nothing to eliminate, nothing to invert
-    pi_adic_column_echelon([{a: one}, {b: one}], PRECISION)
+    pi_adic_column_echelon([WedgeVector(2, {a: one}), WedgeVector(2, {b: one})], PRECISION)
     assert calls == []
     # the first pivot, at a, is eliminated from the second column; the
     # second pivot, at b, from none
-    pi_adic_column_echelon([{a: one, b: one}, {a: one}], PRECISION)
+    pi_adic_column_echelon([WedgeVector(2, {a: one, b: one}), WedgeVector(2, {a: one})],
+                           PRECISION)
     assert calls == [one]
