@@ -145,7 +145,7 @@ def cmd_check_point(args) -> int:
             obj = json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError(f"invalid JSON in {args.input}: {exc}") from exc
     pt = chart_point_from_json(obj)
     precision = _precision(args)

@@ -20,9 +20,8 @@ from .fields import PrimeField
 from .indexsets import (DRIVER_RANKS, MAX_RANK, IndexSet, bounded_type_masks,
                         bundle_ranks, i_vee, index_masks, shuffle_sign,
                         sigma_sign_bruteforce, type_masks, type_n11_sets)
-from .lattices import (annihilator_evaluations, lattice_contains,
-                       paired_generator, pi_adic_column_echelon,
-                       residue_rank, residue_spans_equal, signature_eps)
+from .lattices import (functional_evaluations, paired_generator,
+                       pi_adic_column_echelon, residue_rank, signature_eps)
 from .records import frozen
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import LaurentOps, PiLaurent
@@ -290,25 +289,37 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
                          precision: int = DEFAULT_PRECISION) -> Certificate:
     """Two-sided lattice equality between the reduced intersection basis and
     the scaled pair generators, and residue-span equality with the six
-    coded families."""
+    coded families.
+
+    Each echelon column attains its minimum valuation at its pivot, so the
+    pivot valuations sum to the least valuation of a full minor, an
+    invariant of the lattice.  N contains M iff M + N, which contains N,
+    has N's rank and sum; a saturated basis has sum 0."""
     _require_rank("refined-basis", n)
     field = PrimeField(p)
     refined = refined_annihilators(n, field.key(), n - 1, 1, precision)
-    computed, rb, _ = refined.whole()
+    computed = refined.whole()[0]
     scaled = scaled_pair_generators(field, n)
-    scaled_echelon = pi_adic_column_echelon(scaled, precision)
-    fwd = all(lattice_contains(scaled_echelon, col) for col in computed.columns)
-    bwd = all(lattice_contains(computed, w) for w in scaled)
+
+    def rank_and_covolume(generators):
+        basis = pi_adic_column_echelon(generators, precision)
+        return len(basis), sum(val for _, val in basis.pivots)
+
+    union = rank_and_covolume(scaled + list(computed.columns))
+    fwd = union == rank_and_covolume(scaled)
+    bwd = union == (len(computed), 0)
     cor = corollary_residue_vectors(field, n)
-    spans = residue_spans_equal(field, list(rb.vectors), cor)
-    dims = (len(rb) == len(cor) == residue_rank(field, cor))
+    rank = residue_rank(field, cor)
+    spans = rank == refined.span_rank and all(
+        refined.membership(v, FieldRing(field)).ok for v in cor)
+    dims = refined.span_rank == len(cor) == rank
     verdict = "pass" if (fwd and bwd and spans and dims) else "fail"
     return Certificate("refined-basis", {"n": n, "p": p, "precision": precision},
                        verdict,
                        {"generators": refined.generators, "lattice_rank": len(computed),
                         "computed_in_scaled": fwd, "scaled_in_computed": bwd,
-                        "residue_dimension": len(rb), "listed_elements": len(cor),
-                        "residue_spans_equal": spans})
+                        "residue_dimension": refined.span_rank,
+                        "listed_elements": len(cor), "residue_spans_equal": spans})
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +425,10 @@ def verify_x1_zero(n: int, p: int = DEFAULT_P,
     ann = refined_annihilators(n, field.key(), n - 1, 1, precision).annihilators
     linear_rows = []
     nonlinear = 0
-    for _, value in annihilator_evaluations(ann, v.terms, ring):
+    # the off-support coordinates, then the functionals; only counts and
+    # ranks are read, so their order does not matter
+    values = [c for t, c in v.terms.items() if t not in ann.support_set]
+    for value in values + [value for _, value in functional_evaluations(ann, v.terms, ring)]:
         if ring.is_zero(value):
             continue
         if ring.is_homogeneous_linear(value):

@@ -199,31 +199,6 @@ def intersect_with_standard_lattice(generators: list, precision: int,
     return replace(echelon, columns=tuple(columns))
 
 
-def lattice_contains(basis: DVRTriangularBasis, w: WedgeVector) -> bool:
-    """Whether w lies in the span of the basis columns over the valuation
-    ring, decided at the basis precision."""
-    ops = LaurentOps(basis.field)
-    rem = dict(w.terms)
-    for (t, _), col in zip(basis.pivots, basis.columns):
-        c = rem.get(t)
-        if c is None or c.is_zero:
-            rem.pop(t, None)
-            continue
-        a = c * truncated_inverse(col.terms[t], basis.precision)
-        if a.is_zero:
-            continue
-        if a.ord() < 0:
-            return False
-        _add_multiple(ops, rem, -a, col.terms)
-        rem.pop(t, None)
-    leftovers = [c for c in rem.values() if not c.is_zero]
-    if not leftovers:
-        return True
-    if all(c.ord() >= basis.precision - GUARD_BAND for c in leftovers):
-        raise PrecisionExhaustedError("membership remainder falls in the guard band")
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Reduction mod pi and residue spans
 
@@ -303,12 +278,6 @@ def residue_rank(field, vectors: list) -> int:
     return len(gauss_jordan(field, vectors))
 
 
-def residue_spans_equal(field, vecs_a: list, vecs_b: list) -> bool:
-    ra = residue_rank(field, vecs_a)
-    rb = residue_rank(field, vecs_b)
-    return ra == rb == residue_rank(field, list(vecs_a) + list(vecs_b))
-
-
 # ---------------------------------------------------------------------------
 # Annihilators and membership over coefficient rings
 
@@ -375,23 +344,10 @@ class MembershipResult:
     witness: str = None
     value: object = None
 
-    def __bool__(self):
-        return self.ok
 
-
-def annihilator_evaluations(ann: AnnihilatorSet, terms: dict, ring):
-    """The evaluations whose first nonzero one is the witness of
-    BlockLattice.membership, as (label, value) pairs: each off-support
-    coordinate the vector over R holds, zero or not, in lex order, then
-    every tracked kernel functional.  ann is an AnnihilatorSet (of a
-    BlockLattice, its merged annihilators)."""
-    support = ann.support_set
-    for t in sorted((t for t in terms if t not in support), key=lex_key):
-        yield (f"coordinate{IndexSet(ann.n, t).members}", terms[t])
-    yield from _functional_evaluations(ann, terms, ring)
-
-
-def _functional_evaluations(ann: AnnihilatorSet, terms: dict, ring):
+def functional_evaluations(ann: AnnihilatorSet, terms: dict, ring):
+    """Each tracked kernel functional of ann evaluated on a vector over R
+    ({mask: coefficient}), as (label, value) pairs in order."""
     for idx, phi in enumerate(ann.functionals):
         total = ring.zero
         for t, coef in phi.items():
@@ -515,10 +471,10 @@ class BlockLattice:
 
     def membership(self, terms, ring) -> MembershipResult:
         """Whether a vector with these terms ({mask: coefficient}) over ring
-        lies in ring tensor the residue span.  On failure, the first nonzero
-        annihilator_evaluations of the merged annihilators: the lex-least
-        nonzero coordinate off the support, else the first failing functional
-        (the merged set is built only then, which numbers it among all)."""
+        lies in ring tensor the residue span.  On failure, the witness of the
+        merged annihilators: the lex-least nonzero coordinate off the support,
+        else the first failing functional (the merged set is built only then,
+        which numbers it among all)."""
         index, n, support = self._block_of, self.n, self.support_set
         # one pass: the lex-least nonzero t off the built blocks' supports,
         # and the nonzero t of unbuilt blocks before it; lex order (t
@@ -545,10 +501,10 @@ class BlockLattice:
             return MembershipResult(False, f"coordinate{IndexSet(n, least).members}",
                                     terms[least])
         if any(not ring.is_zero(v) for ann in self._functional_blocks
-               for _, v in _functional_evaluations(ann, terms, ring)):
+               for _, v in functional_evaluations(ann, terms, ring)):
             # every nonzero coordinate is on the support: a functional decides
             return next(MembershipResult(False, label, v) for label, v
-                        in _functional_evaluations(self.annihilators, terms, ring)
+                        in functional_evaluations(self.annihilators, terms, ring)
                         if not ring.is_zero(v))
         return MembershipResult(True)
 

@@ -3,13 +3,14 @@ package does not use them."""
 
 from ramwedge.chart import DEFAULT_P, DEFAULT_PRECISION
 from ramwedge.drivers import Certificate, check_point_implications, sample_chart_points
+from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (Frame, WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns)
 from ramwedge.fields import PrimeField
 from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
-from ramwedge.lattices import _paired_generators, signature_eps
+from ramwedge.lattices import GUARD_BAND, _paired_generators, residue_rank, signature_eps
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
-from ramwedge.scalars import PiLaurent
+from ramwedge.scalars import LaurentOps, PiLaurent, truncated_inverse
 
 
 def spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
@@ -64,6 +65,42 @@ def wedge_columns_masks_per_term(columns, ring) -> dict:
                     nxt[key] = term
         acc = nxt
     return acc
+
+
+def lattice_contains(basis, w: WedgeVector) -> bool:
+    """Whether w lies in the span of the basis columns (a DVRTriangularBasis)
+    over the valuation ring, by eliminating w against them at the basis
+    precision.  The reference for verify refined-basis, which compares the
+    rank and pivot-valuation sum of two echelons instead."""
+    ops = LaurentOps(basis.field)
+    rem = dict(w.terms)
+    for (t, _), col in zip(basis.pivots, basis.columns):
+        c = rem.get(t)
+        if c is None or c.is_zero:
+            rem.pop(t, None)
+            continue
+        a = c * truncated_inverse(col.terms[t], basis.precision)
+        if a.is_zero:
+            continue
+        if a.ord() < 0:
+            return False
+        _add_multiple(ops, rem, -a, col.terms)
+        rem.pop(t, None)
+    leftovers = [c for c in rem.values() if not c.is_zero]
+    if not leftovers:
+        return True
+    if all(c.ord() >= basis.precision - GUARD_BAND for c in leftovers):
+        raise PrecisionExhaustedError("membership remainder falls in the guard band")
+    return False
+
+
+def residue_spans_equal(field, vecs_a: list, vecs_b: list) -> bool:
+    """Whether two families of sparse k-vectors span one space, by three
+    ranks.  The reference for verify refined-basis, which decides the
+    listed families by their rank and their membership."""
+    ra = residue_rank(field, vecs_a)
+    rb = residue_rank(field, vecs_b)
+    return ra == rb == residue_rank(field, list(vecs_a) + list(vecs_b))
 
 
 def first_nonzero_evaluation(ann, terms: dict, ring) -> tuple:

@@ -270,6 +270,27 @@ def test_rationals_only_in_integer_and_fraction_form(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [
+    DEEP,
+    '{"n": 3, "p": 13, "signature": [2, 1], "ring": {"kind": "field"}, '
+    '"X": [[0, 0, 0], [0, ' + DEEP + ', 0], [0, 0, 0]]}',
+    '{"n": 3, "p": 13, "signature": [2, 1], "ring": {"kind": "field"}, '
+    '"X": [[0, 0, 0], [0, ' + "7" * 5000 + ', 0], [0, 0, 0]]}',
+], ids=["deep-array", "deep-entry", "long-integer"])
+def test_json_the_decoder_refuses_names_the_file(tmp_path, capsys, text):
+    # nesting past the recursion limit and integers past the digit limit
+    # are refused by json.load itself: malformed input, not a failure
+    src = tmp_path / "point.json"
+    src.write_text(text)
+    out = tmp_path / "results"
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    assert f"invalid JSON in {src}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_basis_rejects_rank_below_two(tmp_path, capsys, n):
     out = tmp_path / "results"

@@ -4,17 +4,22 @@ import json
 
 import pytest
 
+from ramwedge import drivers
+from ramwedge.chart import DEFAULT_PRECISION, refined_annihilators
 from ramwedge.drivers import (bundle_ranks, canonical_pairs, classify_pair_case,
                               counterexample_point, expected_pair_worst_term,
                               run_counterexample, run_driver,
-                              scaled_generator_exponent,
+                              scaled_generator_exponent, scaled_pair_generators,
                               verify_operator_identities, verify_refined_basis,
                               verify_sign_lemma, verify_spin_structure,
                               verify_worst_term_tables, verify_x1_zero)
 from ramwedge.errors import RankError
-from ramwedge.fields import PrimeField
+from ramwedge.exterior import wedge_scale
+from ramwedge.fields import PrimeField, Rationals
+from ramwedge.lattices import pi_adic_column_echelon
+from ramwedge.scalars import LaurentOps, PiLaurent
 
-from oracles import verify_implications
+from oracles import lattice_contains, verify_implications
 
 F = PrimeField(13)
 
@@ -76,6 +81,60 @@ def test_refined_basis_driver():
     assert cert.evidence["residue_dimension"] == cert.evidence["listed_elements"] == 6
     with pytest.raises(ValueError):
         verify_refined_basis(9)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(13), Rationals()],
+                         ids=["F3", "F13", "Q"])
+def test_refined_basis_lattice_equality_is_the_containment_oracles(monkeypatch, field, n):
+    # the driver decides each containment by the rank and pivot-valuation
+    # sum of echelons; the oracle eliminates each column against the other
+    # basis.  The scaled generators as they are and perturbed: one times
+    # pi^k, one dropped, one divided by pi added
+    ring = LaurentOps(field)
+    scaled = scaled_pair_generators(field, n)
+    i = len(scaled) // 2
+
+    def times(k):
+        return wedge_scale(scaled[i], PiLaurent.monomial(field, k), ring)
+
+    cases = ([scaled] + [scaled[:i] + [times(k)] + scaled[i + 1:] for k in (-1, 1, 2)]
+             + [scaled[:i] + scaled[i + 1:], scaled + [times(-1)]])
+    computed = refined_annihilators(n, field.key(), n - 1, 1, DEFAULT_PRECISION).whole()[0]
+    monkeypatch.setattr(drivers, "PrimeField", lambda p: field)
+    seen = set()
+    for gens in cases:
+        monkeypatch.setattr(drivers, "scaled_pair_generators", lambda f, n: gens)
+        evidence = verify_refined_basis(n).evidence
+        echelon = pi_adic_column_echelon(gens, DEFAULT_PRECISION)
+        want = (all(lattice_contains(echelon, col) for col in computed.columns),
+                all(lattice_contains(computed, w) for w in gens))
+        got = (evidence["computed_in_scaled"], evidence["scaled_in_computed"])
+        assert got == want
+        seen.add(got)
+    assert seen == {(True, True), (True, False), (False, True)}
+
+
+@pytest.mark.parametrize("change,want", [
+    ("exponent+1", (False, True, True)),
+    ("exponent-1", (True, False, True)),
+    ("dropped", (True, True, False)),
+])
+def test_refined_basis_driver_fails_on_a_wrong_description(monkeypatch, change, want):
+    # (computed_in_scaled, scaled_in_computed, residue_spans_equal)
+    if change == "dropped":
+        listed = drivers.corollary_residue_vectors
+        monkeypatch.setattr(drivers, "corollary_residue_vectors",
+                            lambda field, n: listed(field, n)[1:])
+    else:
+        shift = 1 if change == "exponent+1" else -1
+        monkeypatch.setattr(drivers, "scaled_generator_exponent",
+                            lambda n, i, j: scaled_generator_exponent(n, i, j)
+                            + shift * ((i, j) == (1, 1)))
+    cert = verify_refined_basis(5)
+    assert cert.verdict == "fail"
+    assert (cert.evidence["computed_in_scaled"], cert.evidence["scaled_in_computed"],
+            cert.evidence["residue_spans_equal"]) == want
 
 
 def test_spin_structure_driver():

@@ -76,7 +76,7 @@ GOLDEN = {
             "2cbd98e3db48bc42ceac20a01ea979a6b5191a0407a527e41a609b14d773a954",
     },
     # the two drivers that read a lattice's merged blocks: refined-basis
-    # (echelon and lattice_contains) and spin-structure (memberships)
+    # (echelons and memberships) and spin-structure (memberships)
     ("verify", "refined-basis", "--n", "5"): {
         "certificate-refined-basis.json":
             "ae88a5a28e16c1e14ddc4f6e8b6f8488ba96fc2e29a8822c091ad7cc2d6a448e",

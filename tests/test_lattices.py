@@ -18,15 +18,15 @@ from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_k
                                 perp_mask, shuffle_sign, sigma_sign_bruteforce,
                                 type_masks)
 from ramwedge.lattices import (GUARD_BAND, BlockLattice, annihilators,
-                               annihilator_evaluations, gauss_jordan,
+                               functional_evaluations, gauss_jordan,
                                intersect_with_standard_lattice,
-                               lattice_contains, pi_adic_column_echelon,
-                               reduce_mod_pi, residue_rank, residue_spans_equal,
-                               signature_eps)
+                               pi_adic_column_echelon, reduce_mod_pi,
+                               residue_rank, signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
-from oracles import det, first_nonzero_evaluation, spanning_set
+from oracles import (det, first_nonzero_evaluation, lattice_contains,
+                     residue_spans_equal, spanning_set)
 
 F = PrimeField(13)
 PRECISION = 24
@@ -215,9 +215,8 @@ def test_rank_nullity_on_computed_lattices():
             assert ann.span_rank == len(rb)
             for vec in rb.vectors:
                 # every tracked functional vanishes on every residue vector
-                assert all(F.is_zero(value) for label, value
-                           in annihilator_evaluations(ann, vec, ring)
-                           if label.startswith("functional"))
+                assert all(F.is_zero(value) for _, value
+                           in functional_evaluations(ann, vec, ring))
                 assert first_nonzero_evaluation(ann, vec, ring)[0]
 
 
@@ -238,17 +237,6 @@ def test_spin_residue_over_dual_numbers():
     target = {IndexSet.of(n, (4, 5, 6)).mask: ring.x()}
     assert first_nonzero_evaluation(ann, target, ring)[0]
     assert spin_annihilators(n, F.key(), -1, PRECISION).membership(target, ring).ok
-
-
-def test_annihilator_evaluations_labels():
-    n = 3
-    gens = spanning_set("refined", n, F, r=2, s=1)
-    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
-    ring = FieldRing(F)
-    labels = [label for label, _ in
-              annihilator_evaluations(ann, {IndexSet.of(n, (1, 2, 3)).mask: F.one}, ring)]
-    assert any(label.startswith("coordinate") for label in labels)
-    assert any(label.startswith("functional") for label in labels)
 
 
 def test_pipeline_over_rationals_cross_check():
@@ -638,11 +626,17 @@ def test_off_support_witnesses_come_in_lex_order():
     ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
     assert ann.support_set == frozenset(ann.support)
     assert list(ann.support) == sorted(ann.support, key=members)
+    ring, lattice = FieldRing(F), refined_annihilators(n, F.key(), 2, 1, PRECISION)
     dense = {t: F.one for t in reversed(index_masks(n))}
-    labels = [label for label, _ in annihilator_evaluations(ann, dense, FieldRing(F))
-              if label.startswith("coordinate")]
-    off = sorted((t for t in dense if t not in ann.support_set), key=members)
-    assert labels == [f"coordinate{members(t)}" for t in off]
+    off = sorted((t for t in dense if t not in ann.support_set), key=lex_key)
+    assert off == sorted(off, key=members)
+    for t in off:
+        # with the off-support coordinates before t zero, t is the witness
+        want = (False, f"coordinate{members(t)}", F.one)
+        assert first_nonzero_evaluation(ann, dense, ring) == want
+        got = lattice.membership(dense, ring)
+        assert (got.ok, got.witness, got.value) == want
+        dense[t] = F.zero
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
