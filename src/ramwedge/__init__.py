@@ -5,8 +5,7 @@ from .chart import (ChartPoint, ConditionReport, Verdict, check_kl,
                     check_kottwitz, check_naive_relations, check_refined,
                     check_spin, check_trace, check_wedge, full_report,
                     wedge_vector)
-from .errors import (FieldMismatchError, IndeterminateValuationError,
-                     PrecisionExhaustedError, SchemaError)
+from .errors import FieldMismatchError, PrecisionExhaustedError, SchemaError
 from .exterior import (Frame, WedgeVector, basis_wedge, f_frame, form_eval,
                        frame_in_e, g_frame, wedge_columns, worst_terms)
 from .fields import PrimeField, Rationals
@@ -23,9 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnihilatorSet", "BlockLattice", "ChartPoint", "ConditionReport",
     "DVRTriangularBasis", "DualNumbers", "FieldMismatchError", "FieldRing",
-    "Frame", "IndexSet", "IndeterminateValuationError",
-    "PiLaurent", "PolyRing", "PrecisionExhaustedError", "PrimeField",
-    "Rationals", "ResidueBasis", "SchemaError", "Verdict", "WedgeVector",
+    "Frame", "IndexSet", "PiLaurent", "PolyRing", "PrecisionExhaustedError",
+    "PrimeField", "Rationals", "ResidueBasis", "SchemaError", "Verdict",
+    "WedgeVector",
     "annihilators", "basis_wedge", "check_kl", "check_kottwitz",
     "check_naive_relations", "check_refined", "check_spin", "check_trace",
     "check_wedge", "f_frame", "form_eval", "frame_in_e", "full_report",

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=None,
-                        help=f"working pi-adic precision (default {DEFAULT_PRECISION})")
+                        help=f"pi-adic precision, a bound on pivot valuations (default {DEFAULT_PRECISION})")
     common.add_argument("--out", default="results",
                         help="output directory for artifact files")
     modulus = argparse.ArgumentParser(add_help=False)

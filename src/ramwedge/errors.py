@@ -5,11 +5,6 @@ class FieldMismatchError(ValueError):
     """Raised when scalars from different base fields are combined."""
 
 
-class IndeterminateValuationError(ArithmeticError):
-    """Raised when a truncated series is zero to its stored precision,
-    so its valuation cannot be determined."""
-
-
 class PrecisionExhaustedError(ArithmeticError):
     """Raised when a lattice reduction decision would depend on
     coefficients too close to the working precision bound."""

@@ -74,7 +74,7 @@ class Frame:
                 raise FrameShapeError(f"{self.kind} vector {pos} spans the slots "
                                       f"of positions {sorted(vec)}")
             for q, x in vec.items():
-                if len(x.coeffs) != 1 or x.precision != INF:
+                if len(x.coeffs) != 1:
                     raise FrameShapeError(f"{self.kind} vector {pos} has the non-monomial "
                                           f"coefficient {x.to_json()} at position {q}")
             slots.append((next(iter(vec)) - 1) % n)

@@ -121,8 +121,8 @@ def pi_adic_column_echelon(generators: list, precision: int,
     eliminated from every later column, and ties break to the
     lexicographically least index set, then the earliest generator.  lex:
     {mask: lex_key(mask)} over the generators' masks (elimination adds
-    none).  Raises PrecisionExhaustedError when a pivot valuation enters the
-    guard band below the working precision.
+    none).  Exact; precision bounds the pivot valuations: a pivot in the
+    guard band below it raises PrecisionExhaustedError.
     """
     if not generators:
         raise ValueError("no generators")
@@ -158,6 +158,9 @@ def pi_adic_column_echelon(generators: list, precision: int,
         pivots.append((t, val))
         columns.append(WedgeVector(nonzero[0].n, pivot_col))
         ops = LaurentOps(pivot.field)
+        # a monomial pivot is inverted exactly; any other, pi^val * unit, scales
+        # each column it meets by its unit (fraction-free): module and valuations stay
+        unit = pivot.shift(-val) if len(pivot.coeffs) > 1 else None
         inv = None  # computed once a live column holds the pivot row
         rest = [t2 for t2 in pivot_col if t2 != t]
         for cid2 in sorted(incidence.pop(t, ())):
@@ -165,18 +168,20 @@ def pi_adic_column_echelon(generators: list, precision: int,
             col2 = live.get(cid2)
             if col2 is None or t not in col2:
                 continue
-            if inv is None:
-                inv = truncated_inverse(pivot, precision)
-            q = -(col2[t] * inv)
-            if not q.is_zero:
-                _add_multiple(ops, col2, q, pivot_col)
-                for t2 in rest:
-                    c = col2.get(t2)
-                    if c is not None:
-                        incidence[t2].add(cid2)
-                        heapq.heappush(heap, (c.ord(), lex[t2], cid2, t2))
-            # the pivot row cancels exactly at working precision
-            col2.pop(t, None)
+            if unit is not None:
+                q = -col2[t].shift(-val)
+                col2.update({t2: c * unit for t2, c in col2.items()})
+            else:
+                if inv is None:
+                    inv = truncated_inverse(pivot)
+                q = -(col2[t] * inv)
+            _add_multiple(ops, col2, q, pivot_col)
+            for t2 in rest:
+                c = col2.get(t2)
+                if c is not None:
+                    incidence[t2].add(cid2)
+                    heapq.heappush(heap, (c.ord(), lex[t2], cid2, t2))
+            # _add_multiple cancels the pivot row exactly
             if not col2:
                 del live[cid2]
     g = nonzero[-1]
@@ -187,8 +192,8 @@ def pi_adic_column_echelon(generators: list, precision: int,
 def intersect_with_standard_lattice(generators: list, precision: int,
                                     lex: dict = None) -> DVRTriangularBasis:
     """Basis of (F-span of the generators) intersected with the standard
-    lattice, at the working precision: the echelon basis with each column
-    saturated to minimum valuation 0.  lex is as for the echelon."""
+    lattice: the echelon basis with each column saturated to minimum
+    valuation 0.  lex and precision are as for the echelon."""
     echelon = pi_adic_column_echelon(generators, precision, lex)
     columns = []
     for (t, val), col in zip(echelon.pivots, echelon.columns):

@@ -311,6 +311,8 @@ def ring_from_json(field, obj):
         names = obj.get("variables")
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
             raise SchemaError("polynomial ring requires a 'variables' list of names")
+        if len(set(names)) < len(names):
+            raise SchemaError(f"duplicate names in 'variables' {names}")
         return PolyRing(field, tuple(names))
     raise SchemaError(f"unsupported ring kind {kind!r}")
 

@@ -7,10 +7,12 @@ from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (Frame, WedgeVector, _add_multiple, basis_wedge,
                                frame_in_e, wedge_columns)
 from ramwedge.fields import PrimeField
-from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
-from ramwedge.lattices import GUARD_BAND, _paired_generators, residue_rank, signature_eps
+from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_key,
+                                type_masks)
+from ramwedge.lattices import (GUARD_BAND, DVRTriangularBasis, _paired_generators,
+                               residue_rank, signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
-from ramwedge.scalars import LaurentOps, PiLaurent, truncated_inverse
+from ramwedge.scalars import LaurentOps, PiLaurent
 
 
 def spanning_set(kind, n, field, eps=None, r=None, s=None, l=None):
@@ -70,8 +72,9 @@ def wedge_columns_masks_per_term(columns, ring) -> dict:
 def lattice_contains(basis, w: WedgeVector) -> bool:
     """Whether w lies in the span of the basis columns (a DVRTriangularBasis)
     over the valuation ring, by eliminating w against them at the basis
-    precision.  The reference for verify refined-basis, which compares the
-    rank and pivot-valuation sum of two echelons instead."""
+    precision: with series inverses cut there, so only the remainder's terms
+    below it decide.  The reference for verify refined-basis, which compares
+    the rank and pivot-valuation sum of two echelons instead."""
     ops = LaurentOps(basis.field)
     rem = dict(w.terms)
     for (t, _), col in zip(basis.pivots, basis.columns):
@@ -79,14 +82,13 @@ def lattice_contains(basis, w: WedgeVector) -> bool:
         if c is None or c.is_zero:
             rem.pop(t, None)
             continue
-        a = c * truncated_inverse(col.terms[t], basis.precision)
-        if a.is_zero:
-            continue
+        a = c * series_inverse(col.terms[t], basis.precision)
         if a.ord() < 0:
             return False
         _add_multiple(ops, rem, -a, col.terms)
         rem.pop(t, None)
-    leftovers = [c for c in rem.values() if not c.is_zero]
+    leftovers = [c for c in (cut(c, basis.precision) for c in rem.values())
+                 if not c.is_zero]
     if not leftovers:
         return True
     if all(c.ord() >= basis.precision - GUARD_BAND for c in leftovers):
@@ -145,23 +147,56 @@ def det(ring, m, rows, cols):
     return acc
 
 
-def series_inverse(a, precision: int):
-    """Truncated inverse of a nonzero PiLaurent by the geometric series
-    1 / (1 + t) = 1 - t + t^2 - ..., for monomials too: the reference for
-    scalars.truncated_inverse, which skips the series at a monomial."""
-    from ramwedge.scalars import PiLaurent
+def cut(a, precision: int):
+    """The terms of a PiLaurent below pi^precision."""
+    return PiLaurent(a.field, {e: c for e, c in a.coeffs.items() if e < precision})
 
+
+def series_inverse(a, precision: int):
+    """Truncated inverse of a nonzero PiLaurent a = c pi^v (1 + t), ord t > 0:
+    c^-1 pi^-v times the geometric series 1 - t + t^2 - ... with every term
+    cut below pi^precision (a relative precision), as an exact PiLaurent.
+    The reference for a truncated inverse; in the package,
+    scalars.truncated_inverse inverts monomials only, and the echelon
+    scales by a non-monomial pivot's unit part."""
     f = a.field
     v = a.ord()
     lead_inv = f.inv(a.coeffs[v])
-    unit = a.shift(-v).scale(lead_inv).truncate(precision)
-    t = unit - PiLaurent.one(f)
-    acc = PiLaurent.make(f, {0: f.one}, unit.precision)
-    term = acc
+    t = cut(a.shift(-v) * PiLaurent.const(f, lead_inv) - PiLaurent.one(f), precision)
+    acc = term = cut(PiLaurent.one(f), precision)
     while not term.is_zero:
-        term = -(term * t)
+        term = cut(-(term * t), precision)
         acc = acc + term
-    return acc.scale(lead_inv).shift(-v)
+    return acc.shift(-v) * PiLaurent.const(f, lead_inv)
+
+
+def series_echelon(generators: list, precision: int) -> DVRTriangularBasis:
+    """Triangular basis of the module that the generators (e-basis wedge
+    vectors of one degree) span over the valuation ring, by the column
+    reduction that divides by each pivot through its series inverse and
+    keeps every entry modulo pi^precision.  Pivots as in
+    pi_adic_column_echelon: the least valuation, then the
+    lexicographically least index set, then the earliest column.  The
+    truncating reference for its fraction-free step."""
+    g = generators[0]
+    ops = LaurentOps(next(iter(g.terms.values())).field)
+    live = [dict(w.terms) for w in generators if w.terms]
+    pivots, columns = [], []
+    while live:
+        val, _, i, t = min((c.ord(), lex_key(t), i, t)
+                           for i, col in enumerate(live) for t, c in col.items())
+        pivot_col = live.pop(i)
+        pivots.append((t, val))
+        columns.append(WedgeVector(g.n, pivot_col))
+        inv = series_inverse(pivot_col[t], precision)
+        for k, col in enumerate(live):
+            if t in col:
+                _add_multiple(ops, col, -(col[t] * inv), pivot_col)
+                cuts = {t2: cut(c, precision) for t2, c in col.items() if t2 != t}
+                live[k] = {t2: c for t2, c in cuts.items() if not c.is_zero}
+        live = [col for col in live if col]
+    return DVRTriangularBasis(g.n, g.degree(), ops.field, precision,
+                              tuple(pivots), tuple(columns))
 
 
 class TuplePolyRing:
@@ -254,7 +289,8 @@ def ambient_frame(kind, n, field):
 
     def g_pair(j):
         return ({j: one, n + j: -inv_pi},
-                {j: PiLaurent.const(field, half), n + j: inv_pi.scale(half)})
+                {j: PiLaurent.const(field, half),
+                 n + j: PiLaurent.monomial(field, -1, half)})
 
     if kind == "lambda":
         vecs = ([pi_pow(j, -1) for j in range(1, m + 1)]

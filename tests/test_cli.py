@@ -333,6 +333,23 @@ def test_poly_exponents_must_be_non_negative_integers(tmp_path, capsys, exponent
     assert not out.exists()
 
 
+def test_duplicate_poly_variable_names_are_refused(tmp_path, capsys):
+    # ["a", "a"] names one variable twice; the report would show two a's
+    point = {"n": 3, "p": 13, "signature": [2, 1],
+             "ring": {"kind": "poly", "variables": ["a", "b", "a"]},
+             "X": [[[] for _ in range(3)] for _ in range(3)]}
+    src = tmp_path / "dup.json"
+    src.write_text(json.dumps(point))
+    out = tmp_path / "results"
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field 'ring'" in err and "duplicate" in err
+    assert not out.exists()
+    point["ring"]["variables"] = ["a", "b"]
+    src.write_text(json.dumps(point))
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 0
+
+
 def test_poly_exponents_above_the_cap_are_refused(tmp_path, capsys):
     point = {"n": 3, "p": 13, "signature": [2, 1],
              "ring": {"kind": "poly", "variables": ["a", "b"]},

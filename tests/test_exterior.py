@@ -16,7 +16,7 @@ from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import (IndexSet, i_vee, index_masks, perp_mask,
                                 shuffle_sign)
 from ramwedge.rings import MAX_EXPONENT, DualNumbers, FieldRing, PolyRing
-from ramwedge.scalars import INF, LaurentOps, PiLaurent
+from ramwedge.scalars import LaurentOps, PiLaurent
 
 from oracles import (ambient_form_eval, ambient_frame, apply_wedge_power_operator,
                      in_lattice_basis, wedge_columns_masks_per_term)
@@ -198,7 +198,7 @@ def test_build_frame_dispatch_and_errors():
 def test_frames_in_e_are_the_ambient_frames_in_the_lattice_basis(n, field):
     # vector by vector, coefficients and dict order included
     def entries(frame):
-        return [[(p, x.coeffs, x.precision) for p, x in v.items()] for v in frame.vectors]
+        return [[(p, x.coeffs) for p, x in v.items()] for v in frame.vectors]
     for kind in ("f_split", "g_split"):
         want = in_lattice_basis(ambient_frame(kind, n, field))
         assert entries(frame_in_e(kind, n, field)) == entries(want), kind
@@ -437,13 +437,13 @@ def test_operator_degree_mismatch_rejected():
 # The one sparse update against a dense coordinatewise reference
 
 
-def _laurent_values(field, precision, exps):
+def _laurent_values(field, exps):
     def draw(rng):
         coeffs = {e: field.of_int(rng.randrange(1, 6))
                   for e in rng.sample(exps, rng.randrange(1, 3))}
         if field == Q and rng.random() < 0.5:
             coeffs = {e: c / 3 for e, c in coeffs.items()}
-        return PiLaurent.make(field, coeffs, precision)
+        return PiLaurent.make(field, coeffs)
     return draw
 
 
@@ -460,9 +460,8 @@ def _poly_value(ring):
 
 
 UPDATE_CASES = {
-    "laurent-F13": (LaurentOps(F), _laurent_values(F, INF, range(-2, 3))),
-    "laurent-Q": (LaurentOps(Q), _laurent_values(Q, INF, range(-2, 3))),
-    "laurent-Q-truncated": (LaurentOps(Q), _laurent_values(Q, 4, range(0, 6))),
+    "laurent-F13": (LaurentOps(F), _laurent_values(F, range(-2, 3))),
+    "laurent-Q": (LaurentOps(Q), _laurent_values(Q, range(-2, 3))),
     "field-F13": (F, lambda rng: F.of_int(rng.randrange(1, 13))),
     "field-ring": (FieldRing(F), lambda rng: F.of_int(rng.randrange(1, 13))),
     "dual": (DualNumbers(F), lambda rng: (F.of_int(rng.randrange(0, 3)),
@@ -574,9 +573,8 @@ def reshaped_unit_frame(n, replaced):
 @pytest.mark.parametrize("vector,message", [
     ({1: PiLaurent.one(F), 2: PiLaurent.one(F)}, "spans the slots"),
     ({1: L({0: 1, 1: 1})}, "non-monomial"),
-    ({1: PiLaurent(F, {0: 1}, 5)}, "non-monomial"),
     ({}, "is zero"),
-], ids=["two-slots", "binomial", "truncated", "zero"])
+], ids=["two-slots", "binomial", "zero"])
 def test_basis_wedge_refuses_a_frame_off_the_slot_shape(vector, message):
     # the refusal holds for every set, also one avoiding the bad vector
     frame = reshaped_unit_frame(3, {1: vector})
@@ -699,10 +697,3 @@ def test_fold_kernel_raises_where_a_polynomial_product_passes_the_guard():
     # one exponent lower, both folds agree again
     cols[0][1] = {ring._pack([0, MAX_EXPONENT - 1]): F.one}
     assert wedge_columns_masks(cols, ring) == wedge_columns_masks_per_term(cols, ring)
-
-
-def test_fold_kernel_refuses_an_inexact_scalar():
-    ring = LaurentOps(F)
-    inexact = PiLaurent.make(F, {0: 1, 1: 2}, precision=3)
-    with pytest.raises(ValueError, match="exact"):
-        wedge_columns_masks([{1: ring.one}, {2: inexact}], ring)

@@ -8,7 +8,8 @@ from itertools import combinations
 
 import pytest
 
-from ramwedge.chart import refined_annihilators, spin_annihilators, wedge_vector
+from ramwedge.chart import (DEFAULT_PRECISION, kl_annihilators, refined_annihilators,
+                            spin_annihilators, wedge_vector)
 from ramwedge.drivers import _random_element, sample_chart_points
 from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (WedgeVector, _add_multiple, basis_wedge,
@@ -26,7 +27,7 @@ from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
 from oracles import (det, first_nonzero_evaluation, lattice_contains,
-                     residue_spans_equal, spanning_set)
+                     residue_spans_equal, series_echelon, spanning_set)
 
 F = PrimeField(13)
 PRECISION = 24
@@ -116,6 +117,59 @@ def test_precision_guard_trips():
     gen = e_vec(n, [((1, 2, 3), L({23: 1}))])
     with pytest.raises(PrecisionExhaustedError):
         intersect_with_standard_lattice([gen], PRECISION)
+
+
+@pytest.mark.parametrize("field", [F, Rationals()], ids=["F13", "Q"])
+def test_non_monomial_pivots_take_the_fraction_free_step(field):
+    # no family meets a non-monomial pivot, so build one where every pivot
+    # is pi^0 times a unit other than a constant; the echelon scales by that
+    # unit where the truncating reference divides by its series inverse
+    def P(coeffs):
+        return PiLaurent.make(field, {e: field.of_int(c) for e, c in coeffs.items()})
+    rows = [({0: 2, 1: 1}, {0: 1, 3: 5}, {1: 1}),
+            ({0: 1, 2: 3}, {1: 1}, {0: 4}),
+            ({1: 1, 2: 1}, {0: 7}, {2: 1})]
+    gens = [WedgeVector(2, {m: P(c) for m, c in zip(index_masks(2, 2), row)})
+            for row in rows]
+    echelon = pi_adic_column_echelon(gens, PRECISION)
+    reference = series_echelon(gens, PRECISION)
+    assert echelon.pivots == reference.pivots
+    assert all(val == 0 and len(col.terms[t].coeffs) > 1
+               for (t, val), col in zip(echelon.pivots, echelon.columns))
+    # one module: the echelon holds every generator, and the reference (a
+    # basis of the generators' module) holds every echelon column
+    assert all(lattice_contains(echelon, g) for g in gens)
+    assert all(lattice_contains(reference, col) for col in echelon.columns)
+    # one residue span; the vectors differ by unit scalars
+    ours = list(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)).vectors)
+    theirs = list(reduce_mod_pi(reference).vectors)
+    assert ours != theirs
+    assert residue_rank(field, ours) == residue_rank(field, ours + theirs) == 3
+    # the reference fills its last column up to the bound; exact terms stop at pi^8
+    def top(basis):
+        return max(e for col in basis.columns for c in col.terms.values() for e in c.coeffs)
+    assert (top(echelon), top(reference)) == (8, PRECISION - 1)
+
+
+# The smallest headroom DEFAULT_PRECISION - GUARD_BAND - (largest pivot
+# valuation) allowed of a checked lattice at the default precision.
+HEADROOM_MARGIN = 20
+
+
+@pytest.mark.parametrize("field", [F, Rationals()], ids=["F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_checked_lattices_keep_their_headroom(n, field):
+    # every spin pivot has valuation -1; refined and kn pivots lie in -2..0
+    # at n = 3 and in -4..-2 at n = 7
+    key = field.key()
+    lattices = {"spin(+1)": spin_annihilators(n, key, 1, DEFAULT_PRECISION),
+                "spin(-1)": spin_annihilators(n, key, -1, DEFAULT_PRECISION),
+                "refined": refined_annihilators(n, key, n - 1, 1, DEFAULT_PRECISION),
+                "kn": kl_annihilators(n, key, n, n - 1, 1, DEFAULT_PRECISION)}
+    for name, lattice in lattices.items():
+        top = max(val for _, val in lattice.whole()[0].pivots)
+        assert top <= 0, name
+        assert DEFAULT_PRECISION - GUARD_BAND - top >= HEADROOM_MARGIN, name
 
 
 @pytest.mark.parametrize("build", [pi_adic_column_echelon,

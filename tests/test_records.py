@@ -18,7 +18,7 @@ from ramwedge.lattices import (AnnihilatorSet, DVRTriangularBasis, MembershipRes
                                ResidueBasis)
 from ramwedge.records import replace
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
-from ramwedge.scalars import INF, PiLaurent
+from ramwedge.scalars import PiLaurent
 
 F = PrimeField(13)
 
@@ -32,7 +32,7 @@ def samples() -> dict:
         FieldRing: {"field": F},
         DualNumbers: {"field": F},
         PolyRing: {"field": F, "names": ("a", "b")},
-        PiLaurent: {"field": F, "coeffs": {0: 1, 2: 5}, "precision": 7},
+        PiLaurent: {"field": F, "coeffs": {0: 1, 2: 5}},
         IndexSet: {"n": 3, "mask": 0b101},
         WedgeVector: {"n": 3, "terms": {0b111: PiLaurent(F, {0: 1})}},
         Frame: {"kind": "g_split", "n": 3, "field": F, "vectors": ({0: 1},)},
@@ -111,13 +111,13 @@ def test_records_of_different_classes_are_never_equal():
 def test_defaults_keywords_and_replace():
     assert Verdict("pass") == Verdict(status="pass", witness=None)
     assert MembershipResult(True) == MembershipResult(True, None, None)
-    assert PiLaurent(F, {}).precision == INF
+    assert Verdict("pass").witness is None
     assert repr(PrimeField(13)) == "PrimeField(p=13)"
     assert repr(Rationals()) == "Rationals()"
     assert repr(Verdict("pass")) == "Verdict(status='pass', witness=None)"
-    x = PiLaurent(F, {0: 1})
-    y = replace(x, precision=5)
-    assert (y.field, y.coeffs, y.precision) == (F, {0: 1}, 5) and x.precision == INF
+    x = Verdict("fail")
+    y = replace(x, witness="functional[0]")
+    assert (y.status, y.witness) == ("fail", "functional[0]") and x.witness is None
 
 
 def test_post_init_still_validates():
