@@ -12,8 +12,7 @@ from .fields import PrimeField, Rationals
 from .indexsets import (IndexSet, index_masks, shuffle_sign,
                         sigma_sign_bruteforce)
 from .lattices import (AnnihilatorSet, BlockLattice, DVRTriangularBasis,
-                       ResidueBasis, annihilators,
-                       intersect_with_standard_lattice, reduce_mod_pi)
+                       ResidueBasis, annihilators, reduce_mod_pi)
 from .rings import DualNumbers, FieldRing, PolyRing
 from .scalars import PiLaurent, truncated_inverse
 
@@ -28,8 +27,7 @@ __all__ = [
     "annihilators", "basis_wedge", "check_kl", "check_kottwitz",
     "check_naive_relations", "check_refined", "check_spin", "check_trace",
     "check_wedge", "f_frame", "form_eval", "frame_in_e", "full_report",
-    "g_frame", "index_masks", "intersect_with_standard_lattice",
-    "reduce_mod_pi", "shuffle_sign",
+    "g_frame", "index_masks", "reduce_mod_pi", "shuffle_sign",
     "sigma_sign_bruteforce", "truncated_inverse", "wedge_columns",
     "wedge_vector", "worst_terms",
 ]

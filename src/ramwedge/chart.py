@@ -419,6 +419,8 @@ def chart_point_to_json(pt: ChartPoint) -> dict:
 def chart_point_from_json(obj) -> ChartPoint:
     if not isinstance(obj, dict):
         raise SchemaError("chart point must be a JSON object")
+    if extra := [key for key in obj if key not in ("n", "p", "signature", "ring", "X")]:
+        raise SchemaError(f"unknown field {extra[0]!r}")
     for key in ("n", "ring", "X"):
         if key not in obj:
             raise SchemaError(f"missing field '{key}'")

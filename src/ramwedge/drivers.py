@@ -287,9 +287,9 @@ def corollary_residue_vectors(field, n: int) -> list:
 
 def verify_refined_basis(n: int, p: int = DEFAULT_P,
                          precision: int = DEFAULT_PRECISION) -> Certificate:
-    """Two-sided lattice equality between the reduced intersection basis and
-    the scaled pair generators, and residue-span equality with the six
-    coded families.
+    """Two-sided lattice equality between the refined lattice (the
+    saturated columns of its echelon) and the scaled pair generators, and
+    residue-span equality with the six coded families.
 
     Each echelon column attains its minimum valuation at its pivot, so the
     pivot valuations sum to the least valuation of a full minor, an
@@ -305,7 +305,7 @@ def verify_refined_basis(n: int, p: int = DEFAULT_P,
         basis = pi_adic_column_echelon(generators, precision)
         return len(basis), sum(val for _, val in basis.pivots)
 
-    union = rank_and_covolume(scaled + list(computed.columns))
+    union = rank_and_covolume(scaled + list(computed.saturated()))
     fwd = union == rank_and_covolume(scaled)
     bwd = union == (len(computed), 0)
     cor = corollary_residue_vectors(field, n)

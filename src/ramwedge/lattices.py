@@ -1,18 +1,21 @@
 """Lattices over the valuation ring inside wedge powers: the paired and
-unpaired frame-wedge generators; intersection with the standard lattice by
-pi-adic column reduction; reduction mod pi; one Gauss-Jordan elimination
-over k for ranks and annihilators; annihilator-based membership over
-coefficient rings; and BlockLattice, the one lattice the checkers and dumps
-read, built one weight block at a time for each of its three families
-(half-spin, signature-refined, and degree-l type-bounded).
+unpaired frame-wedge generators; the pi-adic column echelon; reduction mod
+pi; one Gauss-Jordan elimination over k for ranks and annihilators;
+annihilator-based membership over coefficient rings; and BlockLattice, the
+one lattice the checkers and dumps read, built one weight block at a time
+for each of its three families (half-spin, signature-refined, and degree-l
+type-bounded).
 
 All wedge coordinates here are in the e-basis of the standard lattice,
 where lattice membership means every coefficient has valuation >= 0.  The
 column reduction is unimodular (multipliers are integral because pivots are
-chosen with globally minimal valuation), so the reduced columns span the
-same module as the input; the final scaling step saturates each column to
-valuation 0 and yields a basis of (F-span of the input) intersected with
-the standard lattice.
+chosen with globally minimal valuation), so the echelon columns c_i span
+the same module as the input, and each reaches its least valuation v_i at
+its pivot.  The columns pi^(-v_i) c_i are then a basis of (F-span of the
+input) intersected with the standard lattice: reduce_mod_pi reads their
+residues as the pi^(v_i) coefficients of the c_i, and only the basis dumps
+(DVRTriangularBasis.to_json) and verify refined-basis (saturated()) build
+them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import comb
 from .errors import PrecisionExhaustedError
 from .exterior import WedgeVector, _add_multiple, basis_wedge, terms_to_json
 from .indexsets import IndexSet, lex_key, perp_mask, shuffle_sign
-from .records import frozen, replace
+from .records import frozen
 from .scalars import LaurentOps, truncated_inverse
 
 GUARD_BAND = 4
@@ -87,25 +90,33 @@ def _paired_generators(frame, masks: list, eps: int):
 
 @frozen
 class DVRTriangularBasis:
-    """Basis of a lattice in echelon form: pairwise distinct pivot index
-    sets (recorded with their pivot valuations), triangular in processing
-    order; saturated, its columns have minimum valuation 0."""
+    """Echelon columns c_i of a module over the valuation ring: pairwise
+    distinct pivot index sets, recorded with the pivot valuations v_i,
+    triangular in processing order; c_i reaches its least valuation v_i at
+    its pivot."""
 
     n: int
     degree: int
     field: object
-    precision: int
     pivots: tuple
     columns: tuple
 
     def __len__(self):
         return len(self.columns)
 
+    def saturated(self) -> tuple:
+        """The columns pi^(-v_i) c_i: a basis of (F-span of the columns)
+        intersected with the standard lattice."""
+        return tuple(WedgeVector(self.n, {t: c.shift(-val) for t, c in col.terms.items()})
+                     for (_, val), col in zip(self.pivots, self.columns))
+
     def to_json(self):
+        """The saturated columns, each shifted as it is written."""
         return {
             "columns": [
                 {"pivot": IndexSet(self.n, piv).to_json(), "pivotValuation": val,
-                 "terms": col.to_json()["terms"]}
+                 "terms": terms_to_json(self.n, col.terms,
+                                        lambda c, val=val: c.shift(-val).to_json())}
                 for (piv, val), col in zip(self.pivots, self.columns)
             ],
         }
@@ -186,22 +197,7 @@ def pi_adic_column_echelon(generators: list, precision: int,
                 del live[cid2]
     g = nonzero[-1]
     return DVRTriangularBasis(g.n, g.degree(), next(iter(g.terms.values())).field,
-                              precision, tuple(pivots), tuple(columns))
-
-
-def intersect_with_standard_lattice(generators: list, precision: int,
-                                    lex: dict = None) -> DVRTriangularBasis:
-    """Basis of (F-span of the generators) intersected with the standard
-    lattice: the echelon basis with each column saturated to minimum
-    valuation 0.  lex and precision are as for the echelon."""
-    echelon = pi_adic_column_echelon(generators, precision, lex)
-    columns = []
-    for (t, val), col in zip(echelon.pivots, echelon.columns):
-        if any(c.ord() < val for c in col.terms.values()):
-            raise AssertionError("pivot does not attain the column minimum")
-        columns.append(WedgeVector(echelon.n, {t2: c.shift(-val)
-                                               for t2, c in col.terms.items()}))
-    return replace(echelon, columns=tuple(columns))
+                              tuple(pivots), tuple(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +224,22 @@ class ResidueBasis:
                 for p, vec in zip(self.pivots, self.vectors)]
 
 
-def reduce_mod_pi(basis: DVRTriangularBasis) -> ResidueBasis:
-    """Coefficientwise reduction pi -> 0 of each scaled column.  Columns have
-    minimum valuation 0, so no residue vector vanishes, and the distinct
+def reduce_mod_pi(echelon: DVRTriangularBasis) -> ResidueBasis:
+    """Reduction pi -> 0 of each saturated column pi^(-v) c, read off the
+    echelon column c as its pi^v coefficients, v the pivot valuation.  c
+    reaches v at its pivot, so no residue vector vanishes, and the distinct
     pivots keep them independent."""
     vectors = []
-    pivots = []
-    f = basis.field
-    for (t, _), col in zip(basis.pivots, basis.columns):
+    for (_, val), col in zip(echelon.pivots, echelon.columns):
         vec = {}
-        for t2, c in col.terms.items():
-            r = c.residue()
-            if not f.is_zero(r):
-                vec[t2] = r
-        if vec:
-            vectors.append(vec)
-            pivots.append(t)
-    return ResidueBasis(basis.n, basis.degree, f, tuple(vectors), tuple(pivots))
+        for t, c in col.terms.items():
+            if c.ord() < val:
+                raise AssertionError("pivot does not attain the column minimum")
+            if (r := c.coeffs.get(val)) is not None:
+                vec[t] = r
+        vectors.append(vec)
+    return ResidueBasis(echelon.n, echelon.degree, echelon.field, tuple(vectors),
+                        tuple(t for t, _ in echelon.pivots))
 
 
 def gauss_jordan(field, rows) -> dict:
@@ -405,9 +400,9 @@ class BlockLattice:
     membership(terms, ring) builds blocks only up to a vector's witness:
     support_set is the union of the built blocks' supports, and an unbuilt
     block's coordinates are zero, in every span and off its functionals.
-    whole() merges the family's blocks into the lattice that the global
-    pipeline, intersect_with_standard_lattice of every generator of the
-    family, builds, column for column.
+    whole() merges the family's blocks into the echelon that the global
+    pipeline, pi_adic_column_echelon of every generator of the family,
+    builds, column for column; its saturated() columns are the lattice.
     """
 
     def __init__(self, frame, degree: int, masks, eps, precision: int):
@@ -430,7 +425,7 @@ class BlockLattice:
         return [w] if perp == w else [w, perp]
 
     def _reduce(self, weights: list) -> tuple:
-        """The block of these slot weights reduced: its lattice basis and the
+        """The block of these slot weights reduced: its echelon and the
         annihilators of its residue span, recorded for block()."""
         n, frame = self.n, self.frame
         masks = [m for w in weights for m in _weight_masks(n, *w)]
@@ -443,8 +438,8 @@ class BlockLattice:
             if not lex.keys() >= g.terms.keys():
                 raise ValueError(f"a generator crosses the weight block of "
                                  f"{IndexSet(n, min(masks, key=lex.__getitem__)).members}")
-        basis = (intersect_with_standard_lattice(gens, self.precision, lex) if gens else
-                 DVRTriangularBasis(n, self.degree, frame.field, self.precision, (), ()))
+        basis = (pi_adic_column_echelon(gens, self.precision, lex) if gens else
+                 DVRTriangularBasis(n, self.degree, frame.field, (), ()))
         ann = annihilators(reduce_mod_pi(basis), lex)
         if weights[0] not in self._block_of:
             self._block_of.update(dict.fromkeys(weights, ann))
@@ -533,8 +528,8 @@ class BlockLattice:
 
     def whole(self) -> tuple:
         """The family's blocks reduced again and merged, not kept: the
-        lattice basis, residue basis and annihilators that the global
-        pipeline builds.  The block echelons are interleaved by (pivot
+        echelon, residue basis and annihilators that the global pipeline
+        builds.  The block echelons are interleaved by (pivot
         valuation, lex order of the pivot), the order in which the global
         echelon takes their pivots, since no column holds entries of two
         blocks."""
@@ -543,6 +538,6 @@ class BlockLattice:
             *(zip(b.pivots, b.columns) for b in blocks),
             key=lambda pivot_column: (pivot_column[0][1], lex_key(pivot_column[0][0]))))
         basis = DVRTriangularBasis(self.n, self.degree, self.frame.field,
-                                   self.precision, tuple(p for p, _ in merged),
+                                   tuple(p for p, _ in merged),
                                    tuple(c for _, c in merged))
         return basis, reduce_mod_pi(basis), self.annihilators

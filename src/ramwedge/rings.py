@@ -303,18 +303,21 @@ def ring_from_json(field, obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError("ring description must be an object with a 'kind'")
     kind = obj["kind"]
+    if kind not in ("field", "dual", "poly"):
+        raise SchemaError(f"unsupported ring kind {kind!r}")
+    known = ("kind", "variables") if kind == "poly" else ("kind",)
+    if extra := [key for key in obj if key not in known]:
+        raise SchemaError(f"unknown key {extra[0]!r} in a {kind} ring")
     if kind == "field":
         return FieldRing(field)
     if kind == "dual":
         return DualNumbers(field)
-    if kind == "poly":
-        names = obj.get("variables")
-        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-            raise SchemaError("polynomial ring requires a 'variables' list of names")
-        if len(set(names)) < len(names):
-            raise SchemaError(f"duplicate names in 'variables' {names}")
-        return PolyRing(field, tuple(names))
-    raise SchemaError(f"unsupported ring kind {kind!r}")
+    names = obj.get("variables")
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise SchemaError("polynomial ring requires a 'variables' list of names")
+    if len(set(names)) < len(names):
+        raise SchemaError(f"duplicate names in 'variables' {names}")
+    return PolyRing(field, tuple(names))
 
 
 def ring_to_json(ring) -> dict:

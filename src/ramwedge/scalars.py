@@ -56,12 +56,6 @@ class PiLaurent:
     def shift(self, k: int) -> "PiLaurent":
         return PiLaurent(self.field, {e + k: v for e, v in self.coeffs.items()})
 
-    def residue(self):
-        """Coefficient of pi^0, requiring ord >= 0."""
-        if self.coeffs and min(self.coeffs) < 0:
-            raise ValueError("residue of an element with negative valuation")
-        return self.coeffs.get(0, self.field.zero)
-
     def __add__(self, other):
         return _add(self, other)
 

@@ -9,8 +9,8 @@ from ramwedge.exterior import (Frame, WedgeVector, _add_multiple, basis_wedge,
 from ramwedge.fields import PrimeField
 from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_key,
                                 type_masks)
-from ramwedge.lattices import (GUARD_BAND, DVRTriangularBasis, _paired_generators,
-                               residue_rank, signature_eps)
+from ramwedge.lattices import (GUARD_BAND, DVRTriangularBasis, ResidueBasis,
+                               _paired_generators, residue_rank, signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
@@ -69,29 +69,31 @@ def wedge_columns_masks_per_term(columns, ring) -> dict:
     return acc
 
 
-def lattice_contains(basis, w: WedgeVector) -> bool:
-    """Whether w lies in the span of the basis columns (a DVRTriangularBasis)
-    over the valuation ring, by eliminating w against them at the basis
-    precision: with series inverses cut there, so only the remainder's terms
-    below it decide.  The reference for verify refined-basis, which compares
-    the rank and pivot-valuation sum of two echelons instead."""
-    ops = LaurentOps(basis.field)
+def lattice_contains(pivots, columns, w: WedgeVector, precision: int) -> bool:
+    """Whether w lies in the span over the valuation ring of the columns of
+    a triangular basis, each with its pivot in pivots (the (mask,
+    valuation) pairs of a DVRTriangularBasis; the valuation is not read):
+    the echelon columns give the module they span, the saturated() columns
+    the lattice.  By eliminating w against them at the given precision:
+    with series inverses cut there, so only the remainder's terms below it
+    decide.  The reference for verify refined-basis, which compares the
+    rank and pivot-valuation sum of two echelons instead."""
     rem = dict(w.terms)
-    for (t, _), col in zip(basis.pivots, basis.columns):
+    for (t, _), col in zip(pivots, columns):
         c = rem.get(t)
         if c is None or c.is_zero:
             rem.pop(t, None)
             continue
-        a = c * series_inverse(col.terms[t], basis.precision)
+        a = c * series_inverse(col.terms[t], precision)
         if a.ord() < 0:
             return False
-        _add_multiple(ops, rem, -a, col.terms)
+        _add_multiple(LaurentOps(a.field), rem, -a, col.terms)
         rem.pop(t, None)
-    leftovers = [c for c in (cut(c, basis.precision) for c in rem.values())
+    leftovers = [c for c in (cut(c, precision) for c in rem.values())
                  if not c.is_zero]
     if not leftovers:
         return True
-    if all(c.ord() >= basis.precision - GUARD_BAND for c in leftovers):
+    if all(c.ord() >= precision - GUARD_BAND for c in leftovers):
         raise PrecisionExhaustedError("membership remainder falls in the guard band")
     return False
 
@@ -195,8 +197,26 @@ def series_echelon(generators: list, precision: int) -> DVRTriangularBasis:
                 cuts = {t2: cut(c, precision) for t2, c in col.items() if t2 != t}
                 live[k] = {t2: c for t2, c in cuts.items() if not c.is_zero}
         live = [col for col in live if col]
-    return DVRTriangularBasis(g.n, g.degree(), ops.field, precision,
-                              tuple(pivots), tuple(columns))
+    return DVRTriangularBasis(g.n, g.degree(), ops.field, tuple(pivots), tuple(columns))
+
+
+def saturated_residues(echelon) -> ResidueBasis:
+    """The residue basis of an echelon's lattice as the global pipeline built
+    it before reduce_mod_pi read the echelon: each column shifted by
+    pi^-v, v its pivot valuation, to minimum valuation 0, then the pi^0
+    coefficient of each entry, zeros dropped.  The reference for
+    reduce_mod_pi, which reads the pi^v coefficients of the unshifted
+    column."""
+    f = echelon.field
+    vectors = []
+    for (_, val), col in zip(echelon.pivots, echelon.columns):
+        scaled = {t: c.shift(-val) for t, c in col.terms.items()}
+        if any(c.ord() < 0 for c in scaled.values()):
+            raise AssertionError("pivot does not attain the column minimum")
+        residues = {t: c.coeffs.get(0, f.zero) for t, c in scaled.items()}
+        vectors.append({t: r for t, r in residues.items() if not f.is_zero(r)})
+    return ResidueBasis(echelon.n, echelon.degree, f, tuple(vectors),
+                        tuple(t for t, _ in echelon.pivots))
 
 
 class TuplePolyRing:

@@ -158,6 +158,31 @@ def test_check_point_schema_error_names_field(tmp_path, capsys):
     assert "X[0][0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring,extra,key", [
+    ({"kind": "field"}, {"comment": "x"}, "'comment'"),
+    ({"kind": "field", "variables": ["a"]}, {}, "'variables'"),
+    ({"kind": "dual", "nilpotent": True}, {}, "'nilpotent'"),
+    ({"kind": "poly", "variables": ["a"], "degree": 2}, {}, "'degree'"),
+], ids=["top-level", "field-variables", "dual", "poly"])
+def test_check_point_refuses_unknown_keys(tmp_path, capsys, ring, extra, key):
+    # a top-level key other than n, p, signature, ring and X, or a ring key
+    # other than kind (and variables for poly), exits 2 and writes nothing
+    zero = {"field": 0, "dual": [0, 0], "poly": []}[ring["kind"]]
+    point = {"n": 3, "p": 13, "signature": [2, 1], "ring": ring,
+             "X": [[zero] * 3] * 3, **extra}
+    src, out = tmp_path / "point.json", tmp_path / "out"
+    src.write_text(json.dumps(point))
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    # without the unknown key the point is read and checked
+    point.pop(key.strip("'"), None)
+    point["ring"].pop(key.strip("'"), None)
+    src.write_text(json.dumps(point))
+    assert main(["check-point", "--input", str(src), "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["params"]["n"] == 3
+
+
 def test_check_point_missing_file(tmp_path, capsys):
     assert main(["check-point", "--input", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)]) == 2

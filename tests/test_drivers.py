@@ -100,15 +100,18 @@ def test_refined_basis_lattice_equality_is_the_containment_oracles(monkeypatch, 
 
     cases = ([scaled] + [scaled[:i] + [times(k)] + scaled[i + 1:] for k in (-1, 1, 2)]
              + [scaled[:i] + scaled[i + 1:], scaled + [times(-1)]])
-    computed = refined_annihilators(n, field.key(), n - 1, 1, DEFAULT_PRECISION).whole()[0]
+    refined = refined_annihilators(n, field.key(), n - 1, 1, DEFAULT_PRECISION).whole()[0]
+    computed = refined.saturated()  # the lattice; the echelon columns span more
     monkeypatch.setattr(drivers, "PrimeField", lambda p: field)
     seen = set()
     for gens in cases:
         monkeypatch.setattr(drivers, "scaled_pair_generators", lambda f, n: gens)
         evidence = verify_refined_basis(n).evidence
         echelon = pi_adic_column_echelon(gens, DEFAULT_PRECISION)
-        want = (all(lattice_contains(echelon, col) for col in computed.columns),
-                all(lattice_contains(computed, w) for w in gens))
+        want = (all(lattice_contains(echelon.pivots, echelon.columns, col, DEFAULT_PRECISION)
+                    for col in computed),
+                all(lattice_contains(refined.pivots, computed, w, DEFAULT_PRECISION)
+                    for w in gens))
         got = (evidence["computed_in_scaled"], evidence["scaled_in_computed"])
         assert got == want
         seen.add(got)

@@ -20,14 +20,15 @@ from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_k
                                 type_masks)
 from ramwedge.lattices import (GUARD_BAND, BlockLattice, annihilators,
                                functional_evaluations, gauss_jordan,
-                               intersect_with_standard_lattice,
                                pi_adic_column_echelon, reduce_mod_pi,
                                residue_rank, signature_eps)
+from ramwedge.records import replace
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
 from oracles import (det, first_nonzero_evaluation, lattice_contains,
-                     residue_spans_equal, series_echelon, spanning_set)
+                     residue_spans_equal, saturated_residues, series_echelon,
+                     spanning_set)
 
 F = PrimeField(13)
 PRECISION = 24
@@ -87,19 +88,18 @@ def test_kl_top_degree_is_signature_summand():
 def test_monomial_saturation():
     n = 3
     a = IndexSet.of(n, (1, 2, 3)).mask
-    basis = intersect_with_standard_lattice([e_vec(n, [((1, 2, 3), L({-3: 1}))])],
-                                            PRECISION)
+    basis = pi_adic_column_echelon([e_vec(n, [((1, 2, 3), L({-3: 1}))])], PRECISION)
     assert len(basis) == 1
     assert basis.pivots == ((a, -3),)
-    assert basis.columns[0].terms == {a: PiLaurent.one(F)}
+    assert basis.saturated()[0].terms == {a: PiLaurent.one(F)}
 
 
 def test_single_column_scaling():
     n = 3
     gen = e_vec(n, [((1, 2, 3), L({0: 1})), ((1, 2, 4), L({-1: 1}))])
-    basis = intersect_with_standard_lattice([gen], PRECISION)
+    basis = pi_adic_column_echelon([gen], PRECISION)
     assert len(basis) == 1
-    col = basis.columns[0].terms
+    col = basis.saturated()[0].terms
     assert col[IndexSet.of(n, (1, 2, 3)).mask] == L({1: 1})
     assert col[IndexSet.of(n, (1, 2, 4)).mask] == L({0: 1})
 
@@ -108,7 +108,7 @@ def test_redundant_generators_detected():
     n = 3
     gen = e_vec(n, [((1, 2, 3), L({0: 1}))])
     dup = e_vec(n, [((1, 2, 3), L({2: 5}))])
-    basis = intersect_with_standard_lattice([gen, dup], PRECISION)
+    basis = pi_adic_column_echelon([gen, dup], PRECISION)
     assert len(basis) == 1
 
 
@@ -116,21 +116,27 @@ def test_precision_guard_trips():
     n = 3
     gen = e_vec(n, [((1, 2, 3), L({23: 1}))])
     with pytest.raises(PrecisionExhaustedError):
-        intersect_with_standard_lattice([gen], PRECISION)
+        pi_adic_column_echelon([gen], PRECISION)
+
+
+def non_monomial_generators(field, shift=0):
+    """Three generators at n = 2, degree 2, whose echelon meets only
+    non-monomial pivots, each pi^shift times a unit other than a constant
+    (no family meets one)."""
+    def P(coeffs):
+        return PiLaurent.make(field, {e + shift: field.of_int(c) for e, c in coeffs.items()})
+    rows = [({0: 2, 1: 1}, {0: 1, 3: 5}, {1: 1}),
+            ({0: 1, 2: 3}, {1: 1}, {0: 4}),
+            ({1: 1, 2: 1}, {0: 7}, {2: 1})]
+    return [WedgeVector(2, {m: P(c) for m, c in zip(index_masks(2, 2), row)})
+            for row in rows]
 
 
 @pytest.mark.parametrize("field", [F, Rationals()], ids=["F13", "Q"])
 def test_non_monomial_pivots_take_the_fraction_free_step(field):
-    # no family meets a non-monomial pivot, so build one where every pivot
-    # is pi^0 times a unit other than a constant; the echelon scales by that
-    # unit where the truncating reference divides by its series inverse
-    def P(coeffs):
-        return PiLaurent.make(field, {e: field.of_int(c) for e, c in coeffs.items()})
-    rows = [({0: 2, 1: 1}, {0: 1, 3: 5}, {1: 1}),
-            ({0: 1, 2: 3}, {1: 1}, {0: 4}),
-            ({1: 1, 2: 1}, {0: 7}, {2: 1})]
-    gens = [WedgeVector(2, {m: P(c) for m, c in zip(index_masks(2, 2), row)})
-            for row in rows]
+    # the echelon scales by each pivot's unit where the truncating
+    # reference divides by its series inverse
+    gens = non_monomial_generators(field)
     echelon = pi_adic_column_echelon(gens, PRECISION)
     reference = series_echelon(gens, PRECISION)
     assert echelon.pivots == reference.pivots
@@ -138,10 +144,12 @@ def test_non_monomial_pivots_take_the_fraction_free_step(field):
                for (t, val), col in zip(echelon.pivots, echelon.columns))
     # one module: the echelon holds every generator, and the reference (a
     # basis of the generators' module) holds every echelon column
-    assert all(lattice_contains(echelon, g) for g in gens)
-    assert all(lattice_contains(reference, col) for col in echelon.columns)
+    assert all(lattice_contains(echelon.pivots, echelon.columns, g, PRECISION)
+               for g in gens)
+    assert all(lattice_contains(reference.pivots, reference.columns, col, PRECISION)
+               for col in echelon.columns)
     # one residue span; the vectors differ by unit scalars
-    ours = list(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)).vectors)
+    ours = list(reduce_mod_pi(echelon).vectors)
     theirs = list(reduce_mod_pi(reference).vectors)
     assert ours != theirs
     assert residue_rank(field, ours) == residue_rank(field, ours + theirs) == 3
@@ -172,59 +180,100 @@ def test_checked_lattices_keep_their_headroom(n, field):
         assert DEFAULT_PRECISION - GUARD_BAND - top >= HEADROOM_MARGIN, name
 
 
-@pytest.mark.parametrize("build", [pi_adic_column_echelon,
-                                   intersect_with_standard_lattice])
-def test_echelon_entry_points_reject_bad_generators(build):
+def test_echelon_rejects_bad_generators():
     n = 3
     deg3 = e_vec(n, [((1, 2, 3), L({0: 1}))])
     deg2 = e_vec(n, [((1, 2), L({0: 1}))])
     with pytest.raises(ValueError, match="no generators"):
-        build([], PRECISION)
+        pi_adic_column_echelon([], PRECISION)
     with pytest.raises(ValueError, match="all generators are zero"):
-        build([WedgeVector(n, {})], PRECISION)
+        pi_adic_column_echelon([WedgeVector(n, {})], PRECISION)
     with pytest.raises(ValueError, match="mixed wedge degree"):
-        build([deg3, WedgeVector(n, {}), deg2], PRECISION)
+        pi_adic_column_echelon([deg3, WedgeVector(n, {}), deg2], PRECISION)
 
 
 def test_intersection_saturates_the_echelon():
+    # the lattice is the echelon's columns shifted by their pivot
+    # valuations, each to least valuation 0, reached at its pivot
     gens = spanning_set("refined", 3, F, r=2, s=1)
     echelon = pi_adic_column_echelon(gens, PRECISION)
-    basis = intersect_with_standard_lattice(gens, PRECISION)
-    assert basis.pivots == echelon.pivots
-    assert (basis.n, basis.degree, basis.field) == (echelon.n, echelon.degree, F)
-    for (_, val), col, scaled in zip(echelon.pivots, echelon.columns, basis.columns):
-        assert scaled.terms == {t: c.shift(-val) for t, c in col.terms.items()}
+    saturated = echelon.saturated()
+    assert len(saturated) == len(echelon) == 6
+    for (t, val), col, scaled in zip(echelon.pivots, echelon.columns, saturated):
+        assert scaled.terms == {t2: c.shift(-val) for t2, c in col.terms.items()}
+        assert min(c.ord() for c in scaled.terms.values()) == scaled.terms[t].ord() == 0
 
 
 def lattices_equal(a, b):
-    """Mutual membership of the two column families."""
-    return (all(lattice_contains(b, col) for col in a.columns)
-            and all(lattice_contains(a, col) for col in b.columns))
+    """Mutual membership of the saturated columns of two echelons."""
+    sat_a, sat_b = a.saturated(), b.saturated()
+    return (all(lattice_contains(b.pivots, sat_b, col, PRECISION) for col in sat_a)
+            and all(lattice_contains(a.pivots, sat_a, col, PRECISION) for col in sat_b))
 
 
 def test_intersection_idempotence():
     n = 3
     gens = spanning_set("refined", n, F, r=2, s=1)
-    basis = intersect_with_standard_lattice(gens, PRECISION)
-    again = intersect_with_standard_lattice(list(basis.columns), PRECISION)
+    basis = pi_adic_column_echelon(gens, PRECISION)
+    again = pi_adic_column_echelon(list(basis.saturated()), PRECISION)
     assert lattices_equal(basis, again)
+    assert all(val == 0 for _, val in again.pivots)
 
 
 def test_lattice_contains_rejects_fractional_coordinates():
     n = 3
     gens = spanning_set("refined", n, F, r=2, s=1)
-    basis = intersect_with_standard_lattice(gens, PRECISION)
-    inside = basis.columns[0]
+    basis = pi_adic_column_echelon(gens, PRECISION)
+    saturated = basis.saturated()
+    inside = saturated[0]
     ring = LaurentOps(F)
     outside = wedge_scale(inside, L({-1: 1}), ring)
-    assert lattice_contains(basis, inside)
-    assert not lattice_contains(basis, outside)
+    assert lattice_contains(basis.pivots, saturated, inside, PRECISION)
+    assert not lattice_contains(basis.pivots, saturated, outside, PRECISION)
+    # the echelon columns span the generators' module, which is not the
+    # lattice: a column of negative pivot valuation lies outside it
+    assert min(val for _, val in basis.pivots) < 0
+    assert [lattice_contains(basis.pivots, saturated, col, PRECISION)
+            for col in basis.columns] == [val >= 0 for _, val in basis.pivots]
+
+
+# ---------------------------------------------------------------------------
+# Residues read at the pivot valuation against the saturating pipeline
+
+
+def assert_residues_at_the_pivot_valuation(echelon):
+    """reduce_mod_pi of the echelon is the saturating pipeline's residue
+    basis, pivots, vectors and key order; each saturated column has least
+    valuation 0, reached at its pivot."""
+    got, want = reduce_mod_pi(echelon), saturated_residues(echelon)
+    assert got.pivots == want.pivots
+    assert [list(vec.items()) for vec in got.vectors] == \
+        [list(vec.items()) for vec in want.vectors]
+    for (t, _), col in zip(echelon.pivots, echelon.saturated()):
+        assert min(c.ord() for c in col.terms.values()) == col.terms[t].ord() == 0
+
+
+@pytest.mark.parametrize("field", [F, Rationals()], ids=["F13", "Q"])
+@pytest.mark.parametrize("shift", [0, -2, 3])
+def test_reduce_mod_pi_reads_non_monomial_pivots_at_their_valuation(field, shift):
+    echelon = pi_adic_column_echelon(non_monomial_generators(field, shift), PRECISION)
+    assert [val for _, val in echelon.pivots] == [shift] * 3
+    assert_residues_at_the_pivot_valuation(echelon)
+
+
+def test_reduce_mod_pi_refuses_a_pivot_below_its_column_minimum():
+    n = 3
+    a, b = IndexSet.of(n, (1, 2, 3)).mask, IndexSet.of(n, (1, 2, 4)).mask
+    echelon = pi_adic_column_echelon([e_vec(n, [((1, 2, 3), L({0: 1}))])], PRECISION)
+    bad = replace(echelon, columns=(WedgeVector(n, {a: L({0: 1}), b: L({-1: 1})}),))
+    with pytest.raises(AssertionError, match="pivot does not attain the column minimum"):
+        reduce_mod_pi(bad)
 
 
 def test_residue_reduction_drops_pi():
     n = 3
     gens = spanning_set("refined", n, F, r=2, s=1)
-    rb = reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION))
+    rb = reduce_mod_pi(pi_adic_column_echelon(gens, PRECISION))
     assert len(rb) == 6
     for vec, pivot in zip(rb.vectors, rb.pivots):
         assert pivot in vec
@@ -262,7 +311,7 @@ def test_rank_nullity_on_computed_lattices():
     for kind in ("spin+1", "spin-1", "refined", "kl"):
         for n in (3, 4, 5):
             name, kwargs = span_parameters(kind, n)
-            rb = reduce_mod_pi(intersect_with_standard_lattice(
+            rb = reduce_mod_pi(pi_adic_column_echelon(
                 spanning_set(name, n, F, **kwargs), PRECISION))
             ann = annihilators(rb)
             assert ann.functional_count + ann.span_rank == ann.coordinate_dim
@@ -277,7 +326,7 @@ def test_rank_nullity_on_computed_lattices():
 def test_membership_of_zero_vector():
     n = 3
     gens = spanning_set("spin", n, F, eps=1)
-    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
+    ann = annihilators(reduce_mod_pi(pi_adic_column_echelon(gens, PRECISION)))
     assert first_nonzero_evaluation(ann, {}, FieldRing(F))[0]
     assert spin_annihilators(n, F.key(), 1, PRECISION).membership({}, FieldRing(F)).ok
 
@@ -287,7 +336,7 @@ def test_spin_residue_over_dual_numbers():
     n = 3
     ring = DualNumbers(F)
     gens = spanning_set("spin", n, F, eps=-1)
-    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
+    ann = annihilators(reduce_mod_pi(pi_adic_column_echelon(gens, PRECISION)))
     target = {IndexSet.of(n, (4, 5, 6)).mask: ring.x()}
     assert first_nonzero_evaluation(ann, target, ring)[0]
     assert spin_annihilators(n, F.key(), -1, PRECISION).membership(target, ring).ok
@@ -297,7 +346,7 @@ def test_pipeline_over_rationals_cross_check():
     from ramwedge.fields import Rationals
     q = Rationals()
     gens = spanning_set("refined", 3, q, r=2, s=1)
-    basis = intersect_with_standard_lattice(gens, PRECISION)
+    basis = pi_adic_column_echelon(gens, PRECISION)
     rb = reduce_mod_pi(basis)
     assert len(basis) == len(rb) == 6
     ann = annihilators(rb)
@@ -330,7 +379,7 @@ def family_span_ranks(field) -> dict:
 def test_residue_rank_independent_of_prime(p):
     field = PrimeField(p)
     gens = spanning_set("refined", 3, field, r=2, s=1)
-    rb = reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION))
+    rb = reduce_mod_pi(pi_adic_column_echelon(gens, PRECISION))
     assert len(rb) == 6
     # F_p and Q give equal ranks, family by family
     got, want = family_span_ranks(field), family_span_ranks(Rationals())
@@ -465,7 +514,7 @@ def span_parameters(kind, n):
 @pytest.mark.parametrize("kind,n,p", list(GOLDEN_SPANS))
 def test_spanning_set_golden_spans(kind, n, p):
     name, kwargs = span_parameters(kind, n)
-    basis = intersect_with_standard_lattice(
+    basis = pi_adic_column_echelon(
         spanning_set(name, n, PrimeField(p), **kwargs), PRECISION)
     residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
     digest = hashlib.sha256(residue.encode()).hexdigest()[:16]
@@ -541,7 +590,7 @@ def annihilator_digest(ann):
 @pytest.mark.parametrize("kind,n,p", list(GOLDEN_ANNIHILATORS))
 def test_annihilator_golden_digests(kind, n, p):
     name, kwargs = span_parameters(kind, n)
-    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(
+    ann = annihilators(reduce_mod_pi(pi_adic_column_echelon(
         spanning_set(name, n, PrimeField(p), **kwargs), PRECISION)))
     assert (ann.span_rank, annihilator_digest(ann)) == GOLDEN_ANNIHILATORS[kind, n, p]
 
@@ -551,7 +600,7 @@ def smallest_working_precision(gens):
     precision = 1
     while True:
         try:
-            return precision, intersect_with_standard_lattice(gens, precision)
+            return precision, pi_adic_column_echelon(gens, precision)
         except PrecisionExhaustedError:
             precision += 1
 
@@ -569,7 +618,7 @@ def test_residue_basis_at_smallest_working_precision(kind, n, p):
     precision, basis = smallest_working_precision(gens)
     assert precision == max(val for _, val in basis.pivots) + GUARD_BAND + 1
     if p == "rationals":
-        at_default = intersect_with_standard_lattice(gens, PRECISION)
+        at_default = pi_adic_column_echelon(gens, PRECISION)
         assert reduce_mod_pi(basis).to_json() == reduce_mod_pi(at_default).to_json()
     else:
         residue = json.dumps(reduce_mod_pi(basis).to_json(), sort_keys=True)
@@ -591,7 +640,7 @@ def test_engine_structures_hold_only_int_keys():
         name, kwargs = span_parameters(kind, n)
         gens = spanning_set(name, n, F, **kwargs)
         assert all(ints(g.terms) for g in gens)
-        basis = intersect_with_standard_lattice(gens, PRECISION)
+        basis = pi_adic_column_echelon(gens, PRECISION)
         assert ints(t for t, _ in basis.pivots)
         assert all(ints(col.terms) for col in basis.columns)
         rb = reduce_mod_pi(basis)
@@ -677,7 +726,7 @@ def test_off_support_witnesses_come_in_lex_order():
         return IndexSet(n, t).members
 
     gens = spanning_set("refined", n, F, r=2, s=1)
-    ann = annihilators(reduce_mod_pi(intersect_with_standard_lattice(gens, PRECISION)))
+    ann = annihilators(reduce_mod_pi(pi_adic_column_echelon(gens, PRECISION)))
     assert ann.support_set == frozenset(ann.support)
     assert list(ann.support) == sorted(ann.support, key=members)
     ring, lattice = FieldRing(F), refined_annihilators(n, F.key(), 2, 1, PRECISION)

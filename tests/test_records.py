@@ -36,7 +36,7 @@ def samples() -> dict:
         IndexSet: {"n": 3, "mask": 0b101},
         WedgeVector: {"n": 3, "terms": {0b111: PiLaurent(F, {0: 1})}},
         Frame: {"kind": "g_split", "n": 3, "field": F, "vectors": ({0: 1},)},
-        DVRTriangularBasis: {"n": 3, "degree": 3, "field": F, "precision": 24,
+        DVRTriangularBasis: {"n": 3, "degree": 3, "field": F,
                              "pivots": ((0b111, 0),), "columns": ()},
         ResidueBasis: {"n": 3, "degree": 3, "field": F, "vectors": (),
                        "pivots": ()},

@@ -1,7 +1,7 @@
 """The block lattice of each family (half-spin, signature-refined and
 degree-l type-bounded), built one weight block at a time, against the
-global pipeline (intersect_with_standard_lattice of the oracle
-spanning_set) as its oracle."""
+global pipeline (pi_adic_column_echelon of the oracle spanning_set) as
+its oracle."""
 
 import random
 import re
@@ -16,7 +16,6 @@ from ramwedge.exterior import Frame, WedgeVector, frame_in_e
 from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet, bounded_type_masks, index_masks, type_masks
 from ramwedge.lattices import (BlockLattice, annihilators,
-                               intersect_with_standard_lattice,
                                pi_adic_column_echelon, reduce_mod_pi,
                                signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
@@ -25,7 +24,7 @@ from ramwedge import lattices
 
 from oracles import first_nonzero_evaluation, spanning_set
 from test_chart import dense_points, nilpotent_point, rings_over
-from test_lattices import annihilator_digest
+from test_lattices import annihilator_digest, assert_residues_at_the_pivot_valuation
 
 PRECISION = 24
 FIELDS = {"F3": PrimeField(3), "F5": PrimeField(5), "F13": PrimeField(13),
@@ -62,8 +61,7 @@ def block_lattice(n, field, eps):
 
 
 def global_lattice(n, field, eps):
-    basis = intersect_with_standard_lattice(spanning_set("spin", n, field, eps=eps),
-                                            PRECISION)
+    basis = pi_adic_column_echelon(spanning_set("spin", n, field, eps=eps), PRECISION)
     residue = reduce_mod_pi(basis)
     return basis, residue, annihilators(residue)
 
@@ -99,7 +97,7 @@ def merged_cases():
 def test_merged_blocks_are_the_global_lattice(n, field_name, kind, params):
     field = FIELDS[field_name]
     gens = spanning_set(kind, n, field, **params)
-    basis = intersect_with_standard_lattice(gens, PRECISION)
+    basis = pi_adic_column_echelon(gens, PRECISION)
     residue = reduce_mod_pi(basis)
     ann = annihilators(residue)
     lattice = family_lattice(kind, n, field, **params)
@@ -117,6 +115,22 @@ def test_merged_blocks_are_the_global_lattice(n, field_name, kind, params):
     # other families meet the lazy path in the witness numbering test)
     if kind == "spin":
         assert family_lattice(kind, n, field, **params).annihilators == ann
+
+
+@pytest.mark.parametrize("field_name", ["F3", "F13", "Q"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_reduce_mod_pi_is_the_saturating_pipeline_on_every_block(n, field_name):
+    # every block echelon of full_report's four families, and each merged one
+    valuations = set()
+    for kind, params in report_families(n):
+        lattice = family_lattice(kind, n, FIELDS[field_name], **params)
+        for _, weights in lattice._family_blocks():
+            echelon = lattice._reduce(weights)[0]
+            assert_residues_at_the_pivot_valuation(echelon)
+            valuations.update(val for _, val in echelon.pivots)
+        assert_residues_at_the_pivot_valuation(lattice.whole()[0])
+    # spin pivots sit at pi^-1: reading pi^0 instead would differ
+    assert -1 in valuations
 
 
 @pytest.mark.parametrize("n", range(2, 8))
