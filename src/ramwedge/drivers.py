@@ -7,8 +7,9 @@ takes an explicit seed.
 from __future__ import annotations
 
 import random
+from math import comb
 
-from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint,
+from .chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint, _columns_in_e,
                     block_reflection, full_report, mat_add, mat_mul,
                     mat_transpose, refined_annihilators, spin_annihilators,
                     wedge_vector)
@@ -20,10 +21,10 @@ from .fields import PrimeField
 from .indexsets import (DRIVER_RANKS, MAX_RANK, IndexSet, bounded_type_masks,
                         bundle_ranks, i_vee, index_masks, shuffle_sign,
                         sigma_sign_bruteforce, type_masks, type_n11_sets)
-from .lattices import (functional_evaluations, paired_generator,
-                       pi_adic_column_echelon, residue_rank, signature_eps)
+from .lattices import (paired_generator, pi_adic_column_echelon, residue_rank,
+                       signature_eps)
 from .records import frozen
-from .rings import DualNumbers, FieldRing, PolyRing
+from .rings import DualNumbers, FieldRing
 from .scalars import LaurentOps, PiLaurent
 
 
@@ -142,47 +143,33 @@ def classify_pair_case(n: int, i: int, j: int) -> int:
 
 def expected_pair_worst_term(field, n: int, i: int, j: int):
     """Coded closed form for the worst term of g_S - sgn(sigma_S)*g_{S-perp}
-    at the type-(n-1, 1) pair (i, j): the nine-case table."""
+    at the type-(n-1, 1) pair (i, j): the nine-case table, at the valuation
+    that scaled_generator_exponent cancels."""
     m = n // 2
     iv, jv = i_vee(n, i), i_vee(n, j)
     case = classify_pair_case(n, i, j)
+    val = -scaled_generator_exponent(n, i, j)
     two = field.of_int(2)
 
-    def mono(val, k):
+    def mono(k):
         return PiLaurent.make(field, {val: _sign_elem(field, k)})
 
     if case == 1:
-        val = -(m + 1)
         return val, {_full_set(n): PiLaurent.monomial(field, val)}
-    if case == 2:
-        val = -(m - 1)
+    if case in (2, 3):
         return val, {_pset(n, i, iv): PiLaurent.make(
-            field, {val: field.mul(two, _sign_elem(field, m))})}
-    if case == 3:
-        val = -(m + 1)
-        return val, {_pset(n, i, iv): PiLaurent.make(
-            field, {val: field.mul(two, _sign_elem(field, m + 1))})}
+            field, {val: field.mul(two, _sign_elem(field, m if case == 2 else m + 1))})}
     if case == 4:
-        val = -m
-        return val, {_pset(n, i, i): mono(val, m + 1),
-                     _pset(n, iv, iv): mono(val, m)}
+        return val, {_pset(n, i, i): mono(m + 1), _pset(n, iv, iv): mono(m)}
     if case == 5:
-        val = -(m - 1)
-        return val, {_pset(n, i, j): mono(val, m),
-                     _pset(n, jv, iv): mono(val, m + i + j)}
+        return val, {_pset(n, i, j): mono(m), _pset(n, jv, iv): mono(m + i + j)}
     if case == 6:
-        val = -m
-        return val, {_pset(n, m + 1, iv): mono(val, i + 1)}
+        return val, {_pset(n, m + 1, iv): mono(i + 1)}
     if case == 7:
-        val = -m
-        return val, {_pset(n, i, j): mono(val, m + 1),
-                     _pset(n, jv, iv): mono(val, m + i + j)}
+        return val, {_pset(n, i, j): mono(m + 1), _pset(n, jv, iv): mono(m + i + j)}
     if case == 8:
-        val = -(m + 1)
-        return val, {_pset(n, m + 1, j): mono(val, m + 1)}
-    val = -(m + 1)
-    return val, {_pset(n, i, j): mono(val, m + 1),
-                 _pset(n, jv, iv): mono(val, m + 1 + i + j)}
+        return val, {_pset(n, m + 1, j): mono(m + 1)}
+    return val, {_pset(n, i, j): mono(m + 1), _pset(n, jv, iv): mono(m + 1 + i + j)}
 
 
 def canonical_pairs(n: int):
@@ -406,61 +393,74 @@ def run_counterexample(n: int, p: int = DEFAULT_P,
 
 def verify_x1_zero(n: int, p: int = DEFAULT_P,
                    precision: int = DEFAULT_PRECISION) -> Certificate:
-    """With the (n-1) x (n-1) block fully symbolic and the other blocks zero,
+    """With the (n-1) x (n-1) block X1 symbolic and the other blocks zero,
     the homogeneous-linear equations extracted from the refined membership
-    functionals, together with the entries of X1 + J X1^t J, must span the
+    conditions, together with the entries of X1 + J X1^t J, must span the
     full coordinate space of the variables.  That certifies over every
     coefficient k-algebra at once: membership plus the antisymmetry relation
     force X1 = 0.  If the linear equations fall short while nonlinear ones
-    exist, the certificate is inconclusive rather than failed."""
+    exist, the certificate is inconclusive rather than failed.
+
+    The equations are the nonzero wedge coordinates off the refined support
+    and the nonzero functional values.  The coordinate at S is, up to sign,
+    a minor of X1 of degree |S ∩ {1..n}|: nonzero iff S avoids e_(m+1)
+    (X's last row, m = n // 2) and holds e_(n+m+1) (the 1 of X's last
+    column), so C(2d, d) masks are nonzero minors (d = n - 1), d^2 of them
+    of degree one.  Distinct minors of a generic matrix are linearly
+    independent over any field (Doubilet-Rota-Stein, On the foundations of
+    combinatorial theory IX, 1974: each is a one-row standard bitableau).
+    So a functional is nonlinear iff it has a nonzero coefficient on a
+    nonzero minor of degree other than one, and otherwise zero or
+    homogeneous linear.  The linear parts are read one variable v at a
+    time: at X1 = x E_v over the dual numbers, the x-coefficients of the
+    wedge and of X1 + J X1^t J are column v of theirs."""
     _require_rank("x1-zero", n)
     field = PrimeField(p)
+    ring = DualNumbers(field)
     d = n - 1
-    names = tuple(f"x{i + 1}_{j + 1}" for i in range(d) for j in range(d))
-    ring = PolyRing(field, names)
-    x1 = [[ring.var(i * d + j) for j in range(d)] for i in range(d)]
-    pt = ChartPoint.from_blocks(n, ring, x1, [ring.zero] * d)
-
-    v = wedge_vector(pt)
     ann = refined_annihilators(n, field.key(), n - 1, 1, precision).annihilators
-    linear_rows = []
-    nonlinear = 0
-    # the off-support coordinates, then the functionals; only counts and
-    # ranks are read, so their order does not matter
-    values = [c for t, c in v.terms.items() if t not in ann.support_set]
-    for value in values + [value for _, value in functional_evaluations(ann, v.terms, ring)]:
-        if ring.is_zero(value):
-            continue
-        if ring.is_homogeneous_linear(value):
-            linear_rows.append(dict(enumerate(ring.linear_row(value))))
-        else:
-            nonlinear += 1
     j_mat = block_reflection(ring, d)
-    sym = mat_add(ring, x1, mat_mul(ring, j_mat, mat_mul(ring, mat_transpose(x1), j_mat)))
-    symmetry_rows = []
-    for row in sym:
-        for entry in row:
-            if ring.is_zero(entry):
-                continue
-            if not ring.is_homogeneous_linear(entry):
+    linear = {}  # degree-one mask: (variable, its coefficient there)
+    symmetry = {}  # entry of X1 + J X1^t J: its row {variable: coefficient}
+    for v in range(d * d):
+        x1 = [[ring.zero] * d for _ in range(d)]
+        x1[v // d][v % d] = ring.x()
+        pt = ChartPoint.from_blocks(n, ring, x1, [ring.zero] * d)
+        linear.update((t, (v, b)) for t, (_, b) in wedge_vector(pt).terms.items()
+                      if not field.is_zero(b))
+        sym = mat_add(ring, x1, mat_mul(ring, j_mat, mat_mul(ring, mat_transpose(x1), j_mat)))
+        for entry, (a, b) in enumerate(c for row in sym for c in row):
+            if not field.is_zero(a):
                 raise AssertionError("symmetry relation produced a nonlinear entry")
-            symmetry_rows.append(dict(enumerate(ring.linear_row(entry))))
+            if not field.is_zero(b):
+                symmetry.setdefault(entry, {})[v] = b
+    # X's last column is the 1 at e_(n+m+1), and its last row sits at e_(m+1)
+    (unit,) = _columns_in_e(pt)[-1]
+    hold = 1 << unit - 1
+    minor_bits = hold | 1 << unit - n - 1
+
+    def nonlinear_at(t):
+        """Whether the coordinate at t is a nonzero minor of degree other than one."""
+        return t & minor_bits == hold and t not in linear
+
+    linear_rows = [{v: b} for t, (v, b) in linear.items() if t not in ann.support_set]
+    nonlinear = comb(2 * d, d) - len(linear) - sum(map(nonlinear_at, ann.support))
+    for phi in ann.functionals:
+        if any(map(nonlinear_at, phi)):
+            nonlinear += 1
+        elif row := {linear[t][0]: field.mul(a, linear[t][1])
+                     for t, a in phi.items() if t in linear}:
+            linear_rows.append(row)
+    symmetry_rows = list(symmetry.values())
     nvars = d * d
-    rank_ann = residue_rank(field, linear_rows)
-    rank_sym = residue_rank(field, symmetry_rows)
     rank_all = residue_rank(field, linear_rows + symmetry_rows)
-    if rank_all == nvars:
-        verdict = "pass"
-    elif nonlinear:
-        verdict = "inconclusive"
-    else:
-        verdict = "fail"
+    verdict = "pass" if rank_all == nvars else "inconclusive" if nonlinear else "fail"
     return Certificate("x1-zero", {"n": n, "p": p, "precision": precision}, verdict,
                        {"variables": nvars, "combined_rank": rank_all,
                         "linear_equations": len(linear_rows),
                         "nonlinear_equations": nonlinear,
-                        "rank_membership_alone": rank_ann,
-                        "rank_symmetry_alone": rank_sym})
+                        "rank_membership_alone": residue_rank(field, linear_rows),
+                        "rank_symmetry_alone": residue_rank(field, symmetry_rows)})
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ DRIVER_RANKS = {
     "refined-basis": (3, 7, True, 5),
     "spin-structure": (3, 7, True, 5),
     "counterexample": (5, None, True, 5),
-    "x1-zero": (3, 9, True, 3),
+    "x1-zero": (3, 13, True, 3),
     "operator-identities": (3, 11, True, 3),
 }
 

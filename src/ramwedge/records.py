@@ -26,8 +26,3 @@ def frozen(cls):
         setattr(cls, name, ns[name])
     cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
-
-
-def replace(record, **changes):
-    """A new record of the same class, with the named fields changed."""
-    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})

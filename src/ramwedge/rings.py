@@ -20,8 +20,8 @@ and the fold raise instead of letting a field carry into its neighbour,
 and JSON input refuses exponents above EXPONENT_CAP, so a product of at
 most MAX_RANK input entries (each entry a chart computation forms is one)
 stays below the guard.  Keys are packed and unpacked only in this module:
-var, one, const, is_homogeneous_linear, linear_row and the JSON
-conversions; the fold adds them but never unpacks them.
+var, one, const and the JSON conversions; the fold adds them but never
+unpacks them.
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ class PolyRing:
         return tuple(FIELD_BITS * (self.nvars - 1 - i) for i in range(self.nvars))
 
     @cached_property
-    def _var_index(self) -> dict:
-        """{key of variable i: i}."""
-        return {1 << shift: i for i, shift in enumerate(self._shifts)}
-
-    @cached_property
     def overflow_bits(self) -> int:
         """The guard bits of every field."""
         return sum(1 << (shift + FIELD_BITS - 1) for shift in self._shifts)
@@ -258,16 +253,6 @@ class PolyRing:
 
     def from_monomials(self, terms):
         return terms
-
-    def is_homogeneous_linear(self, a) -> bool:
-        return bool(a) and all(m in self._var_index for m in a)
-
-    def linear_row(self, a) -> list:
-        """Coefficient vector of a homogeneous linear polynomial."""
-        row = [self.field.zero] * self.nvars
-        for m, c in a.items():
-            row[self._var_index[m]] = c
-        return row
 
     def element_to_json(self, a):
         return [{"coeff": self.field.element_to_json(c), "exponents": self._unpack(m)}

@@ -1,7 +1,9 @@
 """Brute-force oracles and reference arithmetic shared by the tests; the
 package does not use them."""
 
-from ramwedge.chart import DEFAULT_P, DEFAULT_PRECISION
+from ramwedge.chart import (DEFAULT_P, DEFAULT_PRECISION, ChartPoint, block_reflection,
+                            mat_add, mat_mul, mat_transpose, refined_annihilators,
+                            wedge_vector)
 from ramwedge.drivers import Certificate, check_point_implications, sample_chart_points
 from ramwedge.errors import PrecisionExhaustedError
 from ramwedge.exterior import (Frame, WedgeVector, _add_multiple, basis_wedge,
@@ -10,7 +12,8 @@ from ramwedge.fields import PrimeField
 from ramwedge.indexsets import (IndexSet, bounded_type_masks, index_masks, lex_key,
                                 type_masks)
 from ramwedge.lattices import (GUARD_BAND, DVRTriangularBasis, ResidueBasis,
-                               _paired_generators, residue_rank, signature_eps)
+                               _paired_generators, functional_evaluations, residue_rank,
+                               signature_eps)
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
@@ -222,8 +225,9 @@ def saturated_residues(echelon) -> ResidueBasis:
 class TuplePolyRing:
     """Polynomials keyed by exponent tuples, the arithmetic PolyRing had
     before its monomials were packed into ints: the reference for the
-    packed keys (test_rings.py).  Elements are {exponent tuple: coefficient}
-    maps over the same field."""
+    packed keys (test_rings.py), and through its linear helpers for the
+    linear rows of dense_x1_zero.  Elements are {exponent tuple:
+    coefficient} maps over the same field."""
 
     def __init__(self, field, nvars: int):
         self.field = field
@@ -407,3 +411,67 @@ def verify_implications(n: int, p: int = DEFAULT_P, samples: int = 200,
                        {"points_checked": checked,
                         "refined_passes": refined_passes,
                         "violations": violations})
+
+
+def symbolic_x1_point(n: int, field) -> ChartPoint:
+    """The chart point with X1 a matrix of (n-1)^2 polynomial variables,
+    x{i}_{j} in row-major order, and the other blocks zero."""
+    d = n - 1
+    ring = PolyRing(field, tuple(f"x{i + 1}_{j + 1}" for i in range(d) for j in range(d)))
+    x1 = [[ring.var(i * d + j) for j in range(d)] for i in range(d)]
+    return ChartPoint.from_blocks(n, ring, x1, [ring.zero] * d)
+
+
+def dense_x1_zero(n: int, p: int = DEFAULT_P,
+                  precision: int = DEFAULT_PRECISION) -> Certificate:
+    """verify x1-zero by the whole symbolic top wedge: every off-support
+    coordinate and functional value expanded over PolyRing, and read as
+    homogeneous linear or not through the tuple-keyed ring.  That is
+    sum_k C(n-1, k)^2 k! monomials, so n = 9 at most.  The reference for
+    drivers.verify_x1_zero, which reads the linear parts one variable at a
+    time and counts the other equations by the minor lemma."""
+    field = PrimeField(p)
+    pt = symbolic_x1_point(n, field)
+    ring, x1, d = pt.ring, pt.x1(), n - 1
+    tuples = TuplePolyRing(field, d * d)
+
+    def linear_row(value):
+        """{variable: coefficient} of a homogeneous linear value, else None."""
+        expanded = {tuple(ring._unpack(m)): c for m, c in value.items()}
+        if tuples.is_homogeneous_linear(expanded):
+            return dict(enumerate(tuples.linear_row(expanded)))
+        return None
+
+    v = wedge_vector(pt)
+    ann = refined_annihilators(n, field.key(), n - 1, 1, precision).annihilators
+    linear_rows = []
+    nonlinear = 0
+    values = [c for t, c in v.terms.items() if t not in ann.support_set]
+    for value in values + [value for _, value in functional_evaluations(ann, v.terms, ring)]:
+        if ring.is_zero(value):
+            continue
+        if (row := linear_row(value)) is None:
+            nonlinear += 1
+        else:
+            linear_rows.append(row)
+    j_mat = block_reflection(ring, d)
+    sym = mat_add(ring, x1, mat_mul(ring, j_mat, mat_mul(ring, mat_transpose(x1), j_mat)))
+    symmetry_rows = []
+    for value in (c for row in sym for c in row if not ring.is_zero(c)):
+        if (row := linear_row(value)) is None:
+            raise AssertionError("symmetry relation produced a nonlinear entry")
+        symmetry_rows.append(row)
+    nvars = d * d
+    rank_all = residue_rank(field, linear_rows + symmetry_rows)
+    verdict = ("pass" if rank_all == nvars else "inconclusive" if nonlinear else "fail")
+    return Certificate("x1-zero", {"n": n, "p": p, "precision": precision}, verdict,
+                       {"variables": nvars, "combined_rank": rank_all,
+                        "linear_equations": len(linear_rows),
+                        "nonlinear_equations": nonlinear,
+                        "rank_membership_alone": residue_rank(field, linear_rows),
+                        "rank_symmetry_alone": residue_rank(field, symmetry_rows)})
+
+
+def replace(record, **changes):
+    """A new record of the same class, with the named fields changed."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})

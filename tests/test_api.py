@@ -31,12 +31,17 @@ def definitions(tree, module):
 
 
 def reads(tree):
-    """Every name the module reads: names, attributes and imports."""
+    """Every name the module reads: names, imports and attributes, but not
+    the attributes of a name bound by a plain import X (os.replace reads
+    no helper of the package)."""
+    plain = {alias.name.partition(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names if not alias.asname}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            if not (isinstance(node.value, ast.Name) and node.value.id in plain):
+                yield node.attr
         elif isinstance(node, ast.alias):
             yield node.name
 

@@ -56,8 +56,13 @@ def test_verify_all_small(tmp_path):
     ("11", ["sign-lemma: run at n = 6, not --n 11",
             "worst-terms: run at n = 9, not --n 11",
             "refined-basis: run at n = 7, not --n 11",
-            "spin-structure: run at n = 7, not --n 11",
-            "x1-zero: run at n = 9, not --n 11"]),
+            "spin-structure: run at n = 7, not --n 11"]),
+    ("15", ["sign-lemma: run at n = 6, not --n 15",
+            "worst-terms: run at n = 9, not --n 15",
+            "refined-basis: run at n = 7, not --n 15",
+            "spin-structure: run at n = 7, not --n 15",
+            "x1-zero: run at n = 13, not --n 15",
+            "operator-identities: run at n = 11, not --n 15"]),
 ])
 def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
                                                          capsys, n, notes):
@@ -75,7 +80,7 @@ def test_verify_all_names_each_driver_run_at_another_rank(tmp_path, monkeypatch,
     (["worst-terms", "--n", "100"], "odd n with 3 <= n <= 9, got 100"),
     (["sign-lemma", "--n", "0"], "n with 2 <= n <= 6, got 0"),
     (["spin-structure", "--n", "-3"], "odd n with 3 <= n <= 7, got -3"),
-    (["x1-zero", "--n", "11"], "odd n with 3 <= n <= 9, got 11"),
+    (["x1-zero", "--n", "15"], "odd n with 3 <= n <= 13, got 15"),
     (["operator-identities", "--n", "4", "--signature", "3,1"],
      "odd n with 3 <= n <= 11, got 4"),
     (["all", "--n", "4"], "odd n with 3 <= n <= 9, got 4"),

@@ -1,11 +1,12 @@
 """Certificate drivers: verdicts, evidence, and precondition handling."""
 
 import json
+from math import comb
 
 import pytest
 
 from ramwedge import drivers
-from ramwedge.chart import DEFAULT_PRECISION, refined_annihilators
+from ramwedge.chart import DEFAULT_PRECISION, refined_annihilators, wedge_vector
 from ramwedge.drivers import (bundle_ranks, canonical_pairs, classify_pair_case,
                               counterexample_point, expected_pair_worst_term,
                               run_counterexample, run_driver,
@@ -16,10 +17,12 @@ from ramwedge.drivers import (bundle_ranks, canonical_pairs, classify_pair_case,
 from ramwedge.errors import RankError
 from ramwedge.exterior import wedge_scale
 from ramwedge.fields import PrimeField, Rationals
+from ramwedge.indexsets import index_masks
 from ramwedge.lattices import pi_adic_column_echelon
 from ramwedge.scalars import LaurentOps, PiLaurent
 
-from oracles import lattice_contains, verify_implications
+from oracles import (dense_x1_zero, lattice_contains, symbolic_x1_point,
+                     verify_implications)
 
 F = PrimeField(13)
 
@@ -176,7 +179,7 @@ def test_x1_zero_driver_small():
     assert cert.evidence["rank_membership_alone"] < 4
     assert cert.evidence["rank_symmetry_alone"] < 4
     with pytest.raises(ValueError):
-        verify_x1_zero(11)
+        verify_x1_zero(15)
 
 
 # Evidence recorded with the dense eliminator the driver used before it
@@ -193,6 +196,37 @@ def test_x1_zero_evidence_pinned(n, evidence):
     keys = ("variables", "combined_rank", "linear_equations",
             "nonlinear_equations", "rank_membership_alone", "rank_symmetry_alone")
     assert tuple(cert.evidence[k] for k in keys) == evidence
+
+
+@pytest.mark.parametrize("p", [3, 13, 10**18 + 3])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_x1_zero_matches_the_dense_symbolic_fold(n, p):
+    assert verify_x1_zero(n, p).to_json() == dense_x1_zero(n, p).to_json()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_x1_zero_coordinates_are_minors_by_position(n):
+    # the rule verify_x1_zero counts by: the coordinate at S is nonzero iff
+    # S avoids e_(m+1) and holds e_(n+m+1), and its degree is |S ∩ {1..n}|
+    pt = symbolic_x1_point(n, PrimeField(13))
+    terms = wedge_vector(pt).terms
+    m = n // 2
+    assert set(terms) == {t for t in index_masks(n) if not t >> m & 1 and t >> n + m & 1}
+    assert len(terms) == comb(2 * (n - 1), n - 1)
+    for t, value in terms.items():
+        assert {sum(pt.ring._unpack(key)) for key in value} == {(t & (1 << n) - 1).bit_count()}
+
+
+# Observed, not proved: the evidence in closed form in d = n - 1.  CI pins
+# n = 13, (144, 144, 66, 2704011, 66, 78), on the command line.
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_x1_zero_evidence_follows_closed_forms(n):
+    d = n - 1
+    e = verify_x1_zero(n).evidence
+    assert e["variables"] == e["combined_rank"] == d * d
+    assert e["linear_equations"] == e["rank_membership_alone"] == comb(d, 2)
+    assert e["nonlinear_equations"] == comb(2 * d, d) - 1 - d * d
+    assert e["rank_symmetry_alone"] == comb(d + 1, 2)
 
 
 def test_operator_identities_driver():
@@ -240,13 +274,13 @@ def test_bundle_ranks_cap_each_driver_at_its_range():
     assert bundle_ranks(3) == list(zip(ids, [3, 3, 3, 3, 5, 3, 3]))
     assert bundle_ranks(5) == list(zip(ids, [5, 5, 5, 5, 5, 5, 5]))
     assert bundle_ranks(9) == list(zip(ids, [6, 9, 7, 7, 9, 9, 9]))
-    assert bundle_ranks(13) == list(zip(ids, [6, 9, 7, 7, 13, 9, 11]))
+    assert bundle_ranks(13) == list(zip(ids, [6, 9, 7, 7, 13, 13, 11]))
 
 
 @pytest.mark.parametrize("result_id,n", [
     ("sign-lemma", 0), ("sign-lemma", 7), ("worst-terms", 100),
     ("worst-terms", 4), ("refined-basis", 9), ("spin-structure", -3),
-    ("counterexample", 3), ("x1-zero", 11), ("operator-identities", 4),
+    ("counterexample", 3), ("x1-zero", 15), ("operator-identities", 4),
     ("operator-identities", 13), ("counterexample", 22), ("counterexample", 23),
     ("all", 4), ("all", 1), ("all", 23)])
 def test_run_driver_rejects_ranks_out_of_range(result_id, n):

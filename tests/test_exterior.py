@@ -19,7 +19,7 @@ from ramwedge.rings import MAX_EXPONENT, DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
 from oracles import (ambient_form_eval, ambient_frame, apply_wedge_power_operator,
-                     in_lattice_basis, wedge_columns_masks_per_term)
+                     in_lattice_basis, symbolic_x1_point, wedge_columns_masks_per_term)
 
 F = PrimeField(13)
 Q = Rationals()
@@ -659,12 +659,10 @@ def test_fold_kernel_over_poly_in_two_variables(field):
 
 def test_fold_kernel_on_the_symbolic_x1_zero_point():
     # the top wedge of [X; I] with X1 a 4 x 4 matrix of 16 variables (n = 5)
-    n, d = 5, 4
-    ring = PolyRing(F, tuple(f"x{i}" for i in range(d * d)))
-    x1 = [[ring.var(i * d + j) for j in range(d)] for i in range(d)]
-    cols = _columns_in_e(ChartPoint.from_blocks(n, ring, x1, [ring.zero] * d))
-    got = wedge_columns_masks(cols, ring)
-    assert got == wedge_columns_masks_per_term(cols, ring)
+    pt = symbolic_x1_point(5, F)
+    cols = _columns_in_e(pt)
+    got = wedge_columns_masks(cols, pt.ring)
+    assert got == wedge_columns_masks_per_term(cols, pt.ring)
     assert sum(map(len, got.values())) > len(got) > 1
 
 

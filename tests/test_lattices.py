@@ -22,11 +22,10 @@ from ramwedge.lattices import (GUARD_BAND, BlockLattice, annihilators,
                                functional_evaluations, gauss_jordan,
                                pi_adic_column_echelon, reduce_mod_pi,
                                residue_rank, signature_eps)
-from ramwedge.records import replace
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import LaurentOps, PiLaurent
 
-from oracles import (det, first_nonzero_evaluation, lattice_contains,
+from oracles import (det, first_nonzero_evaluation, lattice_contains, replace,
                      residue_spans_equal, saturated_residues, series_echelon,
                      spanning_set)
 

@@ -9,6 +9,7 @@ import pkgutil
 import pytest
 
 import ramwedge
+from oracles import replace
 from ramwedge.chart import ChartPoint, ConditionReport, Verdict
 from ramwedge.drivers import Certificate
 from ramwedge.exterior import Frame, WedgeVector
@@ -16,7 +17,6 @@ from ramwedge.fields import PrimeField, Rationals
 from ramwedge.indexsets import IndexSet
 from ramwedge.lattices import (AnnihilatorSet, DVRTriangularBasis, MembershipResult,
                                ResidueBasis)
-from ramwedge.records import replace
 from ramwedge.rings import DualNumbers, FieldRing, PolyRing
 from ramwedge.scalars import PiLaurent
 

@@ -38,16 +38,6 @@ def test_poly_arithmetic():
     assert r.is_zero(r.sub(prod, prod))
 
 
-def test_poly_linear_helpers():
-    r = PolyRing(F, ("a", "b", "c"))
-    lin = r.add(r.var(0), r.mul(r.const(F.of_int(5)), r.var(2)))
-    assert r.is_homogeneous_linear(lin)
-    assert r.linear_row(lin) == [F.one, F.zero, F.of_int(5)]
-    assert not r.is_homogeneous_linear(r.mul(r.var(0), r.var(1)))
-    assert not r.is_homogeneous_linear(r.add(r.var(0), r.one))
-    assert not r.is_homogeneous_linear(r.zero)
-
-
 def test_ring_json_round_trips():
     d = DualNumbers(F)
     x = (F.of_int(4), F.of_int(9))
@@ -128,9 +118,6 @@ def test_packed_keys_agree_with_tuple_keyed_arithmetic(field, nvars):
         for op in ("add", "sub", "mul"):
             same(getattr(ring, op)(a, b), getattr(oracle, op)(oa, ob))
         same(ring.neg(a), oracle.neg(oa))
-        assert ring.is_homogeneous_linear(a) == oracle.is_homogeneous_linear(oa)
-        if oracle.is_homogeneous_linear(oa):
-            assert ring.linear_row(a) == oracle.linear_row(oa)
 
 
 def test_product_past_the_field_raises_instead_of_wrapping():
